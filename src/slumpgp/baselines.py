@@ -14,15 +14,16 @@ from random import Random
 import numpy as np
 
 from .dataset import Dataset, ScaleParams, scale_minmax
-from .expr import ExprTree, GenMethod, eval_matrix, ramped_half_and_half, random_tree, tree_depth, tree_size
+from .expr import ExprTree, GenMethod, eval_matrix, ramped_half_and_half, random_tree, tree_depth
 from .gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
-    GenerationStats,
     Individual,
     RunResult,
     TreeOrigin,
-    fitness,
+    check_loop_fields,
+    make_individual,
+    run_generations,
 )
 
 
@@ -98,22 +99,9 @@ class StgpConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise BaselineError(f"population_size must be >= 1, got {self.population_size}")
-        if self.generations < 0:
-            raise BaselineError(f"generations must be >= 0, got {self.generations}")
+        check_loop_fields(self, BaselineError)
         if self.max_depth < 1:
             raise BaselineError(f"max_depth must be >= 1, got {self.max_depth}")
-        if not 0.0 <= self.p_crossover <= 1.0 or not 0.0 <= self.p_mutation <= 1.0:
-            raise BaselineError("operator probabilities must lie in [0, 1]")
-        if self.p_crossover + self.p_mutation > 1.0:
-            raise BaselineError("p_crossover + p_mutation must be <= 1")
-        if self.tournament_size < 2:
-            raise BaselineError(f"tournament_size must be >= 2, got {self.tournament_size}")
-        if self.tournament_size > self.population_size:
-            raise BaselineError("tournament_size cannot exceed population_size")
-        if not 1 <= self.elitism <= self.population_size:
-            raise BaselineError("elitism must be in 1..population_size")
 
 
 def _node_at(t: ExprTree, idx: int) -> ExprTree:
@@ -122,10 +110,9 @@ def _node_at(t: ExprTree, idx: int) -> ExprTree:
         return t
     pos = 1
     for c in t.children:
-        sz = tree_size(c)
-        if idx < pos + sz:
+        if idx < pos + c.size:
             return _node_at(c, idx - pos)
-        pos += sz
+        pos += c.size
     raise IndexError(idx)
 
 
@@ -136,110 +123,55 @@ def _replace_at(t: ExprTree, idx: int, sub: ExprTree) -> ExprTree:
     pos = 1
     children = list(t.children)
     for ci, c in enumerate(children):
-        sz = tree_size(c)
-        if idx < pos + sz:
+        if idx < pos + c.size:
             children[ci] = _replace_at(c, idx - pos, sub)
             return ExprTree(t.kind, t.index, t.value, tuple(children))
-        pos += sz
+        pos += c.size
     raise IndexError(idx)
-
-
-@dataclass(eq=False)
-class _Prog:
-    tree: ExprTree
-    train_sem: np.ndarray
-    test_sem: np.ndarray
-    fit: float
 
 
 def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset) -> RunResult:
     """Koza-style tree GP with subtree crossover/mutation and a depth cap.
 
-    Crossover picks one node uniformly in each parent and grafts the second
-    parent's subtree into the first; mutation grafts a fresh grow tree at a
-    uniform node. Offspring deeper than max_depth are rejected in favour of
-    the first parent. Fitness is the same absolute-error sum the semantic
-    engine uses; non-finite fitness is treated as worst-possible.
+    Runs on GSGP's loop, `gsgp.run_generations`, with the literal tree as
+    each individual's ancestry (TreeOrigin), so selection, elitism, fitness
+    and history rows match the semantic engine's. Crossover picks one node
+    uniformly in each parent and grafts the second parent's subtree into
+    the first; mutation grafts a fresh grow tree at a uniform node.
+    Offspring deeper than max_depth are rejected in favour of the first
+    parent.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
     rng = Random(cfg.rng_seed)
-    targets = train.targets
-    n_train, n_test = len(train), len(test)
+    n_train = len(train)
     stacked = np.vstack([train.features, test.features])
-    test_targets = test.targets
 
-    def evaluate(tree: ExprTree) -> _Prog:
+    def evaluate(tree: ExprTree) -> Individual:
         with np.errstate(all="ignore"):
             sem = eval_matrix(tree, stacked)
-        train_sem, test_sem = sem[:n_train], sem[n_train:]
-        fit = fitness(train_sem, targets)
-        if math.isnan(fit):
-            fit = math.inf
-        return _Prog(tree, train_sem, test_sem, fit)
+        return make_individual(sem[:n_train], sem[n_train:], train.targets, TreeOrigin(tree))
 
-    def best_indices(pop: list[_Prog], count: int) -> list[int]:
-        return sorted(range(len(pop)), key=lambda i: (pop[i].fit, i))[:count]
-
-    def select(pop: list[_Prog]) -> _Prog:
-        entrants = rng.sample(range(len(pop)), cfg.tournament_size)
-        return pop[min(entrants, key=lambda i: (pop[i].fit, i))]
-
-    def capped(offspring: ExprTree, fallback: _Prog) -> _Prog:
+    def capped(offspring: ExprTree, fallback: Individual) -> Individual:
         if tree_depth(offspring) > cfg.max_depth:
             return fallback
         return evaluate(offspring)
 
+    def crossover(p1: Individual, p2: Individual, rng: Random) -> Individual:
+        t1, t2 = p1.ancestry.tree, p2.ancestry.tree
+        i1 = rng.randrange(t1.size)
+        i2 = rng.randrange(t2.size)
+        return capped(_replace_at(t1, i1, _node_at(t2, i2)), p1)
+
+    def mutation(p: Individual, rng: Random) -> Individual:
+        i = rng.randrange(p.ancestry.tree.size)
+        graft = random_tree(rng, GenMethod("grow", STGP_MUTATION_DEPTH))
+        return capped(_replace_at(p.ancestry.tree, i, graft), p)
+
     init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
     init_lo = min(INIT_MIN_DEPTH, init_hi)
     pop = [evaluate(t) for t in ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)]
-
-    def generation_stats(best: _Prog) -> GenerationStats:
-        if test_targets is None:
-            test_fit = math.nan
-        else:
-            test_fit = fitness(best.test_sem, test_targets)
-        return GenerationStats(
-            train_fitness=best.fit,
-            test_fitness=test_fit,
-            train_mean_error=best.fit / n_train,
-            test_mean_error=test_fit / n_test,
-        )
-
-    best_ever = pop[best_indices(pop, 1)[0]]
-    history = [generation_stats(best_ever)]
-
-    for _ in range(cfg.generations):
-        next_pop = [pop[i] for i in best_indices(pop, cfg.elitism)]
-        while len(next_pop) < cfg.population_size:
-            draw = rng.random()
-            if draw < cfg.p_crossover:
-                p1 = select(pop)
-                p2 = select(pop)
-                i1 = rng.randrange(tree_size(p1.tree))
-                i2 = rng.randrange(tree_size(p2.tree))
-                child = capped(_replace_at(p1.tree, i1, _node_at(p2.tree, i2)), p1)
-            elif draw < cfg.p_crossover + cfg.p_mutation:
-                p = select(pop)
-                i = rng.randrange(tree_size(p.tree))
-                graft = random_tree(rng, GenMethod("grow", STGP_MUTATION_DEPTH))
-                child = capped(_replace_at(p.tree, i, graft), p)
-            else:
-                child = select(pop)
-            next_pop.append(child)
-        pop = next_pop
-        gen_best = pop[best_indices(pop, 1)[0]]
-        if gen_best.fit < best_ever.fit:
-            best_ever = gen_best
-        history.append(generation_stats(gen_best))
-
-    best = Individual(
-        train_semantics=best_ever.train_sem,
-        test_semantics=best_ever.test_sem,
-        train_fitness=best_ever.fit,
-        ancestry=TreeOrigin(best_ever.tree),
-    )
-    return RunResult(history=tuple(history), best=best, predictions=best.test_semantics)
+    return run_generations(cfg, pop, rng, test, crossover, mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -321,58 +253,6 @@ def lssvm_predict(m: LssvmModel, x) -> float:
     scaled = m.scale.transform(x[None, :])
     k = _rbf_kernel(m.train_features, scaled, m.sigma_sq)[:, 0]
     return float(np.dot(np.asarray(m.alphas), k) + m.bias)
-
-
-def linear_payload(m: LinearModel) -> dict:
-    """JSON-able form of a linear model; floats survive round trips exactly."""
-    return {"intercept": m.intercept, "coefficients": list(m.coefficients)}
-
-
-def linear_from_payload(d: dict) -> LinearModel:
-    try:
-        return LinearModel(
-            intercept=float(d["intercept"]),
-            coefficients=tuple(float(c) for c in d["coefficients"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise BaselineError(f"malformed linear model payload: {exc}") from None
-
-
-def lssvm_payload(m: LssvmModel) -> dict:
-    """JSON-able form of an LS-SVM model, scaling parameters included."""
-    return {
-        "alphas": list(m.alphas),
-        "bias": m.bias,
-        "gamma": m.gamma,
-        "sigma_sq": m.sigma_sq,
-        "scale": {
-            "mins": list(m.scale.mins),
-            "maxs": list(m.scale.maxs),
-            "degenerate": list(m.scale.degenerate),
-        },
-        "train_features": [list(row) for row in m.train_features],
-    }
-
-
-def lssvm_from_payload(d: dict) -> LssvmModel:
-    try:
-        scale = ScaleParams(
-            mins=tuple(float(v) for v in d["scale"]["mins"]),
-            maxs=tuple(float(v) for v in d["scale"]["maxs"]),
-            degenerate=tuple(bool(v) for v in d["scale"]["degenerate"]),
-        )
-        return LssvmModel(
-            alphas=tuple(float(a) for a in d["alphas"]),
-            bias=float(d["bias"]),
-            gamma=float(d["gamma"]),
-            sigma_sq=float(d["sigma_sq"]),
-            scale=scale,
-            train_features=np.array(d["train_features"], dtype=float).reshape(
-                len(d["train_features"]), -1
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BaselineError(f"malformed LS-SVM model payload: {exc}") from None
 
 
 LSSVM_GAMMA_GRID = (1.0, 10.0, 100.0, 1000.0)

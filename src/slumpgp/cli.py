@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import os
@@ -26,9 +25,7 @@ from .baselines import (
     LSSVM_GAMMA,
     LSSVM_SIGMA_SQ,
     StgpConfig,
-    linear_from_payload,
     lssvm_fit,
-    lssvm_from_payload,
     lssvm_grid_search,
     lssvm_predict,
     ols_fit,
@@ -40,6 +37,7 @@ from .dataset import (
     DatasetError,
     SplitSpec,
     builtin_table1,
+    csv_rows,
     load_csv,
     split,
     validate_header,
@@ -142,7 +140,7 @@ def _parse_config_file(path: str) -> dict[str, dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise CliError(f"cannot parse config file {path}: {exc}") from None
     values: dict[str, dict] = {}
     for section in parser.sections():
@@ -271,35 +269,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(path: str) -> tuple[str, dict]:
+def _load_model(path: str) -> dict:
+    """The archived GSGP individual of a model file `train` wrote."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"corrupt model file {path}: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc or "model" not in doc:
         raise CliError(f"model file {path} lacks 'kind'/'model' fields")
-    return doc["kind"], doc["model"]
-
-
-def _model_predictions(kind: str, payload: dict, ds: Dataset) -> np.ndarray:
-    if kind in ("gsgp", "stgp"):
-        return np.asarray(replay_semantics(payload, ds), dtype=float)
-    if kind == "ols":
-        model = linear_from_payload(payload)
-        return np.array([ols_predict(model, row) for row in ds.features])
-    if kind == "lssvm":
-        model = lssvm_from_payload(payload)
-        return np.array([lssvm_predict(model, row) for row in ds.features])
-    raise CliError(f"unknown model kind {kind!r}")
+    if doc["kind"] != "gsgp":
+        raise CliError(f"unknown model kind {doc['kind']!r}")
+    return doc["model"]
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    kind, payload = _load_model(args.model)
+    payload = _load_model(args.model)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
 
     with open(args.input, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not (len(r) == 1 and not r[0].strip())]
+        rows = [
+            r for r in csv_rows(fh, args.input) if r and not (len(r) == 1 and not r[0].strip())
+        ]
     if not rows:
         raise DatasetError("empty file: missing header row")
     labeled = validate_header(rows[0])
@@ -315,7 +306,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         return 0
 
     ds = load_csv(args.input)
-    predictions = _model_predictions(kind, payload, ds)
+    predictions = np.asarray(replay_semantics(payload, ds), dtype=float)
     lines = [header]
     if labeled:
         pairs = PairedSeries(tuple(ds.targets), tuple(predictions))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -216,6 +217,14 @@ def validate_header(header) -> bool:
     return header == CSV_HEADER
 
 
+def csv_rows(fh, path) -> Iterator[list[str]]:
+    """CSV rows of an open text file; text that is not UTF-8 is a DatasetError."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV.
 
@@ -223,7 +232,7 @@ def load_csv(path) -> Dataset:
     by 'slump'. Errors name the offending column or 1-based data row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:

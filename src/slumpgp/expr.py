@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 import numpy as np
@@ -33,21 +33,27 @@ class ExprTree:
     """Immutable expression node.
 
     kind is one of 'add', 'sub', 'mul', 'div' (binary), 'var' (leaf,
-    1-based index), 'const' (leaf, value) or 'sigmoid' (unary).
+    1-based index), 'const' (leaf, value) or 'sigmoid' (unary). size is the
+    node count of the subtree, set at construction; it takes no part in
+    equality, hashing or repr.
     """
 
     kind: str
     index: int = 0
     value: float = 0.0
     children: tuple["ExprTree", ...] = ()
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        size = 1
         if self.kind in FUNCTIONS:
             if len(self.children) != 2:
                 raise ValueError(f"{self.kind} node needs 2 children")
+            size += self.children[0].size + self.children[1].size
         elif self.kind == "sigmoid":
             if len(self.children) != 1:
                 raise ValueError("sigmoid node needs exactly 1 child")
+            size += self.children[0].size
         elif self.kind == "var":
             if self.children:
                 raise ValueError("variable leaves have no children")
@@ -60,6 +66,7 @@ class ExprTree:
                 raise ValueError(f"constant must be finite, got {self.value!r}")
         else:
             raise ValueError(f"unknown node kind {self.kind!r}")
+        object.__setattr__(self, "size", size)
 
 
 def variable(i: int) -> ExprTree:
@@ -163,11 +170,11 @@ def random_tree(
     """
 
     def leaf() -> ExprTree:
-        return variable(rng.randrange(N_VARS) + 1)
+        return ExprTree("var", rng.randrange(N_VARS) + 1)
 
     def branch(depth_left: int) -> ExprTree:
         op = FUNCTIONS[rng.randrange(len(FUNCTIONS))]
-        return binop(op, build(depth_left - 1), build(depth_left - 1))
+        return ExprTree(op, children=(build(depth_left - 1), build(depth_left - 1)))
 
     def build(depth_left: int) -> ExprTree:
         if depth_left == 1:
@@ -176,8 +183,9 @@ def random_tree(
             return branch(depth_left)
         pick = rng.randrange(len(FUNCTIONS) + N_VARS)
         if pick < len(FUNCTIONS):
-            return binop(FUNCTIONS[pick], build(depth_left - 1), build(depth_left - 1))
-        return variable(pick - len(FUNCTIONS) + 1)
+            kids = (build(depth_left - 1), build(depth_left - 1))
+            return ExprTree(FUNCTIONS[pick], children=kids)
+        return ExprTree("var", pick - len(FUNCTIONS) + 1)
 
     if gen.max_depth == 1:
         return leaf()
@@ -196,11 +204,6 @@ def ramped_half_and_half(
         for method in ("full", "grow")
     ]
     return [random_tree(rng, schedule[i % len(schedule)]) for i in range(count)]
-
-
-def tree_size(t: ExprTree) -> int:
-    """Total node count."""
-    return 1 + sum(tree_size(c) for c in t.children)
 
 
 def tree_depth(t: ExprTree) -> int:

@@ -10,6 +10,10 @@ expression is only materialized on demand by `reconstruct`.
 The arithmetic in the operators is mirrored exactly by the expression
 templates that `reconstruct` emits, so an expanded tree reproduces the
 stored semantics bit for bit; tests rely on that.
+
+The generational loop, `run_generations`, takes its operators as
+arguments, so standard tree GP (`baselines.stgp_run`) runs on it too. Both
+engines build individuals with `make_individual`, which ranks NaN as +inf.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .dataset import Dataset
 from .expr import (
     ExprTree,
     GenMethod,
+    ParseError,
     binop,
     constant,
     eval_matrix,
@@ -34,7 +39,6 @@ from .expr import (
     sigmoid,
     sigmoid_node,
     to_infix,
-    tree_size,
 )
 
 # Semantics are plain float64 vectors, one entry per dataset row, in row order.
@@ -92,6 +96,26 @@ class BudgetExceeded:
     estimate: int
 
 
+def check_loop_fields(cfg, error: type[ValueError] = GsgpError) -> None:
+    """Reject out-of-range values of the six config fields `run_generations` reads."""
+    if cfg.population_size < 1:
+        raise error(f"population_size must be >= 1, got {cfg.population_size}")
+    if cfg.generations < 0:
+        raise error(f"generations must be >= 0, got {cfg.generations}")
+    if not 0.0 <= cfg.p_crossover <= 1.0 or not 0.0 <= cfg.p_mutation <= 1.0:
+        raise error("operator probabilities must lie in [0, 1]")
+    if cfg.p_crossover + cfg.p_mutation > 1.0:
+        raise error(
+            f"p_crossover + p_mutation must be <= 1, got {cfg.p_crossover} + {cfg.p_mutation}"
+        )
+    if cfg.tournament_size < 2:
+        raise error(f"tournament_size must be >= 2, got {cfg.tournament_size}")
+    if cfg.tournament_size > cfg.population_size:
+        raise error("tournament_size cannot exceed population_size")
+    if not 1 <= cfg.elitism <= cfg.population_size:
+        raise error("elitism must be in 1..population_size")
+
+
 @dataclass(frozen=True)
 class GsgpConfig:
     population_size: int = 500
@@ -105,25 +129,9 @@ class GsgpConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise GsgpError(f"population_size must be >= 1, got {self.population_size}")
-        if self.generations < 0:
-            raise GsgpError(f"generations must be >= 0, got {self.generations}")
+        check_loop_fields(self)
         if not self.mutation_step > 0:
             raise GsgpError(f"mutation_step must be > 0, got {self.mutation_step}")
-        if not 0.0 <= self.p_crossover <= 1.0 or not 0.0 <= self.p_mutation <= 1.0:
-            raise GsgpError("operator probabilities must lie in [0, 1]")
-        if self.p_crossover + self.p_mutation > 1.0:
-            raise GsgpError(
-                f"p_crossover + p_mutation must be <= 1, "
-                f"got {self.p_crossover} + {self.p_mutation}"
-            )
-        if self.tournament_size < 2:
-            raise GsgpError(f"tournament_size must be >= 2, got {self.tournament_size}")
-        if self.tournament_size > self.population_size:
-            raise GsgpError("tournament_size cannot exceed population_size")
-        if not 1 <= self.elitism <= self.population_size:
-            raise GsgpError("elitism must be in 1..population_size")
         if self.random_tree_depth < 1:
             raise GsgpError(f"random_tree_depth must be >= 1, got {self.random_tree_depth}")
 
@@ -159,13 +167,19 @@ def semantics_of(t: ExprTree, ds: Dataset) -> Semantics:
     return eval_matrix(t, ds.features)
 
 
-def _make(
+def make_individual(
     train_sem: Semantics, test_sem: Semantics, targets: np.ndarray, origin: AncestryRecord
 ) -> Individual:
+    """Individual with its L1 train fitness; a NaN fitness becomes +inf.
+
+    NaN compares false against everything, so a NaN entrant could win a
+    tournament depending on entrant order; +inf always ranks last.
+    """
+    fit = fitness(train_sem, targets)
     return Individual(
         train_semantics=train_sem,
         test_semantics=test_sem,
-        train_fitness=fitness(train_sem, targets),
+        train_fitness=math.inf if math.isnan(fit) else fit,
         ancestry=origin,
     )
 
@@ -195,7 +209,7 @@ def geometric_crossover(
     train_sem = tr * p1.train_semantics + comp * p2.train_semantics
     test_sem = tr * p1.test_semantics + comp * p2.test_semantics
     origin = CrossoverOrigin(parent1=p1.ancestry, parent2=p2.ancestry, tr=tr)
-    return _make(train_sem, test_sem, train.targets, origin)
+    return make_individual(train_sem, test_sem, train.targets, origin)
 
 
 def geometric_mutation(
@@ -221,7 +235,7 @@ def geometric_mutation(
     train_sem = p.train_semantics + ms * delta_train
     test_sem = p.test_semantics + ms * delta_test
     origin = MutationOrigin(parent=p.ancestry, r1=r1, r2=r2, ms=ms)
-    return _make(train_sem, test_sem, train.targets, origin)
+    return make_individual(train_sem, test_sem, train.targets, origin)
 
 
 def tournament_select(pop: list[Individual], k: int, rng: Random) -> int:
@@ -241,38 +255,36 @@ def _best_indices(pop: list[Individual], count: int) -> list[int]:
     return order[:count]
 
 
-def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
-    """Run the elitist generational loop; deterministic for a fixed config.
+def run_generations(
+    cfg,
+    pop: list[Individual],
+    rng: Random,
+    test: Dataset,
+    crossover: Callable[[Individual, Individual, Random], Individual],
+    mutation: Callable[[Individual, Random], Individual],
+) -> RunResult:
+    """The elitist generational loop that GSGP and standard tree GP share.
 
-    All stochastic draws come from one generator seeded with cfg.rng_seed,
-    consumed in population-index order: initial trees first, then per
-    offspring slot the operator draw, its tournaments, and the operator's
-    own draws. History row g holds the best-of-generation-g fitness pair;
-    when the test set has no targets the test columns are NaN.
+    cfg supplies population_size, generations, p_crossover, p_mutation,
+    tournament_size and elitism; GsgpConfig and StgpConfig both do. Each
+    generation keeps the elitism best of the previous one, then fills every
+    other slot with crossover, mutation or reproduction. Per slot the draws
+    come in a fixed order: the operator draw, its tournaments, then the
+    operator's own draws from rng. History row g holds the
+    best-of-generation-g fitness pair; when the test set has no targets the
+    test columns are NaN.
     """
-    if not train.has_targets:
-        raise GsgpError("training dataset must carry slump targets")
-    rng = Random(cfg.rng_seed)
-    targets = train.targets
-    n_train = len(train)
-    n_test = len(test)
-    test_targets = test.targets
-
-    pop = [
-        _make(semantics_of(t, train), semantics_of(t, test), targets, TreeOrigin(t))
-        for t in ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
-    ]
 
     def generation_stats(best: Individual) -> GenerationStats:
-        if test_targets is None:
+        if test.targets is None:
             test_fit = math.nan
         else:
-            test_fit = fitness(best.test_semantics, test_targets)
+            test_fit = fitness(best.test_semantics, test.targets)
         return GenerationStats(
             train_fitness=best.train_fitness,
             test_fitness=test_fit,
-            train_mean_error=best.train_fitness / n_train,
-            test_mean_error=test_fit / n_test,
+            train_mean_error=best.train_fitness / len(best.train_semantics),
+            test_mean_error=test_fit / len(test),
         )
 
     best_ever = pop[_best_indices(pop, 1)[0]]
@@ -285,12 +297,9 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
             if draw < cfg.p_crossover:
                 i1 = tournament_select(pop, cfg.tournament_size, rng)
                 i2 = tournament_select(pop, cfg.tournament_size, rng)
-                child = geometric_crossover(pop[i1], pop[i2], rng, train)
+                child = crossover(pop[i1], pop[i2], rng)
             elif draw < cfg.p_crossover + cfg.p_mutation:
-                i = tournament_select(pop, cfg.tournament_size, rng)
-                child = geometric_mutation(
-                    pop[i], cfg.mutation_step, rng, train, test, cfg.random_tree_depth
-                )
+                child = mutation(pop[tournament_select(pop, cfg.tournament_size, rng)], rng)
             else:
                 child = pop[tournament_select(pop, cfg.tournament_size, rng)]
             next_pop.append(child)
@@ -304,6 +313,32 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
         history=tuple(history),
         best=best_ever,
         predictions=best_ever.test_semantics,
+    )
+
+
+def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
+    """Run GSGP; deterministic for a fixed config.
+
+    All stochastic draws come from one generator seeded with cfg.rng_seed:
+    the ramped half-and-half initial trees first, then `run_generations`
+    with geometric crossover and mutation as its operators.
+    """
+    if not train.has_targets:
+        raise GsgpError("training dataset must carry slump targets")
+    rng = Random(cfg.rng_seed)
+    pop = [
+        make_individual(semantics_of(t, train), semantics_of(t, test), train.targets, TreeOrigin(t))
+        for t in ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
+    ]
+    return run_generations(
+        cfg,
+        pop,
+        rng,
+        test,
+        crossover=lambda p1, p2, rng: geometric_crossover(p1, p2, rng, train),
+        mutation=lambda p, rng: geometric_mutation(
+            p, cfg.mutation_step, rng, train, test, cfg.random_tree_depth
+        ),
     )
 
 
@@ -323,11 +358,11 @@ def estimate_size(ind: Individual) -> int:
         if got is not None:
             return got
         if isinstance(rec, TreeOrigin):
-            result = tree_size(rec.tree)
+            result = rec.tree.size
         elif isinstance(rec, CrossoverOrigin):
             result = size(rec.parent1) + size(rec.parent2) + 2 + 4
         else:
-            result = size(rec.parent) + tree_size(rec.r1) + tree_size(rec.r2) + 4
+            result = size(rec.parent) + rec.r1.size + rec.r2.size + 4
         memo[rec] = result
         return result
 
@@ -439,7 +474,7 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
         trees = [parse_infix(text) for text in payload["trees"]]
         records = payload["records"]
         root = payload["root"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ParseError) as exc:
         raise GsgpError(f"malformed model payload: {exc}") from None
     if not isinstance(root, int) or not 0 <= root < len(records):
         raise GsgpError(f"model root {root!r} out of range")
@@ -447,6 +482,8 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
     tree_sem: dict[int, Semantics] = {}
 
     def sem_of_tree(i: int) -> Semantics:
+        if not 0 <= i < len(trees):
+            raise GsgpError(f"tree index {i!r} out of range")
         if i not in tree_sem:
             tree_sem[i] = semantics_of(trees[i], ds)
         return tree_sem[i]

@@ -5,6 +5,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slumpgp.dataset import builtin_table1
 from slumpgp.expr import (
@@ -25,7 +27,6 @@ from slumpgp.expr import (
     sigmoid_node,
     to_infix,
     tree_depth,
-    tree_size,
     variable,
 )
 
@@ -206,7 +207,7 @@ class TestRandomTree:
             for _ in range(20):
                 t = random_tree(rng, GenMethod("full", depth))
                 assert set(leaf_depths(t)) == {depth}
-                assert tree_size(t) == 2**depth - 1
+                assert t.size == 2**depth - 1
 
     def test_grow_respects_depth_cap(self):
         rng = Random(5)
@@ -276,21 +277,57 @@ class TestRampedHalfAndHalf:
         assert any(tree_depth(t) == 3 for t in trees)
 
 
+def count_nodes(t: ExprTree) -> int:
+    """Node count by recursion, independent of the stored size."""
+    return 1 + sum(count_nodes(c) for c in t.children)
+
+
+trees = st.recursive(
+    st.one_of(
+        st.integers(1, N_VARS).map(variable),
+        st.floats(allow_nan=False, allow_infinity=False).map(constant),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(FUNCTIONS), kids, kids).map(lambda a: binop(*a)),
+        kids.map(sigmoid_node),
+    ),
+    max_leaves=40,
+)
+
+
 class TestSizeDepth:
     def test_leaf(self):
-        assert tree_size(variable(1)) == 1
+        assert variable(1).size == 1
         assert tree_depth(variable(1)) == 1
 
     def test_pair(self):
         t = binop("add", variable(1), variable(2))
-        assert tree_size(t) == 3
+        assert t.size == 3
         assert tree_depth(t) == 2
 
     def test_full_tree_size_formula(self):
         rng = Random(8)
         for d in range(1, 7):
             t = random_tree(rng, GenMethod("full", d))
-            assert tree_size(t) == 2**d - 1
+            assert t.size == 2**d - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees)
+    def test_stored_size_is_node_count(self, t):
+        assert t.size == count_nodes(t)
+        parsed = parse_infix(to_infix(t))
+        assert parsed.size == count_nodes(parsed) == t.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees)
+    def test_size_ignored_by_equality_and_hash(self, t):
+        """A tree rebuilt by another path equals and hashes like the original."""
+        rebuilt = parse_infix(to_infix(t))
+        assert rebuilt is not t
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+        copied = ExprTree(t.kind, t.index, t.value, t.children)
+        assert copied == t and hash(copied) == hash(t)
+        assert "size" not in repr(t)
 
 
 class TestInfix:

@@ -1,14 +1,18 @@
 """Semantic engine: operators, evolution loop, lineage, persistence."""
 
+import hashlib
+import json
 import math
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slumpgp.gsgp as gsgp_module
 from slumpgp.dataset import Dataset, Sample, SplitSpec, builtin_table1, split
-from slumpgp.expr import GenMethod, binop, to_infix, tree_size, variable
+from slumpgp.expr import ExprTree, GenMethod, binop, to_infix, variable
 from slumpgp.gsgp import (
     BudgetExceeded,
     CrossoverOrigin,
@@ -58,6 +62,11 @@ def raw_individual(train_sem, test_sem, ds):
         train_fitness=fitness(sem, ds.targets),
         ancestry=TreeOrigin(variable(1)),
     )
+
+
+def count_nodes(t: ExprTree) -> int:
+    """Node count by recursion, independent of the stored size."""
+    return 1 + sum(count_nodes(c) for c in t.children)
 
 
 class TestFitness:
@@ -237,6 +246,19 @@ class TestTournament:
         picks_b = [tournament_select(pop, 2, Random(55)) for _ in range(20)]
         assert picks_a == picks_b
 
+    def test_nan_fitness_is_worst(self):
+        """A NaN in the semantics gives +inf fitness, so no tournament order
+        can pick it over a finite entrant."""
+        ds = tiny_dataset(targets=(1000.0, 1000.0))
+        broken = raw_individual([math.nan, 1000.0], [0.0, 0.0], ds)
+        finite = raw_individual([1000.0, 1000.0], [0.0, 0.0], ds)
+        child = geometric_crossover(broken, finite, FixedRandom(0.5), ds)
+        assert math.isnan(child.train_semantics[0])
+        assert child.train_fitness == math.inf
+        pop = [child] + self.population([5.0, 1.0, 3.0], ds)
+        for seed in range(20):
+            assert tournament_select(pop, len(pop), Random(seed)) == 2
+
     def test_invalid_k(self):
         ds = tiny_dataset(targets=(1000.0, 1000.0))
         pop = self.population([1.0, 2.0], ds)
@@ -276,6 +298,45 @@ class TestConfig:
 
 class TestEvolve:
     small = dict(population_size=12, generations=4, rng_seed=5)
+
+    @pytest.mark.parametrize(
+        "kwargs, train_fits, test_fits, records, archive_sha256",
+        [
+            (
+                small,
+                [1557.0, 1263.1908990198203, 1095.0051105838436, 1095.0051105838436,
+                 1093.631742782007],
+                [335.0, 291.85040852974987, 268.7425925231021, 268.7425925231021,
+                 270.09557233456724],
+                12,
+                "8dfea932f1c6a440a220cc343fe0d4dbfffd3beaffcd65fcaf5003fc62cf063b",
+            ),
+            (
+                dict(population_size=30, generations=10, rng_seed=7),
+                [1557.0, 1224.7775007479731, 737.3913667118098, 670.6177166986176,
+                 668.417716698618, 668.417716698618, 668.417716698618, 666.7443724535045,
+                 664.5443724535048, 663.3464888233663, 662.2943724535048],
+                [335.0, 285.1065938813018, 159.1599285228855, 153.78957921838415,
+                 153.38957921838417, 153.38957921838417, 153.38957921838417,
+                 153.0267251664527, 152.62672516645273, 152.4427212876721,
+                 152.22672516645275],
+                18,
+                "fbde3bac961ed795417981f2a482018833d37eb0baa6ff7af59358f2547725a8",
+            ),
+        ],
+        ids=["pop12-seed5", "pop30-seed7"],
+    )
+    def test_pinned_run(self, table1_split, kwargs, train_fits, test_fits, records, archive_sha256):
+        """Exact values of small runs; any change to the RNG draw order, the
+        operators or the loop moves them."""
+        train, test = table1_split
+        res = evolve(GsgpConfig(**kwargs), train, test)
+        assert [st.train_fitness for st in res.history] == train_fits
+        assert [st.test_fitness for st in res.history] == test_fits
+        payload = archive_individual(res.best)
+        assert len(payload["records"]) == records
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == archive_sha256
 
     def test_history_length(self, table1_split):
         train, test = table1_split
@@ -331,7 +392,7 @@ class TestEvolve:
 class TestEstimateSize:
     def test_initial_individual_is_tree_size(self):
         t = binop("add", binop("add", variable(1), variable(2)), binop("add", variable(3), variable(4)))
-        assert tree_size(t) == 7
+        assert t.size == 7
         ds = tiny_dataset()
         ind = Individual(semantics_of(t, ds), semantics_of(t, ds), fitness(semantics_of(t, ds), ds.targets), TreeOrigin(t))
         assert estimate_size(ind) == 7
@@ -415,6 +476,17 @@ class TestReconstruct:
             assert diff.max() <= 1e-9
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 8), st.integers(0, 4))
+    def test_reconstructed_size_is_node_count(self, seed, pop_size, generations):
+        train, test = split(builtin_table1(), SplitSpec(28))
+        cfg = GsgpConfig(population_size=pop_size, generations=generations, rng_seed=seed)
+        res = evolve(cfg, train, test)
+        tree = reconstruct(res.best, 10**6)
+        assert not isinstance(tree, BudgetExceeded)
+        assert tree.size == count_nodes(tree)
+
+
 class TestPersistence:
     def round_trip(self, ind, train, test):
         payload = archive_individual(ind)
@@ -459,6 +531,24 @@ class TestPersistence:
                 "root": 0,
             },
             {"trees": ["x1"], "records": [{"op": "tree", "tree": 0}], "root": 9},
+            {"trees": ["(x1 +"], "records": [{"op": "tree", "tree": 0}], "root": 0},
+            {"trees": ["x1"], "records": [{"op": "tree", "tree": -1}], "root": 0},
+            {
+                "trees": ["x1"],
+                "records": [
+                    {"op": "tree", "tree": 0},
+                    {"op": "mutation", "parent": 0, "r1": -1, "r2": 0, "ms": 0.1},
+                ],
+                "root": 1,
+            },
+            {
+                "trees": ["x1"],
+                "records": [
+                    {"op": "tree", "tree": 0},
+                    {"op": "mutation", "parent": 0, "r1": 0, "r2": -1, "ms": 0.1},
+                ],
+                "root": 1,
+            },
         ],
     )
     def test_malformed_payload_rejected(self, payload, table1_split):
