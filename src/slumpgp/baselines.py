@@ -144,13 +144,12 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset) -> RunResult:
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
     rng = Random(cfg.rng_seed)
-    n_train = len(train)
     stacked = np.vstack([train.features, test.features])
 
     def evaluate(tree: ExprTree) -> Individual:
         with np.errstate(all="ignore"):
             sem = eval_matrix(tree, stacked)
-        return make_individual(sem[:n_train], sem[n_train:], train.targets, TreeOrigin(tree))
+        return make_individual(sem, train.targets, TreeOrigin(tree))
 
     def capped(offspring: ExprTree, fallback: Individual) -> Individual:
         if tree_depth(offspring) > cfg.max_depth:

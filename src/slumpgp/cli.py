@@ -334,10 +334,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for seed in seeds:
         g = evolve(replace(cfg.gsgp, rng_seed=seed), train, test)
         gsgp_test.append(_safe_rmse(test.targets, g.predictions))
-        gsgp_train.append(_safe_rmse(train.targets, g.best.train_semantics))
+        gsgp_train.append(_safe_rmse(train.targets, g.best.semantics[: len(train)]))
         s = stgp_run(replace(cfg.stgp, rng_seed=seed), train, test)
         stgp_test.append(_safe_rmse(test.targets, s.predictions))
-        stgp_train.append(_safe_rmse(train.targets, s.best.train_semantics))
+        stgp_train.append(_safe_rmse(train.targets, s.best.semantics[: len(train)]))
 
     if cfg.lssvm_grid_search:
         gamma, sigma_sq, _ = lssvm_grid_search(train)

@@ -1,11 +1,13 @@
 """Semantic GP engine: individuals as output vectors, operators as pointwise maps.
 
 An individual never owns an expression tree during evolution. It owns its
-semantics — the vector of its outputs on the train and test rows — plus an
-ancestry record saying how those vectors were produced (an initial tree, or
-a crossover/mutation over earlier records). Crossover and mutation therefore
-cost O(n) array arithmetic instead of tree surgery, and the symbolic
-expression is only materialized on demand by `reconstruct`.
+semantics — one vector of its outputs on the training rows, then the test
+rows — plus an ancestry record saying how that vector was produced (an
+initial tree, or a crossover/mutation over earlier records). Crossover and
+mutation therefore cost O(n) array arithmetic instead of tree surgery, and
+the symbolic expression is only materialized on demand by `reconstruct`.
+Trees are evaluated once on the stacked train+test features; `eval_matrix`
+and `sigmoid` act on each row alone, so stacking changes no value.
 
 The arithmetic in the operators is mirrored exactly by the expression
 templates that `reconstruct` emits, so an expanded tree reproduces the
@@ -41,7 +43,8 @@ from .expr import (
     to_infix,
 )
 
-# Semantics are plain float64 vectors, one entry per dataset row, in row order.
+# Semantics are plain float64 vectors, one entry per dataset row, in row order;
+# an individual's vector holds the training rows first, then the test rows.
 Semantics = np.ndarray
 
 INIT_MIN_DEPTH = 2
@@ -83,8 +86,7 @@ AncestryRecord = Union[TreeOrigin, CrossoverOrigin, MutationOrigin]
 
 @dataclass(frozen=True, eq=False)
 class Individual:
-    train_semantics: Semantics
-    test_semantics: Semantics
+    semantics: Semantics
     train_fitness: float
     ancestry: AncestryRecord
 
@@ -138,12 +140,10 @@ class GsgpConfig:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    """Best-of-generation errors: raw absolute-error sums and per-sample means."""
+    """Best-of-generation absolute-error sums on the train and test rows."""
 
     train_fitness: float
     test_fitness: float
-    train_mean_error: float
-    test_mean_error: float
 
 
 @dataclass(frozen=True)
@@ -162,23 +162,16 @@ def fitness(s: Semantics, targets: np.ndarray) -> float:
     return float(np.abs(s - targets).sum())
 
 
-def semantics_of(t: ExprTree, ds: Dataset) -> Semantics:
-    """Evaluate a tree on every row of the dataset."""
-    return eval_matrix(t, ds.features)
-
-
-def make_individual(
-    train_sem: Semantics, test_sem: Semantics, targets: np.ndarray, origin: AncestryRecord
-) -> Individual:
+def make_individual(sem: Semantics, targets: np.ndarray, origin: AncestryRecord) -> Individual:
     """Individual with its L1 train fitness; a NaN fitness becomes +inf.
 
-    NaN compares false against everything, so a NaN entrant could win a
-    tournament depending on entrant order; +inf always ranks last.
+    sem holds the training rows, then the test rows; fitness reads the first
+    len(targets). NaN compares false against everything, so a NaN entrant
+    could win a tournament depending on entrant order; +inf always ranks last.
     """
-    fit = fitness(train_sem, targets)
+    fit = fitness(sem[: len(targets)], targets)
     return Individual(
-        train_semantics=train_sem,
-        test_semantics=test_sem,
+        semantics=sem,
         train_fitness=math.inf if math.isnan(fit) else fit,
         ancestry=origin,
     )
@@ -202,40 +195,36 @@ def _complement_pair(u: float) -> tuple[float, float]:
 
 
 def geometric_crossover(
-    p1: Individual, p2: Individual, rng: Random, train: Dataset
+    p1: Individual, p2: Individual, rng: Random, targets: np.ndarray
 ) -> Individual:
     """Offspring semantics = tr·p1 + (1−tr)·p2, with one tr drawn per call."""
     tr, comp = _complement_pair(rng.random())
-    train_sem = tr * p1.train_semantics + comp * p2.train_semantics
-    test_sem = tr * p1.test_semantics + comp * p2.test_semantics
     origin = CrossoverOrigin(parent1=p1.ancestry, parent2=p2.ancestry, tr=tr)
-    return make_individual(train_sem, test_sem, train.targets, origin)
+    return make_individual(tr * p1.semantics + comp * p2.semantics, targets, origin)
 
 
 def geometric_mutation(
     p: Individual,
     ms: float,
     rng: Random,
-    train: Dataset,
-    test: Dataset,
+    features: np.ndarray,
+    targets: np.ndarray,
     tree_depth: int = 4,
 ) -> Individual:
     """Offspring semantics = parent + ms·(sigmoid(r1) − sigmoid(r2)).
 
-    r1 and r2 are fresh grow trees; the logistic map bounds each term to
-    [0, 1], so no coordinate moves by more than ms.
+    r1 and r2 are fresh grow trees evaluated on features, one row per entry
+    of the parent's semantics; the logistic map bounds each term to [0, 1],
+    so no coordinate moves by more than ms.
     """
     if not ms > 0:
         raise GsgpError(f"mutation step must be > 0, got {ms}")
     gen = GenMethod("grow", tree_depth)
     r1 = random_tree(rng, gen, force_root_function=True)
     r2 = random_tree(rng, gen, force_root_function=True)
-    delta_train = sigmoid(semantics_of(r1, train)) - sigmoid(semantics_of(r2, train))
-    delta_test = sigmoid(semantics_of(r1, test)) - sigmoid(semantics_of(r2, test))
-    train_sem = p.train_semantics + ms * delta_train
-    test_sem = p.test_semantics + ms * delta_test
+    delta = sigmoid(eval_matrix(r1, features)) - sigmoid(eval_matrix(r2, features))
     origin = MutationOrigin(parent=p.ancestry, r1=r1, r2=r2, ms=ms)
-    return make_individual(train_sem, test_sem, train.targets, origin)
+    return make_individual(p.semantics + ms * delta, targets, origin)
 
 
 def tournament_select(pop: list[Individual], k: int, rng: Random) -> int:
@@ -272,20 +261,16 @@ def run_generations(
     come in a fixed order: the operator draw, its tournaments, then the
     operator's own draws from rng. History row g holds the
     best-of-generation-g fitness pair; when the test set has no targets the
-    test columns are NaN.
+    test column is NaN. The last len(test) entries of a semantics vector are
+    its test rows.
     """
 
     def generation_stats(best: Individual) -> GenerationStats:
         if test.targets is None:
             test_fit = math.nan
         else:
-            test_fit = fitness(best.test_semantics, test.targets)
-        return GenerationStats(
-            train_fitness=best.train_fitness,
-            test_fitness=test_fit,
-            train_mean_error=best.train_fitness / len(best.train_semantics),
-            test_mean_error=test_fit / len(test),
-        )
+            test_fit = fitness(best.semantics[-len(test) :], test.targets)
+        return GenerationStats(train_fitness=best.train_fitness, test_fitness=test_fit)
 
     best_ever = pop[_best_indices(pop, 1)[0]]
     history = [generation_stats(best_ever)]
@@ -312,7 +297,7 @@ def run_generations(
     return RunResult(
         history=tuple(history),
         best=best_ever,
-        predictions=best_ever.test_semantics,
+        predictions=best_ever.semantics[-len(test) :],
     )
 
 
@@ -326,8 +311,9 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
     if not train.has_targets:
         raise GsgpError("training dataset must carry slump targets")
     rng = Random(cfg.rng_seed)
+    stacked = np.vstack([train.features, test.features])
     pop = [
-        make_individual(semantics_of(t, train), semantics_of(t, test), train.targets, TreeOrigin(t))
+        make_individual(eval_matrix(t, stacked), train.targets, TreeOrigin(t))
         for t in ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
     ]
     return run_generations(
@@ -335,9 +321,9 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
         pop,
         rng,
         test,
-        crossover=lambda p1, p2, rng: geometric_crossover(p1, p2, rng, train),
+        crossover=lambda p1, p2, rng: geometric_crossover(p1, p2, rng, train.targets),
         mutation=lambda p, rng: geometric_mutation(
-            p, cfg.mutation_step, rng, train, test, cfg.random_tree_depth
+            p, cfg.mutation_step, rng, stacked, train.targets, cfg.random_tree_depth
         ),
     )
 
@@ -346,10 +332,11 @@ def estimate_size(ind: Individual) -> int:
     """Node count of the expression `reconstruct` would build, without building it.
 
     Counting rule per record: an initial tree counts its literal nodes; a
-    crossover adds its two weight constants plus four structural nodes on
-    top of the operand sizes; a mutation adds four nodes on top of parent
-    and both perturbation trees. Exact integer arithmetic — along deep
-    ancestries this grows far past what could ever be materialized.
+    crossover adds five nodes on top of both parents (add, two mul, the
+    two weight constants); a mutation adds six on top of the parent and
+    both perturbation trees (add, mul, the ms constant, sub, two sigmoid).
+    Exact integer arithmetic — along deep ancestries this grows far past
+    what could ever be materialized.
     """
     memo: dict[AncestryRecord, int] = {}
 
@@ -360,9 +347,9 @@ def estimate_size(ind: Individual) -> int:
         if isinstance(rec, TreeOrigin):
             result = rec.tree.size
         elif isinstance(rec, CrossoverOrigin):
-            result = size(rec.parent1) + size(rec.parent2) + 2 + 4
+            result = size(rec.parent1) + size(rec.parent2) + 5
         else:
-            result = size(rec.parent) + rec.r1.size + rec.r2.size + 4
+            result = size(rec.parent) + rec.r1.size + rec.r2.size + 6
         memo[rec] = result
         return result
 
@@ -375,7 +362,7 @@ def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
     Refuses with BudgetExceeded when the estimated node count is past
     node_budget. The emitted templates perform the exact arithmetic the
     operators performed on semantics, in the same order, so evaluating the
-    result reproduces the individual's stored vectors bit for bit.
+    result reproduces the individual's stored semantics bit for bit.
     """
     if node_budget < 1:
         raise GsgpError(f"node_budget must be >= 1, got {node_budget}")
@@ -467,8 +454,8 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
     """Re-derive an archived individual's semantics on an arbitrary dataset.
 
     Replays the recorded operations with the same arithmetic the engine
-    used, so on the original training/test data the result is bitwise
-    identical to the stored vectors.
+    used, so on the original training or test data the result is bitwise
+    identical to those rows of the stored semantics.
     """
     try:
         trees = [parse_infix(text) for text in payload["trees"]]
@@ -485,7 +472,7 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
         if not 0 <= i < len(trees):
             raise GsgpError(f"tree index {i!r} out of range")
         if i not in tree_sem:
-            tree_sem[i] = semantics_of(trees[i], ds)
+            tree_sem[i] = eval_matrix(trees[i], ds.features)
         return tree_sem[i]
 
     out: list[Semantics] = []

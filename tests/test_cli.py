@@ -1,5 +1,6 @@
 """Command-line harness: one-line errors on bad input, byte-identical reruns."""
 
+import hashlib
 import json
 import shutil
 
@@ -125,3 +126,42 @@ class TestDeterministicArtifacts:
         lines = (tmp_path / "p" / "predictions.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "sample_no,computation"
         assert len(lines) == 2
+
+
+class TestPinnedArtifacts:
+    """Exact artifacts of the small config at master seed 42. Any change to
+    the engines, the RNG draw order or the writers moves them."""
+
+    TRAIN_SHA256 = {
+        "model.json": "1b8660d17de0d7bb693eddf338910d64ea394d3fc17f649bb7ff97600929fbdf",
+        "predictions.csv": "4855958ec1424b5b29e06eb7fcaefa8c5a7fa5b6eadd9500fc3656bd9c3e8531",
+        "fitness_curve.csv": "f971adf0cbc4fae17f9db3b7db970a9e7bd36c8f5c885eb1e9ef78198411d3a7",
+    }
+
+    def test_train_artifacts(self, tmp_path):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in self.TRAIN_SHA256
+        }
+        assert digests == self.TRAIN_SHA256
+
+    def test_compare_rmse_lists(self, tmp_path):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare", "--runs", "2", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["test_rmse"] == {
+            "gsgp": [22.328276771357036, 9.473329242685619],
+            "stgp": [39.79457310173926, 39.79457310173926],
+            "lssvm": [3.1966061581548804, 3.1966061581548804],
+        }
+        assert report["train_rmse"] == {
+            "gsgp": [18.34200195084797, 15.315693303268354],
+            "stgp": [36.1985882004014, 36.1985882004014],
+            "lssvm": [4.311211521358119, 4.311211521358119],
+        }

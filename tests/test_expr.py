@@ -330,6 +330,31 @@ class TestSizeDepth:
         assert "size" not in repr(t)
 
 
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+        x[~nan].view(np.int64), y[~nan].view(np.int64)
+    )
+
+
+class TestStackedRows:
+    """eval_matrix and sigmoid act on each row alone, so evaluating stacked
+    train+test rows once gives the two separate evaluations, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees, st.integers(1, 33))
+    def test_stacked_evaluation_is_concatenation(self, t, cut):
+        rows = builtin_table1().features
+        a, b = rows[:cut], rows[cut:]
+        with np.errstate(all="ignore"):
+            whole = eval_matrix(t, np.vstack([a, b]))
+            parts = np.concatenate([eval_matrix(t, a), eval_matrix(t, b)])
+            assert same_bits(whole, parts)
+            squashed = np.concatenate([sigmoid(eval_matrix(t, a)), sigmoid(eval_matrix(t, b))])
+            assert same_bits(sigmoid(whole), squashed)
+
+
 class TestInfix:
     def test_leaf_rendering(self):
         assert to_infix(variable(3)) == "x3"

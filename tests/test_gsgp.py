@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import slumpgp.gsgp as gsgp_module
 from slumpgp.dataset import Dataset, Sample, SplitSpec, builtin_table1, split
-from slumpgp.expr import ExprTree, GenMethod, binop, to_infix, variable
+from slumpgp.expr import ExprTree, GenMethod, binop, eval_matrix, sigmoid, to_infix, variable
 from slumpgp.gsgp import (
     BudgetExceeded,
     CrossoverOrigin,
@@ -29,7 +29,6 @@ from slumpgp.gsgp import (
     geometric_mutation,
     reconstruct,
     replay_semantics,
-    semantics_of,
     tournament_select,
 )
 
@@ -55,13 +54,18 @@ def tiny_dataset(targets=(2.0, 2.0)):
 
 
 def raw_individual(train_sem, test_sem, ds):
-    sem = np.asarray(train_sem, dtype=float)
+    """Individual whose semantics are train_sem then test_sem; ds holds the train targets."""
+    sem = np.concatenate([np.asarray(train_sem, dtype=float), np.asarray(test_sem, dtype=float)])
     return Individual(
-        train_semantics=sem,
-        test_semantics=np.asarray(test_sem, dtype=float),
-        train_fitness=fitness(sem, ds.targets),
+        semantics=sem,
+        train_fitness=fitness(sem[: len(ds)], ds.targets),
         ancestry=TreeOrigin(variable(1)),
     )
+
+
+def stacked(train, test):
+    """Feature rows of train, then of test: the rows of an individual's semantics."""
+    return np.vstack([train.features, test.features])
 
 
 def count_nodes(t: ExprTree) -> int:
@@ -88,19 +92,21 @@ class TestFitness:
 
 
 class TestSemanticsOf:
+    """A tree's semantics on a dataset: eval_matrix over its feature rows."""
+
     def test_water_column(self, table1):
-        water = semantics_of(variable(3), table1)
+        water = eval_matrix(variable(3), table1.features)
         assert water.shape == (34,)
         assert water[:3].tolist() == [180.0, 180.0, 190.0]
         assert np.array_equal(water, table1.features[:, 2])
 
     def test_self_subtraction_is_zero(self, table1):
         t = binop("sub", variable(1), variable(1))
-        assert np.array_equal(semantics_of(t, table1), np.zeros(34))
+        assert np.array_equal(eval_matrix(t, table1.features), np.zeros(34))
 
     def test_single_row_dataset(self):
         ds = tiny_dataset(targets=(5.0,))
-        assert semantics_of(variable(3), ds).tolist() == [180.0]
+        assert eval_matrix(variable(3), ds.features).tolist() == [180.0]
 
 
 class TestGeometricCrossover:
@@ -108,33 +114,30 @@ class TestGeometricCrossover:
         ds = tiny_dataset()
         p1 = raw_individual([1.0, 3.0], [1.0, 3.0], ds)
         p2 = raw_individual([3.0, 1.0], [3.0, 1.0], ds)
-        child = geometric_crossover(p1, p2, FixedRandom(0.5), ds)
-        assert child.train_semantics.tolist() == [2.0, 2.0]
-        assert child.test_semantics.tolist() == [2.0, 2.0]
+        child = geometric_crossover(p1, p2, FixedRandom(0.5), ds.targets)
+        assert child.semantics.tolist() == [2.0, 2.0, 2.0, 2.0]
         assert child.train_fitness == 0.0
 
     def test_endpoint_tr_one_copies_first_parent(self):
         ds = tiny_dataset()
         p1 = raw_individual([1.25, 3.5], [0.5, 9.0], ds)
         p2 = raw_individual([7.0, -2.0], [4.0, 4.0], ds)
-        child = geometric_crossover(p1, p2, FixedRandom(1.0 - 1e-17), ds)
+        child = geometric_crossover(p1, p2, FixedRandom(1.0 - 1e-17), ds.targets)
         # u rounds to 1.0, so the blend is exactly p1
-        assert np.array_equal(child.train_semantics, p1.train_semantics)
-        assert np.array_equal(child.test_semantics, p1.test_semantics)
+        assert np.array_equal(child.semantics, p1.semantics)
 
     def test_endpoint_tr_zero_copies_second_parent(self):
         ds = tiny_dataset()
         p1 = raw_individual([1.25, 3.5], [0.5, 9.0], ds)
         p2 = raw_individual([7.0, -2.0], [4.0, 4.0], ds)
-        child = geometric_crossover(p1, p2, FixedRandom(0.0), ds)
-        assert np.array_equal(child.train_semantics, p2.train_semantics)
-        assert np.array_equal(child.test_semantics, p2.test_semantics)
+        child = geometric_crossover(p1, p2, FixedRandom(0.0), ds.targets)
+        assert np.array_equal(child.semantics, p2.semantics)
 
     def test_ancestry_records_parents_and_tr(self):
         ds = tiny_dataset()
         p1 = raw_individual([1.0, 3.0], [1.0, 3.0], ds)
         p2 = raw_individual([3.0, 1.0], [3.0, 1.0], ds)
-        child = geometric_crossover(p1, p2, FixedRandom(0.25), ds)
+        child = geometric_crossover(p1, p2, FixedRandom(0.25), ds.targets)
         rec = child.ancestry
         assert isinstance(rec, CrossoverOrigin)
         assert rec.parent1 is p1.ancestry
@@ -149,11 +152,11 @@ class TestGeometricCrossover:
             b = [rng.uniform(-50, 50) for _ in range(6)]
             p1 = raw_individual(a, a, ds)
             p2 = raw_individual(b, b, ds)
-            child = geometric_crossover(p1, p2, rng, ds)
-            lo = np.minimum(p1.train_semantics, p2.train_semantics)
-            hi = np.maximum(p1.train_semantics, p2.train_semantics)
-            assert np.all(child.train_semantics >= lo - 1e-12)
-            assert np.all(child.train_semantics <= hi + 1e-12)
+            child = geometric_crossover(p1, p2, rng, ds.targets)
+            lo = np.minimum(p1.semantics, p2.semantics)
+            hi = np.maximum(p1.semantics, p2.semantics)
+            assert np.all(child.semantics >= lo - 1e-12)
+            assert np.all(child.semantics <= hi + 1e-12)
 
     def test_fitness_recomputed(self):
         ds = tiny_dataset()
@@ -161,9 +164,9 @@ class TestGeometricCrossover:
         p2 = raw_individual([3.0, 1.0], [3.0, 1.0], ds)
         rng = Random(73)
         for _ in range(50):
-            child = geometric_crossover(p1, p2, rng, ds)
+            child = geometric_crossover(p1, p2, rng, ds.targets)
             assert child.train_fitness == pytest.approx(
-                fitness(child.train_semantics, ds.targets), abs=1e-12
+                fitness(child.semantics[:2], ds.targets), abs=1e-12
             )
 
 
@@ -176,17 +179,18 @@ class TestGeometricMutation:
         assert moved == pytest.approx([1.05, 0.95], abs=1e-15)
 
     def test_engine_matches_formula_bitwise(self):
-        from slumpgp.expr import sigmoid
-
         train, test = split(builtin_table1(), SplitSpec(28))
         rng = Random(79)
         p = raw_individual(np.linspace(100, 150, 28), np.linspace(100, 150, 6), train)
         for _ in range(50):
-            child = geometric_mutation(p, 0.1, rng, train, test)
+            child = geometric_mutation(p, 0.1, rng, stacked(train, test), train.targets)
             rec = child.ancestry
             assert isinstance(rec, MutationOrigin)
-            delta = sigmoid(semantics_of(rec.r1, train)) - sigmoid(semantics_of(rec.r2, train))
-            assert np.array_equal(child.train_semantics, p.train_semantics + 0.1 * delta)
+            for rows, ds in ((slice(0, 28), train), (slice(28, 34), test)):
+                delta = sigmoid(eval_matrix(rec.r1, ds.features)) - sigmoid(
+                    eval_matrix(rec.r2, ds.features)
+                )
+                assert np.array_equal(child.semantics[rows], p.semantics[rows] + 0.1 * delta)
 
     def test_identical_perturbation_trees_cancel(self, monkeypatch):
         fixed = binop("add", variable(1), variable(2))
@@ -195,9 +199,8 @@ class TestGeometricMutation:
         )
         ds = tiny_dataset()
         p = raw_individual([1.0, 2.0], [3.0, 4.0], ds)
-        child = geometric_mutation(p, 0.1, Random(0), ds, ds)
-        assert np.array_equal(child.train_semantics, p.train_semantics)
-        assert np.array_equal(child.test_semantics, p.test_semantics)
+        child = geometric_mutation(p, 0.1, Random(0), stacked(ds, ds), ds.targets)
+        assert np.array_equal(child.semantics, p.semantics)
 
     def test_bounded_displacement_fuzz(self):
         train, test = split(builtin_table1(), SplitSpec(28))
@@ -205,16 +208,15 @@ class TestGeometricMutation:
         p = raw_individual(np.zeros(28), np.zeros(6), train)
         for _ in range(200):
             ms = rng.choice([0.01, 0.1, 1.0])
-            child = geometric_mutation(p, ms, rng, train, test)
-            assert np.max(np.abs(child.train_semantics - p.train_semantics)) <= ms
-            assert np.max(np.abs(child.test_semantics - p.test_semantics)) <= ms
+            child = geometric_mutation(p, ms, rng, stacked(train, test), train.targets)
+            assert np.max(np.abs(child.semantics - p.semantics)) <= ms
 
     def test_invalid_step_rejected(self):
         ds = tiny_dataset()
         p = raw_individual([1.0, 2.0], [1.0, 2.0], ds)
         for bad in (0.0, -0.1):
             with pytest.raises(GsgpError):
-                geometric_mutation(p, bad, Random(0), ds, ds)
+                geometric_mutation(p, bad, Random(0), stacked(ds, ds), ds.targets)
 
 
 class TestTournament:
@@ -252,8 +254,8 @@ class TestTournament:
         ds = tiny_dataset(targets=(1000.0, 1000.0))
         broken = raw_individual([math.nan, 1000.0], [0.0, 0.0], ds)
         finite = raw_individual([1000.0, 1000.0], [0.0, 0.0], ds)
-        child = geometric_crossover(broken, finite, FixedRandom(0.5), ds)
-        assert math.isnan(child.train_semantics[0])
+        child = geometric_crossover(broken, finite, FixedRandom(0.5), ds.targets)
+        assert math.isnan(child.semantics[0])
         assert child.train_fitness == math.inf
         pop = [child] + self.population([5.0, 1.0, 3.0], ds)
         for seed in range(20):
@@ -348,7 +350,7 @@ class TestEvolve:
         res = evolve(GsgpConfig(population_size=10, generations=0, rng_seed=3), train, test)
         assert len(res.history) == 1
         assert res.history[0].train_fitness == res.best.train_fitness
-        assert np.array_equal(res.predictions, res.best.test_semantics)
+        assert np.array_equal(res.predictions, res.best.semantics[28:])
 
     def test_same_seed_identical_results(self, table1_split):
         train, test = table1_split
@@ -367,7 +369,7 @@ class TestEvolve:
         train, test = table1_split
         res = evolve(GsgpConfig(**self.small), train, test)
         assert res.best.train_fitness == pytest.approx(
-            fitness(res.best.train_semantics, train.targets), abs=1e-12
+            fitness(res.best.semantics[:28], train.targets), abs=1e-12
         )
 
     def test_unlabeled_test_set_gives_nan_test_stats(self, table1_split):
@@ -382,28 +384,23 @@ class TestEvolve:
         assert math.isnan(res.history[-1].test_fitness)
         assert res.predictions.shape == (6,)
 
-    def test_mean_error_consistent_with_fitness(self, table1_split):
-        train, test = table1_split
-        res = evolve(GsgpConfig(**self.small), train, test)
-        last = res.history[-1]
-        assert last.train_mean_error == pytest.approx(last.train_fitness / 28, abs=1e-12)
-
 
 class TestEstimateSize:
     def test_initial_individual_is_tree_size(self):
         t = binop("add", binop("add", variable(1), variable(2)), binop("add", variable(3), variable(4)))
         assert t.size == 7
         ds = tiny_dataset()
-        ind = Individual(semantics_of(t, ds), semantics_of(t, ds), fitness(semantics_of(t, ds), ds.targets), TreeOrigin(t))
+        sem = eval_matrix(t, ds.features)
+        ind = Individual(sem, fitness(sem, ds.targets), TreeOrigin(t))
         assert estimate_size(ind) == 7
 
     def test_crossover_of_two_leaves(self):
         ds = tiny_dataset()
         p1 = raw_individual([1.0, 2.0], [1.0, 2.0], ds)
         p2 = raw_individual([2.0, 1.0], [2.0, 1.0], ds)
-        child = geometric_crossover(p1, p2, FixedRandom(0.5), ds)
-        # size(p1) + size(p2) + two Tr constants + four operator nodes
-        assert estimate_size(child) == 8
+        child = geometric_crossover(p1, p2, FixedRandom(0.5), ds.targets)
+        # (x1 * tr) + (comp * x1): two leaves, add, two mul, two constants
+        assert estimate_size(child) == 7
 
     def test_mutation_of_leaf_with_leaf_perturbations(self, monkeypatch):
         monkeypatch.setattr(
@@ -411,9 +408,10 @@ class TestEstimateSize:
         )
         ds = tiny_dataset()
         p = raw_individual([1.0, 2.0], [1.0, 2.0], ds)
-        child = geometric_mutation(p, 0.1, Random(0), ds, ds)
-        # parent + two size-1 trees + ms constant + three operator nodes
-        assert estimate_size(child) == 7
+        child = geometric_mutation(p, 0.1, Random(0), stacked(ds, ds), ds.targets)
+        # x1 + (ms * (sigmoid(x2) - sigmoid(x2))): three leaves, add, mul,
+        # the ms constant, sub, two sigmoid
+        assert estimate_size(child) == 9
 
     def test_monotone_along_lineage(self, table1_split):
         train, test = table1_split
@@ -423,9 +421,9 @@ class TestEstimateSize:
         prev = estimate_size(ind)
         for _ in range(15):
             if rng.random() < 0.5:
-                ind = geometric_crossover(ind, pop[rng.randrange(4)], rng, train)
+                ind = geometric_crossover(ind, pop[rng.randrange(4)], rng, train.targets)
             else:
-                ind = geometric_mutation(ind, 0.1, rng, train, test)
+                ind = geometric_mutation(ind, 0.1, rng, stacked(train, test), train.targets)
             cur = estimate_size(ind)
             assert cur > prev
             prev = cur
@@ -435,15 +433,15 @@ class TestReconstruct:
     def test_initial_returns_tree_verbatim(self):
         t = binop("mul", variable(1), variable(5))
         ds = tiny_dataset()
-        sem = semantics_of(t, ds)
-        ind = Individual(sem, sem, fitness(sem, ds.targets), TreeOrigin(t))
+        sem = eval_matrix(t, ds.features)
+        ind = Individual(sem, fitness(sem, ds.targets), TreeOrigin(t))
         assert reconstruct(ind, 100) == t
 
     def test_budget_exceeded_carries_estimate(self):
         ds = tiny_dataset()
         p1 = raw_individual([1.0, 2.0], [1.0, 2.0], ds)
         p2 = raw_individual([2.0, 1.0], [2.0, 1.0], ds)
-        child = geometric_crossover(p1, p2, FixedRandom(0.5), ds)
+        child = geometric_crossover(p1, p2, FixedRandom(0.5), ds.targets)
         out = reconstruct(child, 1)
         assert isinstance(out, BudgetExceeded)
         assert out.estimate == estimate_size(child)
@@ -456,8 +454,7 @@ class TestReconstruct:
         )
         tree = reconstruct(res.best, 10**9)
         assert not isinstance(tree, BudgetExceeded)
-        assert np.array_equal(semantics_of(tree, train), res.best.train_semantics)
-        assert np.array_equal(semantics_of(tree, test), res.best.test_semantics)
+        assert np.array_equal(eval_matrix(tree, stacked(train, test)), res.best.semantics)
 
     def test_reconstruction_equivalence_fuzz(self, table1_split):
         train, test = table1_split
@@ -472,8 +469,7 @@ class TestReconstruct:
             res = evolve(cfg, train, test)
             tree = reconstruct(res.best, 10**9)
             assert not isinstance(tree, BudgetExceeded)
-            diff = np.abs(semantics_of(tree, train) - res.best.train_semantics)
-            assert diff.max() <= 1e-9
+            assert np.array_equal(eval_matrix(tree, stacked(train, test)), res.best.semantics)
 
 
     @settings(max_examples=25, deadline=None)
@@ -485,13 +481,14 @@ class TestReconstruct:
         tree = reconstruct(res.best, 10**6)
         assert not isinstance(tree, BudgetExceeded)
         assert tree.size == count_nodes(tree)
+        assert estimate_size(res.best) == tree.size
 
 
 class TestPersistence:
     def round_trip(self, ind, train, test):
         payload = archive_individual(ind)
-        assert np.array_equal(replay_semantics(payload, train), ind.train_semantics)
-        assert np.array_equal(replay_semantics(payload, test), ind.test_semantics)
+        assert np.array_equal(replay_semantics(payload, train), ind.semantics[: len(train)])
+        assert np.array_equal(replay_semantics(payload, test), ind.semantics[len(train) :])
         return payload
 
     def test_round_trip_after_small_run(self, table1_split):
@@ -508,13 +505,13 @@ class TestPersistence:
         res = evolve(GsgpConfig(population_size=8, generations=3, rng_seed=29), train, test)
         payload = archive_individual(res.best)
         restored = json.loads(json.dumps(payload))
-        assert np.array_equal(replay_semantics(restored, train), res.best.train_semantics)
+        assert np.array_equal(replay_semantics(restored, train), res.best.semantics[:28])
 
     def test_initial_individual_round_trip(self, table1_split):
         train, test = table1_split
         t = binop("div", variable(3), variable(8))
-        sem = semantics_of(t, train)
-        ind = Individual(sem, semantics_of(t, test), fitness(sem, train.targets), TreeOrigin(t))
+        sem = eval_matrix(t, stacked(train, test))
+        ind = Individual(sem, fitness(sem[:28], train.targets), TreeOrigin(t))
         payload = self.round_trip(ind, train, test)
         assert payload["trees"] == [to_infix(t)]
 
