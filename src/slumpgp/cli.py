@@ -287,13 +287,17 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     payload = _load_model(args.model)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
 
+    # Only the header and whether a data row follows are needed here;
+    # load_csv reads the rows themselves.
     with open(args.input, newline="", encoding="utf-8") as fh:
-        rows = [
+        rows = (
             r for r in csv_rows(fh, args.input) if r and not (len(r) == 1 and not r[0].strip())
-        ]
-    if not rows:
+        )
+        first = next(rows, None)
+        has_data = next(rows, None) is not None
+    if first is None:
         raise DatasetError("empty file: missing header row")
-    labeled = validate_header(rows[0])
+    labeled = validate_header(first)
     header = (
         "sample_no,experiment,computation,relative_error"
         if labeled
@@ -301,7 +305,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     )
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "predictions.csv")
-    if len(rows) == 1:
+    if not has_data:
         _write_lines(out_path, [header])
         return 0
 

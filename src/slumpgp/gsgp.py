@@ -450,21 +450,60 @@ def archive_individual(ind: Individual) -> dict:
     return {"trees": trees, "records": records, "root": root}
 
 
+# The archive indices each record op reads, as ("record" | "tree", field).
+_READS = {
+    "tree": (("tree", "tree"),),
+    "crossover": (("record", "parent1"), ("record", "parent2")),
+    "mutation": (("record", "parent"), ("tree", "r1"), ("tree", "r2")),
+}
+
+
+def _reads(rec) -> list[tuple[str, object]]:
+    """The (kind, index) pairs a record reads; none for a malformed record."""
+    op = rec.get("op") if isinstance(rec, dict) else None
+    if not isinstance(op, str):
+        return []
+    return [(kind, rec[field]) for kind, field in _READS.get(op, ()) if field in rec]
+
+
+def _last_reads(records: list) -> dict[tuple[str, object], int]:
+    """The last position that reads each ("record", i) and ("tree", i).
+
+    Indices are keys as they stand, so equal ones (1, 1.0, True) share an
+    entry, just as they find the same evaluated tree in the replay's cache.
+    Malformed entries are skipped; the replay rejects them where it meets them.
+    """
+    last: dict[tuple[str, object], int] = {}
+    for pos, rec in enumerate(records):
+        for key in _reads(rec):
+            try:
+                last[key] = pos
+            except TypeError:  # an unhashable index
+                pass
+    return last
+
+
 def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
     """Re-derive an archived individual's semantics on an arbitrary dataset.
 
     Replays the recorded operations with the same arithmetic the engine
     used, so on the original training or test data the result is bitwise
     identical to those rows of the stored semantics.
+
+    Each record's vector and each tree's values are dropped right after the
+    last record that reads them (the root's vector is kept), so memory is
+    bounded by the ancestry DAG's live width, not by its size.
     """
     try:
         trees = [parse_infix(text) for text in payload["trees"]]
         records = payload["records"]
         root = payload["root"]
+        n_records = len(records)
     except (KeyError, TypeError, ParseError) as exc:
         raise GsgpError(f"malformed model payload: {exc}") from None
-    if not isinstance(root, int) or not 0 <= root < len(records):
+    if not isinstance(root, int) or not 0 <= root < n_records:
         raise GsgpError(f"model root {root!r} out of range")
+    last_read = _last_reads(records)
 
     tree_sem: dict[int, Semantics] = {}
 
@@ -475,7 +514,7 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
             tree_sem[i] = eval_matrix(trees[i], ds.features)
         return tree_sem[i]
 
-    out: list[Semantics] = []
+    out: list[Semantics | None] = []
     for pos, rec in enumerate(records):
         try:
             op = rec["op"]
@@ -498,5 +537,12 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
                 raise GsgpError(f"unknown record op {op!r}")
         except (KeyError, TypeError, IndexError) as exc:
             raise GsgpError(f"malformed model record {pos}: {exc}") from None
-        out.append(sem)
+        out.append(sem if pos == root or ("record", pos) in last_read else None)
+        for kind, i in _reads(rec):
+            if last_read[kind, i] != pos:
+                continue
+            if kind == "tree":
+                tree_sem.pop(i, None)
+            elif i != root:
+                out[i] = None
     return out[root]

@@ -165,3 +165,54 @@ class TestPinnedArtifacts:
             "stgp": [36.1985882004014, 36.1985882004014],
             "lssvm": [4.311211521358119, 4.311211521358119],
         }
+
+
+FEATURES = "cement,fly_ash,water,sand,stone,water_reducer,recycled_aggregate,total_mass"
+ROW = "300,60,180,700,1100,5,200,2345"
+
+
+class TestPredictEdgeCases:
+    """predict's output and errors for inputs without ordinary data rows."""
+
+    def predict(self, tmp_path, capsys, data: bytes):
+        write_model(tmp_path / "model.json", "gsgp")
+        (tmp_path / "in.csv").write_bytes(data)
+        argv = [
+            "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "o"),
+        ]
+        return run_cli(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "header, expected",
+        [
+            (FEATURES, "sample_no,computation\n"),
+            (FEATURES + ",slump", "sample_no,experiment,computation,relative_error\n"),
+        ],
+        ids=["unlabeled", "labeled"],
+    )
+    @pytest.mark.parametrize("tail", ["\n", "\n\n   \n\n"], ids=["header-only", "blank-lines"])
+    def test_no_data_rows_writes_header(self, tmp_path, capsys, header, expected, tail):
+        code, err = self.predict(tmp_path, capsys, (header + tail).encode())
+        assert (code, err) == (0, "")
+        assert (tmp_path / "o" / "predictions.csv").read_text(encoding="utf-8") == expected
+
+    def test_empty_file(self, tmp_path, capsys):
+        code, err = self.predict(tmp_path, capsys, b"")
+        assert_one_line_error(code, err)
+        assert err == "error: empty file: missing header row\n"
+
+    def test_non_numeric_cell_names_its_row(self, tmp_path, capsys):
+        data = "\n".join([FEATURES, ROW, ROW, ROW.replace("180", "wet"), ROW]) + "\n"
+        code, err = self.predict(tmp_path, capsys, data.encode())
+        assert_one_line_error(code, err)
+        assert err == "error: row 3: column 'water' has non-numeric value 'wet'\n"
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("good_rows", [2, 5000])
+    def test_later_rows_not_utf8(self, tmp_path, capsys, good_rows):
+        data = "\n".join([FEATURES] + [ROW] * good_rows).encode() + b"\n3\xff0,60\n"
+        code, err = self.predict(tmp_path, capsys, data)
+        assert_one_line_error(code, err)
+        assert "is not UTF-8 text" in err
+        assert not (tmp_path / "o" / "predictions.csv").exists()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -12,7 +13,17 @@ from hypothesis import strategies as st
 
 import slumpgp.gsgp as gsgp_module
 from slumpgp.dataset import Dataset, Sample, SplitSpec, builtin_table1, split
-from slumpgp.expr import ExprTree, GenMethod, binop, eval_matrix, sigmoid, to_infix, variable
+from slumpgp.expr import (
+    ExprTree,
+    GenMethod,
+    ParseError,
+    binop,
+    eval_matrix,
+    parse_infix,
+    sigmoid,
+    to_infix,
+    variable,
+)
 from slumpgp.gsgp import (
     BudgetExceeded,
     CrossoverOrigin,
@@ -484,6 +495,53 @@ class TestReconstruct:
         assert estimate_size(res.best) == tree.size
 
 
+# Payloads replay_semantics must reject with a GsgpError. The last five
+# hold an index of the wrong type, records that are not a list, or a
+# malformed record after a valid one.
+MALFORMED_PAYLOADS = [
+    {},
+    {"trees": [], "records": [], "root": 0},
+    {"trees": ["x1"], "records": [{"op": "tree", "tree": 5}], "root": 0},
+    {"trees": ["x1"], "records": [{"op": "volcano"}], "root": 0},
+    {
+        "trees": ["x1"],
+        "records": [{"op": "crossover", "parent1": 7, "parent2": 0, "tr": 0.5}],
+        "root": 0,
+    },
+    {"trees": ["x1"], "records": [{"op": "tree", "tree": 0}], "root": 9},
+    {"trees": ["(x1 +"], "records": [{"op": "tree", "tree": 0}], "root": 0},
+    {"trees": ["x1"], "records": [{"op": "tree", "tree": -1}], "root": 0},
+    {
+        "trees": ["x1"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "mutation", "parent": 0, "r1": -1, "r2": 0, "ms": 0.1},
+        ],
+        "root": 1,
+    },
+    {
+        "trees": ["x1"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "mutation", "parent": 0, "r1": 0, "r2": -1, "ms": 0.1},
+        ],
+        "root": 1,
+    },
+    {
+        "trees": ["x1"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "crossover", "parent1": 0.0, "parent2": 0, "tr": 0.5},
+        ],
+        "root": 1,
+    },
+    {"trees": ["x1"], "records": None, "root": 0},
+    {"trees": ["x1"], "records": [{"op": "tree", "tree": 0}, [1, 2]], "root": 0},
+    {"trees": ["x1"], "records": [{"op": "tree", "tree": [0]}], "root": 0},
+    {"trees": ["x1"], "records": [{"op": "tree", "tree": 0.0}], "root": 0},
+]
+
+
 class TestPersistence:
     def round_trip(self, ind, train, test):
         payload = archive_individual(ind)
@@ -515,40 +573,183 @@ class TestPersistence:
         payload = self.round_trip(ind, train, test)
         assert payload["trees"] == [to_infix(t)]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 20), st.integers(0, 6))
+    def test_replay_equals_stored_semantics(self, seed, pop_size, generations):
+        train, test = split(builtin_table1(), SplitSpec(28))
+        cfg = GsgpConfig(population_size=pop_size, generations=generations, rng_seed=seed)
+        self.round_trip(evolve(cfg, train, test).best, train, test)
+
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+    def test_malformed_payload_rejected(self, payload, table1_split):
+        train, _ = table1_split
+        with pytest.raises(GsgpError):
+            replay_semantics(payload, train)
+
+
+def replay_keep_all(payload: dict, ds: Dataset) -> np.ndarray:
+    """Oracle: the replay loop that keeps every vector until it returns."""
+    try:
+        trees = [parse_infix(text) for text in payload["trees"]]
+        records = payload["records"]
+        root = payload["root"]
+    except (KeyError, TypeError, ParseError) as exc:
+        raise GsgpError(f"malformed model payload: {exc}") from None
+    if not isinstance(root, int) or not 0 <= root < len(records):
+        raise GsgpError(f"model root {root!r} out of range")
+
+    tree_sem = {}
+
+    def sem_of_tree(i):
+        if not 0 <= i < len(trees):
+            raise GsgpError(f"tree index {i!r} out of range")
+        if i not in tree_sem:
+            tree_sem[i] = eval_matrix(trees[i], ds.features)
+        return tree_sem[i]
+
+    out = []
+    for pos, rec in enumerate(records):
+        try:
+            op = rec["op"]
+            if op == "tree":
+                sem = sem_of_tree(rec["tree"])
+            elif op == "crossover":
+                p1, p2 = rec["parent1"], rec["parent2"]
+                if not (0 <= p1 < pos and 0 <= p2 < pos):
+                    raise GsgpError(f"record {pos} references a later record")
+                tr = float(rec["tr"])
+                sem = tr * out[p1] + (1.0 - tr) * out[p2]
+            elif op == "mutation":
+                p = rec["parent"]
+                if not 0 <= p < pos:
+                    raise GsgpError(f"record {pos} references a later record")
+                ms = float(rec["ms"])
+                delta = sigmoid(sem_of_tree(rec["r1"])) - sigmoid(sem_of_tree(rec["r2"]))
+                sem = out[p] + ms * delta
+            else:
+                raise GsgpError(f"unknown record op {op!r}")
+        except (KeyError, TypeError, IndexError) as exc:
+            raise GsgpError(f"malformed model record {pos}: {exc}") from None
+        out.append(sem)
+    return out[root]
+
+
+def replay_outcome(replay, payload, ds):
+    """The replayed vector, or the message of the GsgpError raised."""
+    try:
+        return replay(payload, ds)
+    except GsgpError as exc:
+        return str(exc)
+
+
+REPLAY_TREES = ["x1", "(x2 * x3)", "sigmoid((x4 - 0.5))", "(x8 /p x3)"]
+
+
+@st.composite
+def valid_payloads(draw):
+    """Archive payloads whose records read random earlier records and trees."""
+    n_trees = draw(st.integers(1, len(REPLAY_TREES)))
+    tree = st.integers(0, n_trees - 1)
+    records = [{"op": "tree", "tree": draw(tree)}]
+    for pos in range(1, draw(st.integers(1, 14))):
+        parent = st.integers(0, pos - 1)
+        op = draw(st.sampled_from(["tree", "crossover", "mutation"]))
+        if op == "tree":
+            records.append({"op": "tree", "tree": draw(tree)})
+        elif op == "crossover":
+            records.append(
+                {
+                    "op": op, "parent1": draw(parent), "parent2": draw(parent),
+                    "tr": draw(st.floats(0, 1)),
+                }
+            )
+        else:
+            records.append(
+                {
+                    "op": op, "parent": draw(parent), "r1": draw(tree), "r2": draw(tree),
+                    "ms": draw(st.floats(0.01, 1)),
+                }
+            )
+    root = draw(st.integers(0, len(records) - 1))
+    return {"trees": REPLAY_TREES[:n_trees], "records": records, "root": root}
+
+
+# Every sharing shape at once: tree 0 is read by a tree record and by a
+# mutation, record 1 by three records, record 2 twice by one crossover,
+# record 4 mutates with r1 == r2, and records 6 and 8 are read by none.
+SHARED_PAYLOAD = {
+    "trees": REPLAY_TREES[:3],
+    "records": [
+        {"op": "tree", "tree": 0},
+        {"op": "tree", "tree": 1},
+        {"op": "mutation", "parent": 0, "r1": 0, "r2": 2, "ms": 0.1},
+        {"op": "crossover", "parent1": 2, "parent2": 2, "tr": 0.3},
+        {"op": "mutation", "parent": 1, "r1": 1, "r2": 1, "ms": 0.2},
+        {"op": "crossover", "parent1": 3, "parent2": 1, "tr": 0.6},
+        {"op": "tree", "tree": 2},
+        {"op": "mutation", "parent": 5, "r1": 2, "r2": 0, "ms": 0.05},
+        {"op": "crossover", "parent1": 7, "parent2": 1, "tr": 0.25},
+    ],
+    "root": 8,
+}
+
+
+class TestReplayFreesVectors:
+    """replay_semantics drops vectors after their last use; that changes no
+    value and no error of the keep-everything replay."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_payloads())
+    def test_matches_keep_all_oracle(self, payload):
+        ds = builtin_table1()
+        assert np.array_equal(replay_semantics(payload, ds), replay_keep_all(payload, ds))
+
+    @pytest.mark.parametrize("root", range(len(SHARED_PAYLOAD["records"])))
+    def test_shared_reads_match_oracle_at_every_root(self, root, table1):
+        payload = {**SHARED_PAYLOAD, "root": root}
+        assert np.array_equal(replay_semantics(payload, table1), replay_keep_all(payload, table1))
+
     @pytest.mark.parametrize(
         "payload",
-        [
-            {},
-            {"trees": [], "records": [], "root": 0},
-            {"trees": ["x1"], "records": [{"op": "tree", "tree": 5}], "root": 0},
-            {"trees": ["x1"], "records": [{"op": "volcano"}], "root": 0},
-            {
-                "trees": ["x1"],
-                "records": [{"op": "crossover", "parent1": 7, "parent2": 0, "tr": 0.5}],
-                "root": 0,
-            },
-            {"trees": ["x1"], "records": [{"op": "tree", "tree": 0}], "root": 9},
-            {"trees": ["(x1 +"], "records": [{"op": "tree", "tree": 0}], "root": 0},
-            {"trees": ["x1"], "records": [{"op": "tree", "tree": -1}], "root": 0},
+        [p for p in MALFORMED_PAYLOADS if isinstance(p.get("records"), list)]
+        + [
+            # A float index finds tree 0 already evaluated, as in a dict lookup.
             {
                 "trees": ["x1"],
                 "records": [
                     {"op": "tree", "tree": 0},
-                    {"op": "mutation", "parent": 0, "r1": -1, "r2": 0, "ms": 0.1},
-                ],
-                "root": 1,
-            },
-            {
-                "trees": ["x1"],
-                "records": [
-                    {"op": "tree", "tree": 0},
-                    {"op": "mutation", "parent": 0, "r1": 0, "r2": -1, "ms": 0.1},
+                    {"op": "mutation", "parent": 0, "r1": 0.0, "r2": 0, "ms": 0.1},
                 ],
                 "root": 1,
             },
         ],
     )
-    def test_malformed_payload_rejected(self, payload, table1_split):
-        train, _ = table1_split
-        with pytest.raises(GsgpError):
-            replay_semantics(payload, train)
+    def test_malformed_outcome_matches_oracle(self, payload, table1):
+        got = replay_outcome(replay_semantics, payload, table1)
+        want = replay_outcome(replay_keep_all, payload, table1)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_bounded_by_live_width(self, table1_split):
+        train, test = table1_split
+        res = evolve(GsgpConfig(population_size=100, generations=20, rng_seed=1), train, test)
+        payload = archive_individual(res.best)
+        rng = Random(5)
+        lo, hi = train.features.min(axis=0), train.features.max(axis=0)
+        wide = Dataset(
+            tuple(
+                Sample(*(rng.uniform(float(a), float(b)) for a, b in zip(lo, hi)))
+                for _ in range(5000)
+            )
+        )
+        wide.features  # built before tracing: the replay's input, not its memory
+        tracemalloc.start()
+        try:
+            replay_semantics(payload, wide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        keep_all = (len(payload["records"]) + len(payload["trees"])) * len(wide) * 8
+        assert peak < 0.25 * keep_all
