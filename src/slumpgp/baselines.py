@@ -230,7 +230,7 @@ def lssvm_fit(
         raise BaselineError("training dataset must carry slump targets")
     if not gamma > 0 or not sigma_sq > 0:
         raise BaselineError(f"gamma and sigma_sq must be > 0, got {gamma}, {sigma_sq}")
-    _, _, params = scale_minmax(train)
+    params = scale_minmax(train)
     scaled = params.transform(train.features)
     K = _rbf_kernel(scaled, scaled, sigma_sq)
     bias, alphas = _solve_dual(K, train.targets, gamma)
@@ -274,7 +274,7 @@ def lssvm_grid_search(
     n = len(train)
     if n < 2:
         raise BaselineError("leave-one-out needs at least 2 training rows")
-    _, _, params = scale_minmax(train)
+    params = scale_minmax(train)
     scaled = params.transform(train.features)
     y = train.targets
     best: tuple[float, float, float] | None = None

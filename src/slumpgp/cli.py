@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -37,10 +37,9 @@ from .dataset import (
     DatasetError,
     SplitSpec,
     builtin_table1,
-    csv_rows,
     load_csv,
+    read_csv,
     split,
-    validate_header,
 )
 from .gsgp import (
     GsgpConfig,
@@ -60,6 +59,7 @@ from .stats import (
 )
 
 OUT_DIR_ENV = "SLUMPGP_OUT"
+PREDICTIONS_HEADER = "sample_no,experiment,computation,relative_error"
 SCHEMA_VERSION = 1
 
 
@@ -97,41 +97,16 @@ _SECTIONS: dict[str, dict[str, type]] = {
         "seed": int,
         "out": str,
     },
-    "gsgp": {
-        "population_size": int,
-        "generations": int,
-        "mutation_step": float,
-        "p_crossover": float,
-        "p_mutation": float,
-        "tournament_size": int,
-        "elitism": int,
-        "random_tree_depth": int,
-    },
-    "stgp": {
-        "population_size": int,
-        "generations": int,
-        "max_depth": int,
-        "p_crossover": float,
-        "p_mutation": float,
-        "tournament_size": int,
-        "elitism": int,
+    # The engine keys are the config fields; rng_seed is set from --seed.
+    **{
+        section: {f.name: type(f.default) for f in fields(cls) if f.name != "rng_seed"}
+        for section, cls in (("gsgp", GsgpConfig), ("stgp", StgpConfig))
     },
     "lssvm": {
         "gamma": float,
         "sigma_sq": float,
         "grid_search": bool,
     },
-}
-
-_BOOL_WORDS = {
-    "true": True,
-    "yes": True,
-    "on": True,
-    "1": True,
-    "false": False,
-    "no": False,
-    "off": False,
-    "0": False,
 }
 
 
@@ -153,7 +128,7 @@ def _parse_config_file(path: str) -> dict[str, dict]:
             if typ is None:
                 raise CliError(f"unknown key '{key}' in section [{section}]")
             if typ is bool:
-                parsed = _BOOL_WORDS.get(raw.strip().lower())
+                parsed = parser.BOOLEAN_STATES.get(raw.strip().lower())
                 if parsed is None:
                     raise CliError(f"[{section}] {key}: expected a boolean, got {raw!r}")
                 out[key] = parsed
@@ -214,6 +189,14 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _prediction_rows(pairs: PairedSeries, rels, first_no: int) -> list[str]:
+    """predictions.csv lines under PREDICTIONS_HEADER, numbered from first_no."""
+    return [
+        f"{first_no + i},{_fmt(actual)},{_fmt(pred)},{_fmt(rel)}"
+        for i, (actual, pred, rel) in enumerate(zip(pairs.experimental, pairs.computational, rels))
+    ]
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -241,12 +224,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         curve.append(f"{gen},{_fmt(st.train_fitness)},{_fmt(st.test_fitness)}")
     _write_lines(os.path.join(cfg.out_dir, "fitness_curve.csv"), curve)
 
-    preds = ["sample_no,experiment,computation,relative_error"]
-    for i, (actual, pred, rel) in enumerate(
-        zip(pairs.experimental, pairs.computational, rels)
-    ):
-        preds.append(f"{cfg.train_size + i + 1},{_fmt(actual)},{_fmt(pred)},{_fmt(rel)}")
-    _write_lines(os.path.join(cfg.out_dir, "predictions.csv"), preds)
+    _write_lines(
+        os.path.join(cfg.out_dir, "predictions.csv"),
+        [PREDICTIONS_HEADER, *_prediction_rows(pairs, rels, cfg.train_size + 1)],
+    )
 
     _write_json(
         os.path.join(cfg.out_dir, "model.json"),
@@ -287,42 +268,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     payload = _load_model(args.model)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
 
-    # Only the header and whether a data row follows are needed here;
-    # load_csv reads the rows themselves.
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        rows = (
-            r for r in csv_rows(fh, args.input) if r and not (len(r) == 1 and not r[0].strip())
-        )
-        first = next(rows, None)
-        has_data = next(rows, None) is not None
-    if first is None:
-        raise DatasetError("empty file: missing header row")
-    labeled = validate_header(first)
-    header = (
-        "sample_no,experiment,computation,relative_error"
-        if labeled
-        else "sample_no,computation"
-    )
+    labeled, samples = read_csv(args.input)
+    lines = [PREDICTIONS_HEADER if labeled else "sample_no,computation"]
+    if samples:
+        ds = Dataset(samples)
+        predictions = replay_semantics(payload, ds)
+        if labeled:
+            pairs = PairedSeries(tuple(ds.targets), tuple(predictions))
+            lines += _prediction_rows(pairs, relative_errors(pairs), 1)
+        else:
+            lines += [f"{i + 1},{_fmt(pred)}" for i, pred in enumerate(predictions)]
     os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, "predictions.csv")
-    if not has_data:
-        _write_lines(out_path, [header])
-        return 0
-
-    ds = load_csv(args.input)
-    predictions = np.asarray(replay_semantics(payload, ds), dtype=float)
-    lines = [header]
-    if labeled:
-        pairs = PairedSeries(tuple(ds.targets), tuple(predictions))
-        rels = relative_errors(pairs)
-        for i, (actual, pred, rel) in enumerate(
-            zip(pairs.experimental, pairs.computational, rels)
-        ):
-            lines.append(f"{i + 1},{_fmt(actual)},{_fmt(pred)},{_fmt(rel)}")
-    else:
-        for i, pred in enumerate(predictions):
-            lines.append(f"{i + 1},{_fmt(pred)}")
-    _write_lines(out_path, lines)
+    _write_lines(os.path.join(out_dir, "predictions.csv"), lines)
     return 0
 
 

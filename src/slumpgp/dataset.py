@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -217,47 +216,53 @@ def validate_header(header) -> bool:
     return header == CSV_HEADER
 
 
-def csv_rows(fh, path) -> Iterator[list[str]]:
-    """CSV rows of an open text file; text that is not UTF-8 is a DatasetError."""
-    try:
-        yield from csv.reader(fh)
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
+def read_csv(path) -> tuple[bool, tuple[Sample, ...]]:
+    """Read a dataset CSV: whether it is labeled, and its samples in row order.
+
+    Blank rows are skipped wherever they stand, before the header too. The
+    header must be exactly the eight feature names, optionally followed by
+    'slump'. Errors name the offending column or the data row, counted
+    from 1 at the line after the header; text that is not UTF-8 is a
+    DatasetError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = (
+                (n, row)
+                for n, row in enumerate(csv.reader(fh))
+                if row and not (len(row) == 1 and not row[0].strip())
+            )
+            header_no, header = next(rows, (None, None))
+            if header is None:
+                raise DatasetError("empty file: missing header row")
+            header = tuple(h.strip() for h in header)
+            labeled = validate_header(header)
+            samples = []
+            for n, row in rows:
+                row_no = n - header_no
+                if len(row) != len(header):
+                    raise DatasetError(
+                        f"row {row_no}: expected {len(header)} cells, got {len(row)}"
+                    )
+                values = [_parse_cell(c.strip(), header[i], row_no) for i, c in enumerate(row)]
+                try:
+                    if labeled:
+                        samples.append(Sample(*values[:8], slump=values[8]))
+                    else:
+                        samples.append(Sample(*values))
+                except DatasetError as exc:
+                    raise DatasetError(f"row {row_no}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
+    return labeled, tuple(samples)
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset from CSV.
-
-    The header must be exactly the eight feature names, optionally followed
-    by 'slump'. Errors name the offending column or 1-based data row.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv_rows(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty file: missing header row") from None
-        header = tuple(h.strip() for h in header)
-        labeled = validate_header(header)
-        samples = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"row {row_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            values = [_parse_cell(c.strip(), header[i], row_no) for i, c in enumerate(row)]
-            try:
-                if labeled:
-                    samples.append(Sample(*values[:8], slump=values[8]))
-                else:
-                    samples.append(Sample(*values))
-            except DatasetError as exc:
-                raise DatasetError(f"row {row_no}: {exc}") from None
-        if not samples:
-            raise DatasetError("file contains a header but no data rows")
-    return Dataset(tuple(samples))
+    """Read a dataset from CSV with `read_csv`; a file without samples is an error."""
+    _, samples = read_csv(path)
+    if not samples:
+        raise DatasetError("file contains a header but no data rows")
+    return Dataset(samples)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -282,26 +287,13 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return Dataset(ds.samples[:n]), Dataset(ds.samples[n:])
 
 
-def scale_minmax(
-    train: Dataset, others: tuple[Dataset, ...] = ()
-) -> tuple[Dataset, tuple[Dataset, ...], ScaleParams]:
-    """Fit a per-feature min-max map on train and apply it everywhere.
+def scale_minmax(train: Dataset) -> ScaleParams:
+    """Fit a per-feature min-max map on the training features.
 
-    Training columns map onto [0, 1]; other datasets get the same affine map
-    and may land outside that range. Targets are never scaled.
+    `transform` maps the training columns onto [0, 1]; other rows get the
+    same affine map and may land outside that range.
     """
     cols = train.features
     mins = tuple(float(v) for v in cols.min(axis=0))
     maxs = tuple(float(v) for v in cols.max(axis=0))
-    params = ScaleParams(mins, maxs, tuple(a == b for a, b in zip(mins, maxs)))
-
-    def rebuild(ds: Dataset) -> Dataset:
-        scaled = params.transform(ds.features)
-        return Dataset(
-            tuple(
-                Sample(*map(float, feat), slump=s.slump)
-                for feat, s in zip(scaled, ds.samples)
-            )
-        )
-
-    return rebuild(train), tuple(rebuild(ds) for ds in others), params
+    return ScaleParams(mins, maxs, tuple(a == b for a, b in zip(mins, maxs)))

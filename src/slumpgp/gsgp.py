@@ -328,6 +328,30 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
     )
 
 
+def _post_order(root: AncestryRecord) -> list[AncestryRecord]:
+    """Every record reachable from root once, each after the records it reads.
+
+    The order is that of a depth-first walk which visits parent1 before
+    parent2, and a mutation's parent before the mutation itself. It uses
+    an explicit stack, so ancestries of any depth are walked.
+    """
+    order: list[AncestryRecord] = []
+    seen: set[AncestryRecord] = set()
+    stack: list[tuple[AncestryRecord, bool]] = [(root, False)]
+    while stack:
+        rec, parents_done = stack.pop()
+        if parents_done:
+            order.append(rec)
+        elif rec not in seen:
+            seen.add(rec)
+            stack.append((rec, True))
+            if isinstance(rec, CrossoverOrigin):
+                stack += [(rec.parent2, False), (rec.parent1, False)]
+            elif isinstance(rec, MutationOrigin):
+                stack.append((rec.parent, False))
+    return order
+
+
 def estimate_size(ind: Individual) -> int:
     """Node count of the expression `reconstruct` would build, without building it.
 
@@ -338,22 +362,15 @@ def estimate_size(ind: Individual) -> int:
     Exact integer arithmetic — along deep ancestries this grows far past
     what could ever be materialized.
     """
-    memo: dict[AncestryRecord, int] = {}
-
-    def size(rec: AncestryRecord) -> int:
-        got = memo.get(rec)
-        if got is not None:
-            return got
+    size: dict[AncestryRecord, int] = {}
+    for rec in _post_order(ind.ancestry):
         if isinstance(rec, TreeOrigin):
-            result = rec.tree.size
+            size[rec] = rec.tree.size
         elif isinstance(rec, CrossoverOrigin):
-            result = size(rec.parent1) + size(rec.parent2) + 5
+            size[rec] = size[rec.parent1] + size[rec.parent2] + 5
         else:
-            result = size(rec.parent) + rec.r1.size + rec.r2.size + 6
-        memo[rec] = result
-        return result
-
-    return size(ind.ancestry)
+            size[rec] = size[rec.parent] + rec.r1.size + rec.r2.size + 6
+    return size[ind.ancestry]
 
 
 def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
@@ -370,35 +387,28 @@ def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
     if est > node_budget:
         return BudgetExceeded(estimate=est)
 
-    memo: dict[AncestryRecord, ExprTree] = {}
-
-    def expand(rec: AncestryRecord) -> ExprTree:
-        got = memo.get(rec)
-        if got is not None:
-            return got
+    tree: dict[AncestryRecord, ExprTree] = {}
+    for rec in _post_order(ind.ancestry):
         if isinstance(rec, TreeOrigin):
-            result = rec.tree
+            tree[rec] = rec.tree
         elif isinstance(rec, CrossoverOrigin):
             comp = 1.0 - rec.tr  # exact: tr came from _complement_pair
-            result = binop(
+            tree[rec] = binop(
                 "add",
-                binop("mul", expand(rec.parent1), constant(rec.tr)),
-                binop("mul", constant(comp), expand(rec.parent2)),
+                binop("mul", tree[rec.parent1], constant(rec.tr)),
+                binop("mul", constant(comp), tree[rec.parent2]),
             )
         else:
-            result = binop(
+            tree[rec] = binop(
                 "add",
-                expand(rec.parent),
+                tree[rec.parent],
                 binop(
                     "mul",
                     constant(rec.ms),
                     binop("sub", sigmoid_node(rec.r1), sigmoid_node(rec.r2)),
                 ),
             )
-        memo[rec] = result
-        return result
-
-    return expand(ind.ancestry)
+    return tree[ind.ancestry]
 
 
 def archive_individual(ind: Individual) -> dict:
@@ -421,33 +431,27 @@ def archive_individual(ind: Individual) -> dict:
         tree_ids[t] = len(trees) - 1
         return tree_ids[t]
 
-    def record_id(rec: AncestryRecord) -> int:
-        got = record_ids.get(rec)
-        if got is not None:
-            return got
+    for rec in _post_order(ind.ancestry):
         if isinstance(rec, TreeOrigin):
             entry = {"op": "tree", "tree": tree_id(rec.tree)}
         elif isinstance(rec, CrossoverOrigin):
             entry = {
                 "op": "crossover",
-                "parent1": record_id(rec.parent1),
-                "parent2": record_id(rec.parent2),
+                "parent1": record_ids[rec.parent1],
+                "parent2": record_ids[rec.parent2],
                 "tr": rec.tr,
             }
         else:
             entry = {
                 "op": "mutation",
-                "parent": record_id(rec.parent),
+                "parent": record_ids[rec.parent],
                 "r1": tree_id(rec.r1),
                 "r2": tree_id(rec.r2),
                 "ms": rec.ms,
             }
+        record_ids[rec] = len(records)
         records.append(entry)
-        record_ids[rec] = len(records) - 1
-        return record_ids[rec]
-
-    root = record_id(ind.ancestry)
-    return {"trees": trees, "records": records, "root": root}
+    return {"trees": trees, "records": records, "root": record_ids[ind.ancestry]}
 
 
 # The archive indices each record op reads, as ("record" | "tree", field).
@@ -535,7 +539,9 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
                 sem = out[p] + ms * delta
             else:
                 raise GsgpError(f"unknown record op {op!r}")
-        except (KeyError, TypeError, IndexError) as exc:
+        except GsgpError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise GsgpError(f"malformed model record {pos}: {exc}") from None
         out.append(sem if pos == root or ("record", pos) in last_read else None)
         for kind, i in _reads(rec):

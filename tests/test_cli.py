@@ -1,4 +1,5 @@
-"""Command-line harness: one-line errors on bad input, byte-identical reruns."""
+"""Command-line harness: one-line errors on bad input, byte-identical reruns,
+how config files, flags and the environment resolve, and how inputs are read."""
 
 import hashlib
 import json
@@ -7,6 +8,7 @@ import shutil
 import pytest
 
 from slumpgp.cli import main
+from slumpgp.dataset import SplitSpec, builtin_table1, save_csv, split
 
 SMALL_CONFIG = """\
 [gsgp]
@@ -216,3 +218,224 @@ class TestPredictEdgeCases:
         assert_one_line_error(code, err)
         assert "is not UTF-8 text" in err
         assert not (tmp_path / "o" / "predictions.csv").exists()
+
+
+X1_RECORD = {"op": "tree", "tree": 0}
+
+
+def write_x1_model(path, records=(X1_RECORD,), root=0):
+    """A model over the one tree x1; by default it predicts each row's cement."""
+    model = {"trees": ["x1"], "records": list(records), "root": root}
+    path.write_text(
+        json.dumps({"schema_version": 1, "kind": "gsgp", "model": model}), encoding="utf-8"
+    )
+
+
+class TestPredictInputLayout:
+    """Blank rows are skipped wherever they stand, before the header too."""
+
+    def predict(self, tmp_path, capsys, text):
+        write_x1_model(tmp_path / "model.json")
+        (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+        argv = [
+            "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "o"),
+        ]
+        return run_cli(argv, capsys)
+
+    @pytest.mark.parametrize("rows", [[], [ROW]], ids=["header-only", "with-data"])
+    def test_blank_lines_before_header(self, tmp_path, capsys, rows):
+        code, err = self.predict(tmp_path, capsys, "\n".join(["", "  ", FEATURES, *rows]) + "\n")
+        assert (code, err) == (0, "")
+        written = (tmp_path / "o" / "predictions.csv").read_text(encoding="utf-8")
+        assert written.splitlines() == ["sample_no,computation", *(["1,300"] if rows else [])]
+
+    def test_row_numbers_count_from_line_after_header(self, tmp_path, capsys):
+        text = "\n".join(["", FEATURES, ROW, "", ROW.replace("180", "wet")]) + "\n"
+        code, err = self.predict(tmp_path, capsys, text)
+        assert_one_line_error(code, err)
+        assert err == "error: row 3: column 'water' has non-numeric value 'wet'\n"
+
+    def test_labeled_rows_number_from_one(self, tmp_path, capsys):
+        text = "\n".join([FEATURES + ",slump", ROW + ",150", ROW + ",300"]) + "\n"
+        code, err = self.predict(tmp_path, capsys, text)
+        assert (code, err) == (0, "")
+        written = (tmp_path / "o" / "predictions.csv").read_text(encoding="utf-8")
+        assert written.splitlines() == [
+            "sample_no,experiment,computation,relative_error",
+            "1,150,300,1",
+            "2,300,300,0",
+        ]
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"op": "crossover", "parent1": 0, "parent2": 0, "tr": "half"},
+            {"op": "mutation", "parent": 0, "r1": 0, "r2": 0, "ms": "tiny"},
+        ],
+        ids=["tr", "ms"],
+    )
+    def test_non_numeric_weight_is_one_line_error(self, tmp_path, capsys, record):
+        write_x1_model(tmp_path / "model.json", [X1_RECORD, record], root=1)
+        write_input(tmp_path / "in.csv")
+        argv = [
+            "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "o"),
+        ]
+        code, err = run_cli(argv, capsys)
+        assert_one_line_error(code, err)
+        assert "malformed model record 1" in err
+
+
+GSGP_VALUES = {
+    "population_size": 12,
+    "generations": 2,
+    "mutation_step": 0.25,
+    "p_crossover": 0.6,
+    "p_mutation": 0.4,
+    "tournament_size": 3,
+    "elitism": 2,
+    "random_tree_depth": 3,
+}
+STGP_VALUES = {
+    "population_size": 11,
+    "generations": 1,
+    "max_depth": 9,
+    "p_crossover": 0.5,
+    "p_mutation": 0.2,
+    "tournament_size": 5,
+    "elitism": 3,
+}
+
+
+def ini_section(name, values):
+    return f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+class TestConfigResolution:
+    """How the config file, the flags and SLUMPGP_OUT set a run's settings."""
+
+    def train(self, tmp_path, capsys, ini, *flags):
+        """Exit code, stderr and the metrics.json config of `train` in tmp_path/o."""
+        (tmp_path / "exp.ini").write_text(ini, encoding="utf-8")
+        out = tmp_path / "o"
+        code, err = run_cli(
+            ["train", "--config", str(tmp_path / "exp.ini"), "--out", str(out), *flags], capsys
+        )
+        metrics = out / "metrics.json"
+        config = json.loads(metrics.read_text(encoding="utf-8"))["config"] if code == 0 else None
+        return code, err, config
+
+    @pytest.mark.parametrize(
+        "flag, file_out, env, expected",
+        [
+            ("from_flag", "from_file", "from_env", "from_flag"),
+            (None, "from_file", "from_env", "from_file"),
+            (None, None, "from_env", "from_env"),
+            (None, None, None, "."),
+        ],
+        ids=["flag", "file", "env", "cwd"],
+    )
+    def test_output_directory_precedence(
+        self, tmp_path, monkeypatch, capsys, flag, file_out, env, expected
+    ):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("SLUMPGP_OUT", raising=False)
+        else:
+            monkeypatch.setenv("SLUMPGP_OUT", env)
+        ini = SMALL_CONFIG + (f"\n[experiment]\nout = {file_out}\n" if file_out else "")
+        (tmp_path / "exp.ini").write_text(ini, encoding="utf-8")
+        argv = ["train", "--config", "exp.ini", *(["--out", flag] if flag else [])]
+        assert run_cli(argv, capsys) == (0, "")
+        candidates = ["from_flag", "from_file", "from_env", "."]
+        assert [d for d in candidates if (tmp_path / d / "metrics.json").exists()] == [expected]
+        metrics = json.loads((tmp_path / expected / "metrics.json").read_text(encoding="utf-8"))
+        assert metrics["config"]["out_dir"] == expected
+
+    def test_seed_flag_overrides_file(self, tmp_path, capsys):
+        ini = SMALL_CONFIG + "\n[experiment]\nseed = 7\n"
+        assert self.train(tmp_path, capsys, ini)[2]["master_seed"] == 7
+        assert self.train(tmp_path, capsys, ini, "--seed", "3")[2]["master_seed"] == 3
+
+    def test_every_engine_key_reaches_the_report(self, tmp_path, capsys):
+        ini = ini_section("gsgp", GSGP_VALUES) + ini_section("stgp", STGP_VALUES)
+        code, err, config = self.train(tmp_path, capsys, ini)
+        assert (code, err) == (0, "")
+        assert config["gsgp"] == GSGP_VALUES
+        assert config["stgp"] == STGP_VALUES
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("experiment", "volcano"),
+            ("gsgp", "volcano"),
+            ("stgp", "volcano"),
+            ("lssvm", "volcano"),
+            ("gsgp", "rng_seed"),  # set from --seed only
+            ("stgp", "rng_seed"),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, section, key):
+        code, err, _ = self.train(tmp_path, capsys, f"[{section}]\n{key} = 3\n")
+        assert_one_line_error(code, err)
+        assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("section", ["gsgp", "stgp"])
+    def test_non_integer_population_size_named(self, tmp_path, capsys, section):
+        code, err, _ = self.train(tmp_path, capsys, f"[{section}]\npopulation_size = 12.5\n")
+        assert_one_line_error(code, err)
+        assert "population_size" in err and "'12.5'" in err
+
+    @pytest.mark.parametrize(
+        "word, value", [("on", True), ("off", False), ("yes", True), ("0", False)]
+    )
+    def test_grid_search_boolean_words(self, tmp_path, capsys, word, value):
+        ini = SMALL_CONFIG + f"\n[lssvm]\ngrid_search = {word}\n"
+        assert self.train(tmp_path, capsys, ini)[2]["lssvm_grid_search"] is value
+
+    def test_grid_search_rejects_other_words(self, tmp_path, capsys):
+        code, err, _ = self.train(tmp_path, capsys, SMALL_CONFIG + "\n[lssvm]\ngrid_search = maybe\n")
+        assert_one_line_error(code, err)
+        assert "grid_search" in err and "'maybe'" in err
+
+
+LONG_RUN_CONFIG = """\
+[gsgp]
+population_size = 10
+generations = 1500
+tournament_size = 2
+"""
+
+
+class TestLongRun:
+    def test_deep_ancestry_archives_and_replays(self, tmp_path, capsys):
+        # A small population over many generations gives an ancestry
+        # thousands of records deep, past any recursion limit.
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(LONG_RUN_CONFIG, encoding="utf-8")
+        argv = ["train", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "t")]
+        try:
+            assert run_cli(argv, capsys) == (0, "")
+        except RecursionError:
+            # pytest's report would repr every frame's arguments, and the repr
+            # of a record walks its ancestry as a tree, not as a DAG.
+            pytest.fail("train exceeded the recursion limit", pytrace=False)
+        model = json.loads((tmp_path / "t" / "model.json").read_text(encoding="utf-8"))
+        assert len(model["model"]["records"]) > 2000
+
+        _, test = split(builtin_table1(), SplitSpec(28))
+        save_csv(test, tmp_path / "test.csv")
+        argv = [
+            "predict", str(tmp_path / "t" / "model.json"), str(tmp_path / "test.csv"),
+            "--out", str(tmp_path / "p"),
+        ]
+        assert run_cli(argv, capsys) == (0, "")
+
+        def computed(path):
+            lines = path.read_text(encoding="utf-8").splitlines()[1:]
+            return [line.split(",")[2] for line in lines]
+
+        assert computed(tmp_path / "p" / "predictions.csv") == computed(
+            tmp_path / "t" / "predictions.csv"
+        )

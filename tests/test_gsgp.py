@@ -495,6 +495,52 @@ class TestReconstruct:
         assert estimate_size(res.best) == tree.size
 
 
+def flat_call(fn, *args):
+    """fn(*args), where a RecursionError fails the test with one line.
+
+    pytest's report would otherwise repr every frame's arguments, and the
+    repr of a record walks its ancestry as a tree, not as a DAG.
+    """
+    try:
+        return fn(*args)
+    except RecursionError:
+        pytest.fail(f"{fn.__name__} exceeded the recursion limit", pytrace=False)
+
+
+class TestDeepAncestry:
+    """Ancestries far deeper than Python's recursion limit."""
+
+    DEPTH = 5000
+
+    def deep_individual(self):
+        leaf = TreeOrigin(variable(1))
+        rec = leaf
+        for i in range(self.DEPTH):
+            if i % 2:
+                rec = CrossoverOrigin(parent1=rec, parent2=leaf, tr=0.5)
+            else:
+                rec = MutationOrigin(parent=rec, r1=variable(2), r2=variable(3), ms=0.1)
+        return Individual(np.zeros(1), 0.0, rec)
+
+    def test_estimate_size_and_reconstruct(self):
+        ind = self.deep_individual()
+        half = self.DEPTH // 2
+        # the leaf, 8 nodes per mutation, 6 per crossover (its leaf parent included)
+        assert flat_call(estimate_size, ind) == 1 + 8 * half + 6 * half
+        tree = flat_call(reconstruct, ind, 10**9)
+        assert not isinstance(tree, BudgetExceeded)
+        assert tree.size == estimate_size(ind)
+
+    def test_archive_numbers_parents_first(self):
+        payload = flat_call(archive_individual, self.deep_individual())
+        assert payload["trees"] == ["x1", "x2", "x3"]
+        assert len(payload["records"]) == self.DEPTH + 1
+        assert payload["records"][0] == {"op": "tree", "tree": 0}
+        assert payload["records"][1] == {"op": "mutation", "parent": 0, "r1": 1, "r2": 2, "ms": 0.1}
+        assert payload["records"][2] == {"op": "crossover", "parent1": 1, "parent2": 0, "tr": 0.5}
+        assert payload["root"] == self.DEPTH
+
+
 # Payloads replay_semantics must reject with a GsgpError. The last five
 # hold an index of the wrong type, records that are not a list, or a
 # malformed record after a valid one.
@@ -584,6 +630,21 @@ class TestPersistence:
     def test_malformed_payload_rejected(self, payload, table1_split):
         train, _ = table1_split
         with pytest.raises(GsgpError):
+            replay_semantics(payload, train)
+
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"op": "crossover", "parent1": 0, "parent2": 0, "tr": "half"},
+            {"op": "mutation", "parent": 0, "r1": 0, "r2": 0, "ms": "tiny"},
+        ],
+        ids=["tr", "ms"],
+    )
+    def test_non_numeric_weight_rejected(self, record, table1_split):
+        train, _ = table1_split
+        payload = {"trees": ["x1"], "records": [{"op": "tree", "tree": 0}, record], "root": 1}
+        with pytest.raises(GsgpError, match="^malformed model record 1: could not convert"):
             replay_semantics(payload, train)
 
 
