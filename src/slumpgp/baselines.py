@@ -3,6 +3,17 @@
 All three consume the same Dataset type as the semantic engine. OLS and
 tree GP work on raw features; the LS-SVM scales features to [0, 1] per
 column internally because the RBF kernel is scale-sensitive.
+
+Tree GP evaluates through a `SubtreeCache` (Keijzer, "Alternatives in
+Subtree Caching for Genetic Programming", EuroGP 2004). It maps id(node)
+to that node's stacked train+test values and its depth, and each entry
+holds the node itself, so the id cannot pass to another node while the
+entry lives. A child that `_replace_at` builds shares every subtree off
+the grafted path with a tree already evaluated, so evaluating it and
+checking its depth cost one `eval_node` call per node on that path, not
+one per node of the tree.
+After every generation only the entries that the new population reaches
+are kept.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from random import Random
 import numpy as np
 
 from .dataset import Dataset, ScaleParams, scale_minmax
-from .expr import ExprTree, GenMethod, eval_matrix, ramped_half_and_half, random_tree, tree_depth
+from .expr import ExprTree, GenMethod, eval_node, ramped_half_and_half, random_tree
 from .gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
@@ -130,6 +141,66 @@ def _replace_at(t: ExprTree, idx: int, sub: ExprTree) -> ExprTree:
     raise IndexError(idx)
 
 
+class SubtreeCache:
+    """Values on the rows of X and depth of each tree node met so far.
+
+    Keyed by id(node). An entry holds (node, values, depth): keeping the
+    node alive keeps its id from being reused by another node while the
+    entry lives, and trees are immutable, so an entry never goes stale.
+    `var` leaves are not stored; they map to the column views of X. Every
+    stored node's children are stored too, because `lookup` stores a node
+    only after its children and `keep_reachable` keeps whole subtrees.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.columns = [X[:, j] for j in range(X.shape[1])]
+        self.entries: dict[int, tuple[ExprTree, np.ndarray, int]] = {}
+
+    def lookup(self, t: ExprTree) -> tuple[np.ndarray, int]:
+        """t's values, equal bit for bit to eval_matrix(t, X), and tree_depth(t).
+
+        Runs `eval_node` once for each node of t, other than a `var` leaf,
+        that has no entry yet.
+        """
+        hit = self.entries.get(id(t))
+        if hit is not None:
+            return hit[1], hit[2]
+        if t.kind == "var":
+            return self.columns[t.index - 1], 1
+        args = []
+        depth = 1
+        for c in t.children:
+            values, d = self.lookup(c)
+            args.append(values)
+            depth = max(depth, d + 1)
+        values = eval_node(t, self.X, args)
+        self.entries[id(t)] = (t, values, depth)
+        return values, depth
+
+    def keep_reachable(self, trees) -> None:
+        """Drop every entry whose node is not reached from one of trees.
+
+        A tree looked up since the last eviction, or kept by it, has an entry
+        for every inner node, so the walk stops at the first node without one
+        (a `var` leaf) and at nodes already kept. A node missed otherwise is
+        only evaluated again by its next lookup.
+        """
+        entries = self.entries
+        kept: dict[int, tuple[ExprTree, np.ndarray, int]] = {}
+        stack = list(trees)
+        while stack:
+            t = stack.pop()
+            key = id(t)
+            if key in kept:
+                continue
+            entry = entries.get(key)
+            if entry is not None:
+                kept[key] = entry
+                stack.extend(t.children)
+        self.entries = kept
+
+
 def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset) -> RunResult:
     """Koza-style tree GP with subtree crossover/mutation and a depth cap.
 
@@ -140,21 +211,30 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset) -> RunResult:
     the first; mutation grafts a fresh grow tree at a uniform node.
     Offspring deeper than max_depth are rejected in favour of the first
     parent.
+
+    Trees are evaluated on the stacked train+test rows through one
+    `SubtreeCache`, which also gives each offspring's depth for the cap. It
+    is keyed by id(node), and each entry holds the node with its values and
+    depth, so the id cannot pass to a new node while the entry lives. An
+    offspring shares all but its grafted path with trees already looked
+    up, so only that path is evaluated, rejected offspring included. After
+    each generation the cache keeps only the nodes reachable from the new
+    population's trees, one entry per distinct live inner node.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
     rng = Random(cfg.rng_seed)
-    stacked = np.vstack([train.features, test.features])
+    cache = SubtreeCache(np.vstack([train.features, test.features]))
 
-    def evaluate(tree: ExprTree) -> Individual:
+    def evaluate(tree: ExprTree) -> tuple[np.ndarray, int]:
         with np.errstate(all="ignore"):
-            sem = eval_matrix(tree, stacked)
-        return make_individual(sem, train.targets, TreeOrigin(tree))
+            return cache.lookup(tree)
 
     def capped(offspring: ExprTree, fallback: Individual) -> Individual:
-        if tree_depth(offspring) > cfg.max_depth:
+        sem, depth = evaluate(offspring)
+        if depth > cfg.max_depth:
             return fallback
-        return evaluate(offspring)
+        return make_individual(sem, train.targets, TreeOrigin(offspring))
 
     def crossover(p1: Individual, p2: Individual, rng: Random) -> Individual:
         t1, t2 = p1.ancestry.tree, p2.ancestry.tree
@@ -169,8 +249,19 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset) -> RunResult:
 
     init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
     init_lo = min(INIT_MIN_DEPTH, init_hi)
-    pop = [evaluate(t) for t in ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)]
-    return run_generations(cfg, pop, rng, test, crossover, mutation)
+    pop = [
+        make_individual(evaluate(t)[0], train.targets, TreeOrigin(t))
+        for t in ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
+    ]
+    return run_generations(
+        cfg,
+        pop,
+        rng,
+        test,
+        crossover,
+        mutation,
+        observer=lambda new_pop: cache.keep_reachable(ind.ancestry.tree for ind in new_pop),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,24 @@ def eval_matrix(t: ExprTree, X: np.ndarray) -> np.ndarray:
     """Evaluate one tree on every row of an (n, 8) feature matrix."""
     if t.kind == "var":
         return X[:, t.index - 1]
+    args = []
+    for c in t.children:
+        args.append(eval_matrix(c, X))
+    return eval_node(t, X, args)
+
+
+def eval_node(t: ExprTree, X: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
+    """One node's values on every row of X, from its children's values in order.
+
+    Callers map a `var` leaf to column index - 1 of X themselves.
+    `eval_matrix` and the subtree cache of `baselines.stgp_run` both compose
+    this step, so they give the same values bit for bit.
+    """
     if t.kind == "const":
         return np.full(X.shape[0], t.value)
     if t.kind == "sigmoid":
-        return sigmoid(eval_matrix(t.children[0], X))
-    a = eval_matrix(t.children[0], X)
-    b = eval_matrix(t.children[1], X)
+        return sigmoid(args[0])
+    a, b = args
     if t.kind == "add":
         return a + b
     if t.kind == "sub":

@@ -21,7 +21,7 @@ engines build individuals with `make_individual`, which ranks NaN as +inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Union
 
@@ -64,18 +64,23 @@ class TreeOrigin:
 
 @dataclass(frozen=True, eq=False)
 class CrossoverOrigin:
-    """Convex combination tr·parent1 + (1−tr)·parent2."""
+    """Convex combination tr·parent1 + (1−tr)·parent2.
 
-    parent1: "AncestryRecord"
-    parent2: "AncestryRecord"
+    The parents are left out of the repr: the ancestry is a DAG whose
+    shared records a nested repr would print once per path, so it would
+    grow exponentially with the generations.
+    """
+
+    parent1: "AncestryRecord" = field(repr=False)
+    parent2: "AncestryRecord" = field(repr=False)
     tr: float
 
 
 @dataclass(frozen=True, eq=False)
 class MutationOrigin:
-    """Perturbation parent + ms·(sigmoid(r1) − sigmoid(r2))."""
+    """Perturbation parent + ms·(sigmoid(r1) − sigmoid(r2)); parent is not in the repr."""
 
-    parent: "AncestryRecord"
+    parent: "AncestryRecord" = field(repr=False)
     r1: ExprTree
     r2: ExprTree
     ms: float
@@ -251,6 +256,7 @@ def run_generations(
     test: Dataset,
     crossover: Callable[[Individual, Individual, Random], Individual],
     mutation: Callable[[Individual, Random], Individual],
+    observer: Callable[[list[Individual]], None] | None = None,
 ) -> RunResult:
     """The elitist generational loop that GSGP and standard tree GP share.
 
@@ -263,6 +269,11 @@ def run_generations(
     best-of-generation-g fitness pair; when the test set has no targets the
     test column is NaN. The last len(test) entries of a semantics vector are
     its test rows.
+
+    observer, when given, is called once per generation with the new
+    population, after it is complete and before its statistics are taken.
+    It must draw nothing from rng and must not change the population; the
+    run's result is then the same with or without it.
     """
 
     def generation_stats(best: Individual) -> GenerationStats:
@@ -289,6 +300,8 @@ def run_generations(
                 child = pop[tournament_select(pop, cfg.tournament_size, rng)]
             next_pop.append(child)
         pop = next_pop
+        if observer is not None:
+            observer(pop)
         gen_best = pop[_best_indices(pop, 1)[0]]
         if gen_best.train_fitness < best_ever.train_fitness:
             best_ever = gen_best

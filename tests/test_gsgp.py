@@ -383,6 +383,24 @@ class TestEvolve:
             fitness(res.best.semantics[:28], train.targets), abs=1e-12
         )
 
+    def test_observer_sees_each_population_and_changes_nothing(self, table1_split, monkeypatch):
+        train, test = table1_split
+        plain = evolve(GsgpConfig(**self.small), train, test)
+        seen = []
+        loop = gsgp_module.run_generations
+        monkeypatch.setattr(
+            gsgp_module,
+            "run_generations",
+            lambda *args, **kwargs: loop(*args, **kwargs, observer=lambda pop: seen.append(pop)),
+        )
+        observed = evolve(GsgpConfig(**self.small), train, test)
+        assert observed.history == plain.history
+        assert archive_individual(observed.best) == archive_individual(plain.best)
+        assert [len(pop) for pop in seen] == [12] * 4
+        for pop, row in zip(seen, observed.history[1:]):
+            assert min(ind.train_fitness for ind in pop) == row.train_fitness
+        assert any(ind is observed.best for ind in seen[-1])
+
     def test_unlabeled_test_set_gives_nan_test_stats(self, table1_split):
         train, _ = table1_split
         plain = Dataset(
@@ -530,6 +548,11 @@ class TestDeepAncestry:
         tree = flat_call(reconstruct, ind, 10**9)
         assert not isinstance(tree, BudgetExceeded)
         assert tree.size == estimate_size(ind)
+
+    def test_repr_is_bounded(self):
+        """Parents are left out of a record's repr, which would otherwise
+        print the DAG as a tree."""
+        assert len(flat_call(repr, self.deep_individual())) < 1000
 
     def test_archive_numbers_parents_first(self):
         payload = flat_call(archive_individual, self.deep_individual())
