@@ -158,7 +158,7 @@ class SubtreeCache:
         self.entries: dict[int, tuple[ExprTree, np.ndarray, int]] = {}
 
     def lookup(self, t: ExprTree) -> tuple[np.ndarray, int]:
-        """t's values, equal bit for bit to eval_matrix(t, X), and tree_depth(t).
+        """t's values, equal bit for bit to eval_matrix(t, X), and its depth.
 
         Runs `eval_node` once for each node of t, other than a `var` leaf,
         that has no entry yet.

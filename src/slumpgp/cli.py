@@ -215,8 +215,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train, test = _load_split(cfg)
     result = evolve(replace(cfg.gsgp, rng_seed=cfg.master_seed), train, test)
 
+    # Every statistic that can fail is taken before the first file is written.
     pairs = PairedSeries(tuple(test.targets), tuple(result.predictions))
     rels = relative_errors(pairs)
+    metrics = {
+        "schema_version": SCHEMA_VERSION,
+        "config": _config_payload(cfg),
+        "pearson_r": pearson_r(pairs),
+        "rmse": rmse(pairs),
+        "max_relative_error": max(rels),
+    }
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     curve = ["generation,train_fitness,test_fitness"]
@@ -237,16 +245,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "model": archive_individual(result.best),
         },
     )
-    _write_json(
-        os.path.join(cfg.out_dir, "metrics.json"),
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config": _config_payload(cfg),
-            "pearson_r": pearson_r(pairs),
-            "rmse": rmse(pairs),
-            "max_relative_error": max(rels),
-        },
-    )
+    _write_json(os.path.join(cfg.out_dir, "metrics.json"), metrics)
     return 0
 
 

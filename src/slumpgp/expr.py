@@ -86,37 +86,19 @@ def sigmoid_node(child: ExprTree) -> ExprTree:
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic map 1 / (1 + e^(-v)); output in [0, 1]."""
+    """Numerically stable logistic map 1 / (1 + e^(-v)); output in [0, 1].
+
+    With e = e^(-|v|) and d = 1 + e, the result is 1/d where v >= 0 and e/d
+    elsewhere (NaN included). -|v| is -v bit for bit when v >= 0 and v
+    itself when v < 0, so every element takes the same operations as in
+    the two-branch form 1/(1 + e^(-v)) | e^v/(1 + e^v), and the result is
+    equal to it bit for bit. Both sides are computed for every element,
+    which costs less than masking the array into two halves.
+    """
     v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def eval_tree(t: ExprTree, x) -> float:
-    """Evaluate one tree on a single 8-feature row."""
-    if t.kind == "var":
-        return float(x[t.index - 1])
-    if t.kind == "const":
-        return t.value
-    if t.kind == "sigmoid":
-        v = eval_tree(t.children[0], x)
-        if v >= 0:
-            return 1.0 / (1.0 + math.exp(-v))
-        ev = math.exp(v)
-        return ev / (1.0 + ev)
-    a = eval_tree(t.children[0], x)
-    b = eval_tree(t.children[1], x)
-    if t.kind == "add":
-        return a + b
-    if t.kind == "sub":
-        return a - b
-    if t.kind == "mul":
-        return a * b
-    return a / b if abs(b) >= DIV_EPS else 1.0
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def eval_matrix(t: ExprTree, X: np.ndarray) -> np.ndarray:
@@ -216,13 +198,6 @@ def ramped_half_and_half(
         for method in ("full", "grow")
     ]
     return [random_tree(rng, schedule[i % len(schedule)]) for i in range(count)]
-
-
-def tree_depth(t: ExprTree) -> int:
-    """Longest root-to-leaf path, counted in nodes (a leaf has depth 1)."""
-    if not t.children:
-        return 1
-    return 1 + max(tree_depth(c) for c in t.children)
 
 
 def to_infix(t: ExprTree) -> str:

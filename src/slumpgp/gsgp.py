@@ -9,6 +9,11 @@ the symbolic expression is only materialized on demand by `reconstruct`.
 Trees are evaluated once on the stacked train+test features; `eval_matrix`
 and `sigmoid` act on each row alone, so stacking changes no value.
 
+An archived individual is applied to new rows by `replay_semantics`, which
+replays its records over blocks of at most REPLAY_ROWS rows. For the same
+reason blocking changes no value, and replay memory is bounded by the
+ancestry's live width × REPLAY_ROWS rows, plus the output vector.
+
 The arithmetic in the operators is mirrored exactly by the expression
 templates that `reconstruct` emits, so an expanded tree reproduces the
 stored semantics bit for bit; tests rely on that.
@@ -49,6 +54,7 @@ Semantics = np.ndarray
 
 INIT_MIN_DEPTH = 2
 INIT_MAX_DEPTH = 6
+REPLAY_ROWS = 4096  # rows per block of `replay_semantics`
 
 
 class GsgpError(ValueError):
@@ -507,9 +513,14 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
     used, so on the original training or test data the result is bitwise
     identical to those rows of the stored semantics.
 
-    Each record's vector and each tree's values are dropped right after the
-    last record that reads them (the root's vector is kept), so memory is
-    bounded by the ancestry DAG's live width, not by its size.
+    The records are replayed once per block of at most REPLAY_ROWS rows,
+    into one output array; every operation acts on each row alone, so
+    blocking changes no value. Within a block, each record's vector and
+    each tree's values and sigmoid are dropped right after the last record
+    that reads them (the root's vector is kept). Memory is thus bounded by
+    the ancestry DAG's live width × REPLAY_ROWS rows, plus the output, not
+    by the DAG's size or the number of rows. Malformed records fail in the
+    first block.
     """
     try:
         trees = [parse_infix(text) for text in payload["trees"]]
@@ -522,46 +533,60 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
         raise GsgpError(f"model root {root!r} out of range")
     last_read = _last_reads(records)
 
-    tree_sem: dict[int, Semantics] = {}
+    def replay_block(X: np.ndarray) -> Semantics:
+        tree_sem: dict[int, Semantics] = {}
+        tree_sig: dict[int, Semantics] = {}
 
-    def sem_of_tree(i: int) -> Semantics:
-        if not 0 <= i < len(trees):
-            raise GsgpError(f"tree index {i!r} out of range")
-        if i not in tree_sem:
-            tree_sem[i] = eval_matrix(trees[i], ds.features)
-        return tree_sem[i]
+        def sem_of_tree(i: int) -> Semantics:
+            if not 0 <= i < len(trees):
+                raise GsgpError(f"tree index {i!r} out of range")
+            if i not in tree_sem:
+                tree_sem[i] = eval_matrix(trees[i], X)
+            return tree_sem[i]
 
-    out: list[Semantics | None] = []
-    for pos, rec in enumerate(records):
-        try:
-            op = rec["op"]
-            if op == "tree":
-                sem = sem_of_tree(rec["tree"])
-            elif op == "crossover":
-                p1, p2 = rec["parent1"], rec["parent2"]
-                if not (0 <= p1 < pos and 0 <= p2 < pos):
-                    raise GsgpError(f"record {pos} references a later record")
-                tr = float(rec["tr"])
-                sem = tr * out[p1] + (1.0 - tr) * out[p2]
-            elif op == "mutation":
-                p = rec["parent"]
-                if not 0 <= p < pos:
-                    raise GsgpError(f"record {pos} references a later record")
-                ms = float(rec["ms"])
-                delta = sigmoid(sem_of_tree(rec["r1"])) - sigmoid(sem_of_tree(rec["r2"]))
-                sem = out[p] + ms * delta
-            else:
-                raise GsgpError(f"unknown record op {op!r}")
-        except GsgpError:
-            raise
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise GsgpError(f"malformed model record {pos}: {exc}") from None
-        out.append(sem if pos == root or ("record", pos) in last_read else None)
-        for kind, i in _reads(rec):
-            if last_read[kind, i] != pos:
-                continue
-            if kind == "tree":
-                tree_sem.pop(i, None)
-            elif i != root:
-                out[i] = None
-    return out[root]
+        def sig_of_tree(i: int) -> Semantics:
+            sem = sem_of_tree(i)  # first, so a bad index fails as it does there
+            if i not in tree_sig:
+                tree_sig[i] = sigmoid(sem)
+            return tree_sig[i]
+
+        out: list[Semantics | None] = []
+        for pos, rec in enumerate(records):
+            try:
+                op = rec["op"]
+                if op == "tree":
+                    sem = sem_of_tree(rec["tree"])
+                elif op == "crossover":
+                    p1, p2 = rec["parent1"], rec["parent2"]
+                    if not (0 <= p1 < pos and 0 <= p2 < pos):
+                        raise GsgpError(f"record {pos} references a later record")
+                    tr = float(rec["tr"])
+                    sem = tr * out[p1] + (1.0 - tr) * out[p2]
+                elif op == "mutation":
+                    p = rec["parent"]
+                    if not 0 <= p < pos:
+                        raise GsgpError(f"record {pos} references a later record")
+                    ms = float(rec["ms"])
+                    sem = out[p] + ms * (sig_of_tree(rec["r1"]) - sig_of_tree(rec["r2"]))
+                else:
+                    raise GsgpError(f"unknown record op {op!r}")
+            except GsgpError:
+                raise
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                raise GsgpError(f"malformed model record {pos}: {exc}") from None
+            out.append(sem if pos == root or ("record", pos) in last_read else None)
+            for kind, i in _reads(rec):
+                if last_read[kind, i] != pos:
+                    continue
+                if kind == "tree":
+                    tree_sem.pop(i, None)
+                    tree_sig.pop(i, None)
+                elif i != root:
+                    out[i] = None
+        return out[root]
+
+    X = ds.features
+    out = np.empty(len(X))
+    for start in range(0, len(X), REPLAY_ROWS):
+        out[start : start + REPLAY_ROWS] = replay_block(X[start : start + REPLAY_ROWS])
+    return out

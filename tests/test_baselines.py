@@ -30,9 +30,9 @@ from slumpgp.expr import (
     random_tree,
     sigmoid_node,
     to_infix,
-    tree_depth,
 )
 from slumpgp.gsgp import TreeOrigin
+from test_expr import tree_depth
 
 
 def run(table1_split, **kwargs):

@@ -4,9 +4,12 @@ how config files, flags and the environment resolve, and how inputs are read."""
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import slumpgp.cli as cli_module
 from slumpgp.cli import main
 from slumpgp.dataset import SplitSpec, builtin_table1, save_csv, split
 
@@ -88,6 +91,36 @@ class TestBadInput:
         code, err = run_cli(argv, capsys)
         assert_one_line_error(code, err)
         assert "unknown model kind" in err
+
+
+class TestFailedTrainWritesNothing:
+    """A statistic that cannot be taken fails `train` before any artifact exists."""
+
+    def test_single_test_row(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["train", "--config", str(cfg), "--train-size", "33", "--out", str(out)]
+        code, err = run_cli(argv, capsys)
+        assert_one_line_error(code, err)
+        assert "at least 2 pairs" in err
+        assert not out.exists()
+
+    def test_constant_test_prediction(self, tmp_path, capsys, monkeypatch):
+        real_evolve = cli_module.evolve
+
+        def constant_evolve(*args):
+            res = real_evolve(*args)
+            return replace(res, predictions=np.full_like(res.predictions, 7.0))
+
+        monkeypatch.setattr(cli_module, "evolve", constant_evolve)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        code, err = run_cli(["train", "--config", str(cfg), "--out", str(out)], capsys)
+        assert_one_line_error(code, err)
+        assert list(out.iterdir()) == []
 
 
 def artifacts(out_dir):

@@ -5,7 +5,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slumpgp.dataset import builtin_table1
@@ -19,18 +19,65 @@ from slumpgp.expr import (
     binop,
     constant,
     eval_matrix,
-    eval_tree,
     parse_infix,
     ramped_half_and_half,
     random_tree,
     sigmoid,
     sigmoid_node,
     to_infix,
-    tree_depth,
     variable,
 )
 
 ROW1 = builtin_table1().features[0]
+
+
+def eval_tree(t: ExprTree, x) -> float:
+    """Oracle: evaluate one tree on a single 8-feature row, in scalar floats."""
+    if t.kind == "var":
+        return float(x[t.index - 1])
+    if t.kind == "const":
+        return t.value
+    if t.kind == "sigmoid":
+        v = eval_tree(t.children[0], x)
+        if v >= 0:
+            return 1.0 / (1.0 + math.exp(-v))
+        ev = math.exp(v)
+        return ev / (1.0 + ev)
+    a = eval_tree(t.children[0], x)
+    b = eval_tree(t.children[1], x)
+    if t.kind == "add":
+        return a + b
+    if t.kind == "sub":
+        return a - b
+    if t.kind == "mul":
+        return a * b
+    return a / b if abs(b) >= DIV_EPS else 1.0
+
+
+def tree_depth(t: ExprTree) -> int:
+    """Oracle: longest root-to-leaf path, counted in nodes (a leaf has depth 1)."""
+    if not t.children:
+        return 1
+    return 1 + max(tree_depth(c) for c in t.children)
+
+
+def masked_sigmoid(v: np.ndarray) -> np.ndarray:
+    """Oracle: the two-branch logistic map, each half of the array masked apart."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+        x[~nan].view(np.int64), y[~nan].view(np.int64)
+    )
 
 
 def leaves(t: ExprTree):
@@ -196,6 +243,37 @@ class TestEvalTree:
         assert math.isfinite(v[0]) and math.isfinite(v[-1])
 
 
+# Signed zeros, infinities, NaN, subnormals, and |v| past where e^|v|
+# overflows (709.8) or e^-|v| underflows to 0 (745.2).
+SPECIAL_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
+    36.7, -36.7, 709.8, -709.8, 710.0, -710.0, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308,
+)
+
+
+class TestSigmoidFormula:
+    """The branch-free sigmoid equals the two-branch masked formula bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(SPECIAL_FLOATS),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(-800.0, 800.0),
+            ),
+            max_size=64,
+        ),
+        st.sampled_from([1, 2, 3, -1, -2]),
+        st.integers(0, 2),
+    )
+    @example(list(SPECIAL_FLOATS), 1, 0)
+    def test_matches_masked_formula_bitwise(self, values, step, offset):
+        v = np.array(values, dtype=float)[offset::step]  # a strided view when step != 1
+        with np.errstate(all="ignore"):
+            assert same_bits(sigmoid(v), masked_sigmoid(v))
+
+
 class TestRandomTree:
     def test_full_depth_one_is_single_leaf(self):
         t = random_tree(Random(0), GenMethod("full", 1))
@@ -328,14 +406,6 @@ class TestSizeDepth:
         copied = ExprTree(t.kind, t.index, t.value, t.children)
         assert copied == t and hash(copied) == hash(t)
         assert "size" not in repr(t)
-
-
-def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    """Equal bit for bit, except that any NaN matches any NaN."""
-    nan = np.isnan(x)
-    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
-        x[~nan].view(np.int64), y[~nan].view(np.int64)
-    )
 
 
 class TestStackedRows:

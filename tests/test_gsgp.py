@@ -29,6 +29,7 @@ from slumpgp.gsgp import (
     CrossoverOrigin,
     GsgpConfig,
     GsgpError,
+    REPLAY_ROWS,
     Individual,
     MutationOrigin,
     TreeOrigin,
@@ -42,6 +43,7 @@ from slumpgp.gsgp import (
     replay_semantics,
     tournament_select,
 )
+from test_expr import same_bits
 
 FROZEN_TABLE_PAIR_FITNESS = 21.299999999999997  # sum |computed - measured| over 6 rows
 
@@ -837,3 +839,74 @@ class TestReplayFreesVectors:
             tracemalloc.stop()
         keep_all = (len(payload["records"]) + len(payload["trees"])) * len(wide) * 8
         assert peak < 0.25 * keep_all
+
+
+def uniform_rows(n: int, seed: int) -> Dataset:
+    """n unlabeled rows drawn uniformly within the built-in table's feature ranges."""
+    cols = builtin_table1().features
+    lo, hi = cols.min(axis=0), cols.max(axis=0)
+    rng = Random(seed)
+    ds = Dataset(
+        tuple(
+            Sample(*(rng.uniform(float(a), float(b)) for a, b in zip(lo, hi)))
+            for _ in range(n)
+        )
+    )
+    ds.features  # built here: the replay's input, not its memory
+    return ds
+
+
+@pytest.fixture(scope="module")
+def seed1_payload(table1_split):
+    """The archived best of pop 100 x 20 generations at seed 1."""
+    train, test = table1_split
+    res = evolve(GsgpConfig(population_size=100, generations=20, rng_seed=1), train, test)
+    return archive_individual(res.best)
+
+
+# A malformed record after valid ones, so the first block replays some records
+# before it fails.
+LATE_FAULT_PAYLOAD = {
+    **SHARED_PAYLOAD,
+    "records": SHARED_PAYLOAD["records"][:6] + [{"op": "mutation", "parent": 5, "r1": 9}],
+    "root": 5,
+}
+
+
+class TestBlockedReplay:
+    """replay_semantics replays REPLAY_ROWS rows at a time; that changes no
+    value and no error of the one-block, keep-everything replay."""
+
+    @pytest.mark.parametrize(
+        "n_rows", [1, REPLAY_ROWS - 1, REPLAY_ROWS, REPLAY_ROWS + 1, 2 * REPLAY_ROWS + 1]
+    )
+    def test_matches_single_block_oracle(self, n_rows, seed1_payload):
+        ds = uniform_rows(n_rows, seed=n_rows)
+        for payload in (seed1_payload, SHARED_PAYLOAD):
+            got = replay_semantics(payload, ds)
+            assert same_bits(got, replay_keep_all(payload, ds))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [p for p in MALFORMED_PAYLOADS if isinstance(p.get("records"), list)]
+        + [LATE_FAULT_PAYLOAD],
+    )
+    def test_malformed_message_same_on_many_blocks(self, payload, table1):
+        one_block = replay_outcome(replay_semantics, payload, table1)
+        assert isinstance(one_block, str)
+        assert replay_outcome(replay_semantics, payload, uniform_rows(2 * REPLAY_ROWS + 1, 7)) == (
+            one_block
+        )
+
+    def test_peak_memory_does_not_grow_with_rows(self, seed1_payload):
+        def peak_beyond_output(n_rows: int) -> int:
+            ds = uniform_rows(n_rows, seed=3)
+            tracemalloc.start()
+            try:
+                replay_semantics(seed1_payload, ds)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - n_rows * 8
+
+        assert peak_beyond_output(40_000) <= 1.5 * peak_beyond_output(REPLAY_ROWS)
