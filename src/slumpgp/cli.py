@@ -1,11 +1,14 @@
 """Experiment harness: train, predict, compare, ols-baseline.
 
-Every command is a deterministic function of its resolved configuration —
-repeated invocations produce byte-identical artifacts. Configuration comes
-from an INI-style file plus command-line overrides (flags win over the
-file, the file over the SLUMPGP_OUT environment variable for the output
-directory). Numbers in CSV files carry 6 significant digits; JSON reports
-keep full precision.
+Every command's artifacts are a deterministic function of its resolved
+configuration — repeated invocations produce byte-identical artifacts.
+Configuration comes from an INI-style file plus command-line overrides
+(flags win over the file, the file over the SLUMPGP_OUT environment variable
+for the output directory). `compare` runs its GP runs as one job list (see
+`jobs`) on one worker process per usable CPU. The worker count describes the
+machine, not the experiment: it is not part of the configuration, and no
+artifact depends on it. Numbers in CSV files carry 6 significant digits;
+JSON reports keep full precision.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .gsgp import (
     evolve,
     replay_semantics,
 )
+from .jobs import Job, WorkerError, run_jobs, usable_cpus
 from .stats import (
     PairedSeries,
     StatsError,
@@ -139,6 +143,8 @@ def _parse_config_file(path: str) -> dict[str, dict]:
                     raise CliError(
                         f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}"
                     ) from None
+                if typ is float and not math.isfinite(out[key]):
+                    raise CliError(f"[{section}] {key}: expected a finite number, got {raw!r}")
         values[section] = out
     return values
 
@@ -175,9 +181,12 @@ def _config_payload(cfg: ExperimentConfig) -> dict:
     return payload
 
 
+def _load_dataset(cfg: ExperimentConfig) -> Dataset:
+    return builtin_table1() if cfg.dataset == "builtin" else load_csv(cfg.dataset)
+
+
 def _load_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    ds = builtin_table1() if cfg.dataset == "builtin" else load_csv(cfg.dataset)
-    return split(ds, SplitSpec(cfg.train_size))
+    return split(_load_dataset(cfg), SplitSpec(cfg.train_size))
 
 
 def _fmt(v: float) -> str:
@@ -284,21 +293,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    train, test = _load_split(cfg)
+    data = _load_dataset(cfg)
+    train, test = split(data, SplitSpec(cfg.train_size))
     if not train.has_targets:
         raise CliError("comparison requires labeled data")
     seeds = [cfg.master_seed + i for i in range(cfg.runs)]
 
-    gsgp_test, gsgp_train = [], []
-    stgp_test, stgp_train = [], []
-    for seed in seeds:
-        g = evolve(replace(cfg.gsgp, rng_seed=seed), train, test)
-        gsgp_test.append(_safe_rmse(test.targets, g.predictions))
-        gsgp_train.append(_safe_rmse(train.targets, g.best.semantics[: len(train)]))
-        s = stgp_run(replace(cfg.stgp, rng_seed=seed), train, test)
-        stgp_test.append(_safe_rmse(test.targets, s.predictions))
-        stgp_train.append(_safe_rmse(train.targets, s.best.semantics[: len(train)]))
-
+    # LS-SVM goes first, so a bad setting fails before any GP run starts.
     if cfg.lssvm_grid_search:
         gamma, sigma_sq, _ = lssvm_grid_search(train)
     else:
@@ -310,24 +311,37 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     svm_train_rmse = _safe_rmse(
         train.targets, np.array([lssvm_predict(svm, row) for row in train.features])
     )
-    lssvm_test = [svm_test_rmse] * cfg.runs
-    lssvm_train = [svm_train_rmse] * cfg.runs
+
+    train_rows = tuple(range(len(train)))
+    test_rows = tuple(range(len(train), len(data)))
+    jobs = [
+        Job(method, engine_cfg, seed, train_rows, test_rows)
+        for seed in seeds
+        for method, engine_cfg in (("gsgp", cfg.gsgp), ("stgp", cfg.stgp))
+    ]
+    # The engines are looked up here, so a wrapper put on this module's
+    # `evolve` or `stgp_run` sees every run (and keeps the runs in-process).
+    engines = {"gsgp": evolve, "stgp": stgp_run}
+    results = run_jobs(jobs, data, min(usable_cpus(), len(jobs)), engines)
+    test_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_test_rmse] * cfg.runs}
+    train_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_train_rmse] * cfg.runs}
+    for job, result in zip(jobs, results):
+        test_rmse[job.method].append(_safe_rmse(test.targets, result.semantics[len(train) :]))
+        train_rmse[job.method].append(_safe_rmse(train.targets, result.semantics[: len(train)]))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     table = ["run,seed,gsgp,stgp,lssvm"]
     for i, seed in enumerate(seeds):
-        table.append(
-            f"{i},{seed},{_fmt(gsgp_test[i])},{_fmt(stgp_test[i])},{_fmt(lssvm_test[i])}"
-        )
+        cells = ",".join(_fmt(test_rmse[alg][i]) for alg in ("gsgp", "stgp", "lssvm"))
+        table.append(f"{i},{seed},{cells}")
     _write_lines(os.path.join(cfg.out_dir, "comparison.csv"), table)
 
-    test_rmse = {"gsgp": gsgp_test, "stgp": stgp_test, "lssvm": lssvm_test}
     boxes = {alg: box_summary(values) for alg, values in test_rmse.items()}
     medians = {alg: boxes[alg].median for alg in boxes}
     wilcoxon = {
-        "gsgp_vs_stgp": wilcoxon_rank_sum(gsgp_test, stgp_test),
-        "gsgp_vs_svm": wilcoxon_rank_sum(gsgp_test, lssvm_test),
-        "stgp_vs_svm": wilcoxon_rank_sum(stgp_test, lssvm_test),
+        "gsgp_vs_stgp": wilcoxon_rank_sum(test_rmse["gsgp"], test_rmse["stgp"]),
+        "gsgp_vs_svm": wilcoxon_rank_sum(test_rmse["gsgp"], test_rmse["lssvm"]),
+        "stgp_vs_svm": wilcoxon_rank_sum(test_rmse["stgp"], test_rmse["lssvm"]),
     }
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -340,7 +354,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "replicated": True,
         },
         "test_rmse": test_rmse,
-        "train_rmse": {"gsgp": gsgp_train, "stgp": stgp_train, "lssvm": lssvm_train},
+        "train_rmse": train_rmse,
         "box_test_rmse": {alg: asdict(box) for alg, box in boxes.items()},
         "wilcoxon_test_rmse": {pair: asdict(res) for pair, res in wilcoxon.items()},
         "ordering_by_median_test_rmse": sorted(medians, key=lambda a: (medians[a], a)),
@@ -416,7 +430,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, GsgpError, BaselineError, StatsError, CliError, OSError) as exc:
+    except (
+        DatasetError, GsgpError, BaselineError, StatsError, CliError, WorkerError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

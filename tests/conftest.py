@@ -2,6 +2,7 @@
 
 import pytest
 
+import slumpgp.cli
 from slumpgp.dataset import SplitSpec, builtin_table1, split
 
 
@@ -15,3 +16,9 @@ def table1_split():
     """The conventional 28/6 split of the built-in table."""
     return split(builtin_table1(), SplitSpec(28))
 
+
+@pytest.fixture(autouse=True)
+def two_usable_cpus(monkeypatch):
+    """`compare` sees two usable CPUs in every test, so no test starts more
+    than two workers, and two workers run on a one-CPU machine too."""
+    monkeypatch.setattr(slumpgp.cli, "usable_cpus", lambda: 2)

@@ -3,6 +3,8 @@ how config files, flags and the environment resolve, and how inputs are read."""
 
 import hashlib
 import json
+import multiprocessing
+import os
 import shutil
 from dataclasses import replace
 
@@ -10,8 +12,11 @@ import numpy as np
 import pytest
 
 import slumpgp.cli as cli_module
+import slumpgp.jobs as jobs_module
+from slumpgp.baselines import BaselineError
 from slumpgp.cli import main
 from slumpgp.dataset import SplitSpec, builtin_table1, save_csv, split
+from slumpgp.gsgp import GsgpError
 
 SMALL_CONFIG = """\
 [gsgp]
@@ -200,6 +205,103 @@ class TestPinnedArtifacts:
             "stgp": [36.1985882004014, 36.1985882004014],
             "lssvm": [4.311211521358119, 4.311211521358119],
         }
+
+
+class TestCompareWorkers:
+    """compare writes the same bytes for any worker count, and each failure
+    ends in one line with no worker left running."""
+
+    def compare(self, tmp_path, capsys, runs=2):
+        """Exit code, stderr and output directory of one small compare."""
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["compare", "--runs", str(runs), "--config", str(cfg), "--out", str(out)]
+        code, err = run_cli(argv, capsys)
+        assert multiprocessing.active_children() == []
+        return code, err, out
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_same_bytes_for_any_worker_count(self, tmp_path, capsys, monkeypatch, runs):
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli_module, "usable_cpus", lambda: cpus)
+            code, err, out = self.compare(tmp_path, capsys, runs=runs)
+            assert (code, err) == (0, "")
+            outs.append(artifacts(out))
+            shutil.rmtree(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("cpus, runs, workers", [(8, 1, 2), (2, 3, 2), (1, 3, 1)])
+    def test_one_worker_per_cpu_and_at_most_one_per_job(
+        self, tmp_path, capsys, monkeypatch, cpus, runs, workers
+    ):
+        seen = []
+
+        def record_workers(jobs, data, n, engines):
+            seen.append(n)
+            return jobs_module.run_jobs(jobs, data, n, engines)
+
+        monkeypatch.setattr(cli_module, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli_module, "run_jobs", record_workers)
+        code, err, _ = self.compare(tmp_path, capsys, runs=runs)
+        assert (code, err, seen) == (0, "", [workers])
+
+    def test_wrapped_engines_see_every_run(self, tmp_path, capsys, monkeypatch):
+        # A profiler wraps the module's engine bindings; with two usable
+        # CPUs the runs still go through its wrappers, in this process.
+        calls = []
+
+        def counted(name, engine):
+            def wrapper(*args):
+                calls.append(name)
+                return engine(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli_module, "evolve", counted("gsgp", cli_module.evolve))
+        monkeypatch.setattr(cli_module, "stgp_run", counted("stgp", cli_module.stgp_run))
+        code, err, _ = self.compare(tmp_path, capsys, runs=2)
+        assert (code, err) == (0, "")
+        assert calls == ["gsgp", "stgp", "gsgp", "stgp"]
+
+    def test_bad_lssvm_setting_fails_before_any_gp_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_jobs", lambda *a: pytest.fail("jobs were run"))
+        cfg = tmp_path / "svm.ini"
+        cfg.write_text(SMALL_CONFIG + "[lssvm]\ngamma = -1\n", encoding="utf-8")
+        code, err = run_cli(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_error(code, err)
+        assert "gamma" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(jobs_module.START_METHOD != "fork", reason="workers are not forked")
+    @pytest.mark.parametrize("method, error", [("gsgp", GsgpError), ("stgp", BaselineError)])
+    def test_engine_error_in_worker_reads_as_in_process(
+        self, tmp_path, capsys, monkeypatch, method, error
+    ):
+        run_job = jobs_module.run_job
+
+        def run_or_fail(job, data, engines=jobs_module.ENGINES):
+            if (job.method, job.seed) == (method, 43):
+                raise error(f"{method} run {job.seed} failed")
+            return run_job(job, data, engines)
+
+        monkeypatch.setattr(jobs_module, "run_job", run_or_fail)
+        errs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli_module, "usable_cpus", lambda: cpus)
+            code, err, out = self.compare(tmp_path, capsys)
+            assert_one_line_error(code, err)
+            assert not out.exists()
+            errs.append(err)
+        assert errs == [f"error: {method} run 43 failed\n"] * 2
+
+    @pytest.mark.skipif(jobs_module.START_METHOD != "fork", reason="workers are not forked")
+    def test_dead_worker_is_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(jobs_module, "run_job", lambda job, data: os._exit(1))
+        code, err, out = self.compare(tmp_path, capsys)
+        assert_one_line_error(code, err)
+        assert "worker process died" in err
+        assert not out.exists()
 
 
 FEATURES = "cement,fly_ash,water,sand,stone,water_reducer,recycled_aggregate,total_mass"
@@ -426,6 +528,16 @@ class TestConfigResolution:
     def test_grid_search_boolean_words(self, tmp_path, capsys, word, value):
         ini = SMALL_CONFIG + f"\n[lssvm]\ngrid_search = {word}\n"
         assert self.train(tmp_path, capsys, ini)[2]["lssvm_grid_search"] is value
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "section, key", [("gsgp", "mutation_step"), ("lssvm", "gamma"), ("lssvm", "sigma_sq")]
+    )
+    def test_non_finite_float_named(self, tmp_path, capsys, section, key, value):
+        code, err, _ = self.train(tmp_path, capsys, f"[{section}]\n{key} = {value}\n")
+        assert_one_line_error(code, err)
+        assert key in err and repr(value) in err
+        assert not (tmp_path / "o").exists()
 
     def test_grid_search_rejects_other_words(self, tmp_path, capsys):
         code, err, _ = self.train(tmp_path, capsys, SMALL_CONFIG + "\n[lssvm]\ngrid_search = maybe\n")
