@@ -49,6 +49,7 @@ from .gsgp import (
     GsgpError,
     archive_individual,
     evolve,
+    load_ancestry,
     replay_semantics,
 )
 from .jobs import Job, WorkerError, run_jobs, usable_cpus
@@ -91,6 +92,10 @@ class ExperimentConfig:
             raise CliError(f"runs must be >= 1, got {self.runs}")
         if self.train_size < 1:
             raise CliError(f"train_size must be >= 1, got {self.train_size}")
+        if not self.lssvm_gamma > 0:
+            raise CliError(f"[lssvm] gamma must be > 0, got {self.lssvm_gamma}")
+        if not self.lssvm_sigma_sq > 0:
+            raise CliError(f"[lssvm] sigma_sq must be > 0, got {self.lssvm_sigma_sq}")
 
 
 _SECTIONS: dict[str, dict[str, type]] = {
@@ -286,6 +291,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             lines += _prediction_rows(pairs, relative_errors(pairs), 1)
         else:
             lines += [f"{i + 1},{_fmt(pred)}" for i, pred in enumerate(predictions)]
+    else:
+        load_ancestry(payload)  # no row to replay, but a corrupt model still fails
     os.makedirs(out_dir, exist_ok=True)
     _write_lines(os.path.join(out_dir, "predictions.csv"), lines)
     return 0
@@ -325,9 +332,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     results = run_jobs(jobs, data, min(usable_cpus(), len(jobs)), engines)
     test_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_test_rmse] * cfg.runs}
     train_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_train_rmse] * cfg.runs}
-    for job, result in zip(jobs, results):
-        test_rmse[job.method].append(_safe_rmse(test.targets, result.semantics[len(train) :]))
-        train_rmse[job.method].append(_safe_rmse(train.targets, result.semantics[: len(train)]))
+    for job, sem in zip(jobs, results):
+        test_rmse[job.method].append(_safe_rmse(test.targets, sem[len(train) :]))
+        train_rmse[job.method].append(_safe_rmse(train.targets, sem[: len(train)]))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     table = ["run,seed,gsgp,stgp,lssvm"]

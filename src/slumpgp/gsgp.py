@@ -9,10 +9,11 @@ the symbolic expression is only materialized on demand by `reconstruct`.
 Trees are evaluated once on the stacked train+test features; `eval_matrix`
 and `sigmoid` act on each row alone, so stacking changes no value.
 
-An archived individual is applied to new rows by `replay_semantics`, which
-replays its records over blocks of at most REPLAY_ROWS rows. For the same
-reason blocking changes no value, and replay memory is bounded by the
-ancestry's live width × REPLAY_ROWS rows, plus the output vector.
+`archive_individual` writes an individual's ancestry as JSON-able data, and
+`load_ancestry`, its inverse, checks such a payload and rebuilds the
+records; no other code knows that format. `replay_semantics` replays the
+loaded records on new rows in bounded memory. Every walk over an ancestry
+(sizing, reconstruction, archiving, replay) is a fold over `_post_order`.
 
 The arithmetic in the operators is mirrored exactly by the expression
 templates that `reconstruct` emits, so an expanded tree reproduces the
@@ -473,54 +474,13 @@ def archive_individual(ind: Individual) -> dict:
     return {"trees": trees, "records": records, "root": record_ids[ind.ancestry]}
 
 
-# The archive indices each record op reads, as ("record" | "tree", field).
-_READS = {
-    "tree": (("tree", "tree"),),
-    "crossover": (("record", "parent1"), ("record", "parent2")),
-    "mutation": (("record", "parent"), ("tree", "r1"), ("tree", "r2")),
-}
+def load_ancestry(payload: dict) -> AncestryRecord:
+    """The root record of an `archive_individual` payload; its inverse.
 
-
-def _reads(rec) -> list[tuple[str, object]]:
-    """The (kind, index) pairs a record reads; none for a malformed record."""
-    op = rec.get("op") if isinstance(rec, dict) else None
-    if not isinstance(op, str):
-        return []
-    return [(kind, rec[field]) for kind, field in _READS.get(op, ()) if field in rec]
-
-
-def _last_reads(records: list) -> dict[tuple[str, object], int]:
-    """The last position that reads each ("record", i) and ("tree", i).
-
-    Indices are keys as they stand, so equal ones (1, 1.0, True) share an
-    entry, just as they find the same evaluated tree in the replay's cache.
-    Malformed entries are skipped; the replay rejects them where it meets them.
-    """
-    last: dict[tuple[str, object], int] = {}
-    for pos, rec in enumerate(records):
-        for key in _reads(rec):
-            try:
-                last[key] = pos
-            except TypeError:  # an unhashable index
-                pass
-    return last
-
-
-def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
-    """Re-derive an archived individual's semantics on an arbitrary dataset.
-
-    Replays the recorded operations with the same arithmetic the engine
-    used, so on the original training or test data the result is bitwise
-    identical to those rows of the stored semantics.
-
-    The records are replayed once per block of at most REPLAY_ROWS rows,
-    into one output array; every operation acts on each row alone, so
-    blocking changes no value. Within a block, each record's vector and
-    each tree's values and sigmoid are dropped right after the last record
-    that reads them (the root's vector is kept). Memory is thus bounded by
-    the ancestry DAG's live width × REPLAY_ROWS rows, plus the output, not
-    by the DAG's size or the number of rows. Malformed records fail in the
-    first block.
+    Each tree is parsed once, into one ExprTree that every record naming
+    it shares, and each record is checked once, in archive order, so a
+    malformed payload fails here with a GsgpError before anything is
+    evaluated. Records the root does not reach are checked, then dropped.
     """
     try:
         trees = [parse_infix(text) for text in payload["trees"]]
@@ -531,59 +491,91 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
         raise GsgpError(f"malformed model payload: {exc}") from None
     if not isinstance(root, int) or not 0 <= root < n_records:
         raise GsgpError(f"model root {root!r} out of range")
-    last_read = _last_reads(records)
+    built: list[AncestryRecord] = []
+
+    def tree(i) -> ExprTree:
+        if not 0 <= i < len(trees):
+            raise GsgpError(f"tree index {i!r} out of range")
+        return trees[i]
+
+    def parent(i) -> AncestryRecord:
+        if not 0 <= i < len(built):
+            raise GsgpError(f"record {len(built)} references a later record")
+        return built[i]
+
+    for pos, rec in enumerate(records):
+        try:
+            op = rec["op"]
+            if op == "tree":
+                built.append(TreeOrigin(tree(rec["tree"])))
+            elif op == "crossover":
+                p1, p2 = parent(rec["parent1"]), parent(rec["parent2"])
+                built.append(CrossoverOrigin(p1, p2, float(rec["tr"])))
+            elif op == "mutation":
+                p, ms = parent(rec["parent"]), float(rec["ms"])
+                built.append(MutationOrigin(p, tree(rec["r1"]), tree(rec["r2"]), ms))
+            else:
+                raise GsgpError(f"unknown record op {op!r}")
+        except GsgpError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GsgpError(f"malformed model record {pos}: {exc}") from None
+    return built[root]
+
+
+def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
+    """Re-derive an archived individual's semantics on an arbitrary dataset.
+
+    Loads the payload with `load_ancestry`, so a malformed one fails before
+    any row is evaluated, then replays the root's records with the engine's
+    own arithmetic: on the original training or test data the result is
+    bitwise identical to those rows of the stored semantics.
+
+    The records are replayed once per block of at most REPLAY_ROWS rows,
+    into one output array; every operation acts on each row alone, so
+    blocking changes no value. Within a block, each record's vector and
+    each tree's values and sigmoid are dropped right after the last record
+    that reads them. Memory is thus bounded by the ancestry DAG's live
+    width × REPLAY_ROWS rows, plus the output, not by the DAG's size or
+    the number of rows.
+    """
+    order = _post_order(load_ancestry(payload))
+    reads = [
+        (rec.tree,) if isinstance(rec, TreeOrigin)
+        else (rec.parent1, rec.parent2) if isinstance(rec, CrossoverOrigin)
+        else (rec.parent, rec.r1, rec.r2)
+        for rec in order
+    ]
+    # The position of the last record that reads each record and tree, by id.
+    last_reader = {id(read): pos for pos, inputs in enumerate(reads) for read in inputs}
 
     def replay_block(X: np.ndarray) -> Semantics:
-        tree_sem: dict[int, Semantics] = {}
-        tree_sig: dict[int, Semantics] = {}
+        live: dict[int, Semantics] = {}  # record vectors and tree values, by id
+        sig: dict[int, Semantics] = {}  # tree sigmoids, by id
 
-        def sem_of_tree(i: int) -> Semantics:
-            if not 0 <= i < len(trees):
-                raise GsgpError(f"tree index {i!r} out of range")
-            if i not in tree_sem:
-                tree_sem[i] = eval_matrix(trees[i], X)
-            return tree_sem[i]
+        def values(t: ExprTree) -> Semantics:
+            if id(t) not in live:
+                live[id(t)] = eval_matrix(t, X)
+            return live[id(t)]
 
-        def sig_of_tree(i: int) -> Semantics:
-            sem = sem_of_tree(i)  # first, so a bad index fails as it does there
-            if i not in tree_sig:
-                tree_sig[i] = sigmoid(sem)
-            return tree_sig[i]
+        def sigmoid_of(t: ExprTree) -> Semantics:
+            if id(t) not in sig:
+                sig[id(t)] = sigmoid(values(t))
+            return sig[id(t)]
 
-        out: list[Semantics | None] = []
-        for pos, rec in enumerate(records):
-            try:
-                op = rec["op"]
-                if op == "tree":
-                    sem = sem_of_tree(rec["tree"])
-                elif op == "crossover":
-                    p1, p2 = rec["parent1"], rec["parent2"]
-                    if not (0 <= p1 < pos and 0 <= p2 < pos):
-                        raise GsgpError(f"record {pos} references a later record")
-                    tr = float(rec["tr"])
-                    sem = tr * out[p1] + (1.0 - tr) * out[p2]
-                elif op == "mutation":
-                    p = rec["parent"]
-                    if not 0 <= p < pos:
-                        raise GsgpError(f"record {pos} references a later record")
-                    ms = float(rec["ms"])
-                    sem = out[p] + ms * (sig_of_tree(rec["r1"]) - sig_of_tree(rec["r2"]))
-                else:
-                    raise GsgpError(f"unknown record op {op!r}")
-            except GsgpError:
-                raise
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                raise GsgpError(f"malformed model record {pos}: {exc}") from None
-            out.append(sem if pos == root or ("record", pos) in last_read else None)
-            for kind, i in _reads(rec):
-                if last_read[kind, i] != pos:
-                    continue
-                if kind == "tree":
-                    tree_sem.pop(i, None)
-                    tree_sig.pop(i, None)
-                elif i != root:
-                    out[i] = None
-        return out[root]
+        for pos, rec in enumerate(order):
+            if isinstance(rec, TreeOrigin):
+                sem = values(rec.tree)
+            elif isinstance(rec, CrossoverOrigin):
+                sem = rec.tr * live[id(rec.parent1)] + (1.0 - rec.tr) * live[id(rec.parent2)]
+            else:
+                sem = live[id(rec.parent)] + rec.ms * (sigmoid_of(rec.r1) - sigmoid_of(rec.r2))
+            live[id(rec)] = sem
+            for read in reads[pos]:
+                if last_reader[id(read)] == pos:
+                    live.pop(id(read), None)
+                    sig.pop(id(read), None)
+        return live[id(order[-1])]
 
     X = ds.features
     out = np.empty(len(X))

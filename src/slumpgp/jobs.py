@@ -5,7 +5,7 @@ the dataset it trains and tests on. `run_job` is a pure function of the job
 and the dataset, and `run_jobs` returns results in job order, so whatever is
 built from them is the same for any worker count.
 
-A `JobResult` holds only the best individual's semantics, never the
+A job's result is only the best individual's semantics, never the
 `Individual`: its ancestry is a DAG thousands of records deep after a long
 GSGP run, and pickling it back from a worker would be large and recursive.
 
@@ -50,22 +50,16 @@ class Job:
     test_rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class JobResult:
-    # The best individual's outputs on the job's train rows, then its test rows.
-    semantics: Semantics
-
-
 # Each method's engine: (config, train, test) -> a result with `.best.semantics`.
 ENGINES = {"gsgp": evolve, "stgp": stgp_run}
 
 
-def run_job(job: Job, data: Dataset, engines=ENGINES) -> JobResult:
-    """Run job.method with job.seed on job's train and test rows of data."""
+def run_job(job: Job, data: Dataset, engines=ENGINES) -> Semantics:
+    """Run job on data; the best individual's outputs on its train, then test rows."""
     train = Dataset(tuple(data.samples[i] for i in job.train_rows))
     test = Dataset(tuple(data.samples[i] for i in job.test_rows))
     result = engines[job.method](replace(job.config, rng_seed=job.seed), train, test)
-    return JobResult(result.best.semantics)
+    return result.best.semantics
 
 
 def usable_cpus() -> int:
@@ -84,11 +78,11 @@ def _start_worker(data: Dataset) -> None:
     _worker_data = data
 
 
-def _run_in_worker(job: Job) -> JobResult:
+def _run_in_worker(job: Job) -> Semantics:
     return run_job(job, _worker_data)
 
 
-def run_jobs(jobs: list[Job], data: Dataset, workers: int, engines=ENGINES) -> list[JobResult]:
+def run_jobs(jobs: list[Job], data: Dataset, workers: int, engines=ENGINES) -> list[Semantics]:
     """Run every job and return results in job order.
 
     The jobs run in this process when workers == 1 or engines is not

@@ -308,11 +308,22 @@ FEATURES = "cement,fly_ash,water,sand,stone,water_reducer,recycled_aggregate,tot
 ROW = "300,60,180,700,1100,5,200,2345"
 
 
+X1_RECORD = {"op": "tree", "tree": 0}
+
+
+def write_x1_model(path, records=(X1_RECORD,), root=0):
+    """A model over the one tree x1; by default it predicts each row's cement."""
+    model = {"trees": ["x1"], "records": list(records), "root": root}
+    path.write_text(
+        json.dumps({"schema_version": 1, "kind": "gsgp", "model": model}), encoding="utf-8"
+    )
+
+
 class TestPredictEdgeCases:
     """predict's output and errors for inputs without ordinary data rows."""
 
     def predict(self, tmp_path, capsys, data: bytes):
-        write_model(tmp_path / "model.json", "gsgp")
+        write_x1_model(tmp_path / "model.json")
         (tmp_path / "in.csv").write_bytes(data)
         argv = [
             "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
@@ -334,6 +345,22 @@ class TestPredictEdgeCases:
         assert (code, err) == (0, "")
         assert (tmp_path / "o" / "predictions.csv").read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize("rows", [[], [ROW]], ids=["header-only", "with-data"])
+    def test_corrupt_model_fails_without_writing(self, tmp_path, capsys, rows):
+        model = {"trees": ["(x1 +"], "records": [{"op": "volcano"}], "root": 7}
+        (tmp_path / "model.json").write_text(
+            json.dumps({"kind": "gsgp", "model": model}), encoding="utf-8"
+        )
+        (tmp_path / "in.csv").write_text("\n".join([FEATURES, *rows]) + "\n", encoding="utf-8")
+        argv = [
+            "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "o"),
+        ]
+        code, err = run_cli(argv, capsys)
+        assert_one_line_error(code, err)
+        assert "malformed model payload" in err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_file(self, tmp_path, capsys):
         code, err = self.predict(tmp_path, capsys, b"")
         assert_one_line_error(code, err)
@@ -353,17 +380,6 @@ class TestPredictEdgeCases:
         assert_one_line_error(code, err)
         assert "is not UTF-8 text" in err
         assert not (tmp_path / "o" / "predictions.csv").exists()
-
-
-X1_RECORD = {"op": "tree", "tree": 0}
-
-
-def write_x1_model(path, records=(X1_RECORD,), root=0):
-    """A model over the one tree x1; by default it predicts each row's cement."""
-    model = {"trees": ["x1"], "records": list(records), "root": root}
-    path.write_text(
-        json.dumps({"schema_version": 1, "kind": "gsgp", "model": model}), encoding="utf-8"
-    )
 
 
 class TestPredictInputLayout:
@@ -537,6 +553,18 @@ class TestConfigResolution:
         code, err, _ = self.train(tmp_path, capsys, f"[{section}]\n{key} = {value}\n")
         assert_one_line_error(code, err)
         assert key in err and repr(value) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ols-baseline", "compare"])
+    @pytest.mark.parametrize("key, value", [("gamma", "-1"), ("sigma_sq", "0")])
+    def test_non_positive_lssvm_setting_named(self, tmp_path, capsys, command, key, value):
+        (tmp_path / "exp.ini").write_text(
+            SMALL_CONFIG + f"\n[lssvm]\n{key} = {value}\n", encoding="utf-8"
+        )
+        argv = [command, "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "o")]
+        code, err = run_cli(argv, capsys)
+        assert_one_line_error(code, err)
+        assert f"[lssvm] {key} must be > 0" in err
         assert not (tmp_path / "o").exists()
 
     def test_grid_search_rejects_other_words(self, tmp_path, capsys):

@@ -39,6 +39,7 @@ from slumpgp.gsgp import (
     fitness,
     geometric_crossover,
     geometric_mutation,
+    load_ancestry,
     reconstruct,
     replay_semantics,
     tournament_select,
@@ -566,9 +567,9 @@ class TestDeepAncestry:
         assert payload["root"] == self.DEPTH
 
 
-# Payloads replay_semantics must reject with a GsgpError. The last five
-# hold an index of the wrong type, records that are not a list, or a
-# malformed record after a valid one.
+# Payloads load_ancestry, and so replay_semantics, must reject with a
+# GsgpError. The last six hold an index of the wrong type, records that are
+# not a list, or a malformed record after a valid one.
 MALFORMED_PAYLOADS = [
     {},
     {"trees": [], "records": [], "root": 0},
@@ -610,6 +611,15 @@ MALFORMED_PAYLOADS = [
     {"trees": ["x1"], "records": [{"op": "tree", "tree": 0}, [1, 2]], "root": 0},
     {"trees": ["x1"], "records": [{"op": "tree", "tree": [0]}], "root": 0},
     {"trees": ["x1"], "records": [{"op": "tree", "tree": 0.0}], "root": 0},
+    # A float index is rejected even where tree 0 has been read before it.
+    {
+        "trees": ["x1"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "mutation", "parent": 0, "r1": 0.0, "r2": 0, "ms": 0.1},
+        ],
+        "root": 1,
+    },
 ]
 
 
@@ -651,8 +661,23 @@ class TestPersistence:
         cfg = GsgpConfig(population_size=pop_size, generations=generations, rng_seed=seed)
         self.round_trip(evolve(cfg, train, test).best, train, test)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 20), st.integers(0, 6))
+    def test_load_ancestry_inverts_archive(self, seed, pop_size, generations):
+        train, test = split(builtin_table1(), SplitSpec(28))
+        cfg = GsgpConfig(population_size=pop_size, generations=generations, rng_seed=seed)
+        payload = json.loads(json.dumps(archive_individual(evolve(cfg, train, test).best)))
+        loaded = Individual(np.empty(0), 0.0, load_ancestry(payload))
+        assert archive_individual(loaded) == payload
+
     @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
-    def test_malformed_payload_rejected(self, payload, table1_split):
+    def test_malformed_payload_rejected(self, payload, table1_split, monkeypatch):
+        """Every fault is found before any row is evaluated."""
+
+        def no_eval(*args):
+            pytest.fail("eval_matrix was called on a malformed payload")
+
+        monkeypatch.setattr(gsgp_module, "eval_matrix", no_eval)
         train, _ = table1_split
         with pytest.raises(GsgpError):
             replay_semantics(payload, train)
@@ -689,8 +714,9 @@ def replay_keep_all(payload: dict, ds: Dataset) -> np.ndarray:
     def sem_of_tree(i):
         if not 0 <= i < len(trees):
             raise GsgpError(f"tree index {i!r} out of range")
+        tree = trees[i]  # before the cache, so a float index fails here too
         if i not in tree_sem:
-            tree_sem[i] = eval_matrix(trees[i], ds.features)
+            tree_sem[i] = eval_matrix(tree, ds.features)
         return tree_sem[i]
 
     out = []
@@ -796,19 +822,7 @@ class TestReplayFreesVectors:
         assert np.array_equal(replay_semantics(payload, table1), replay_keep_all(payload, table1))
 
     @pytest.mark.parametrize(
-        "payload",
-        [p for p in MALFORMED_PAYLOADS if isinstance(p.get("records"), list)]
-        + [
-            # A float index finds tree 0 already evaluated, as in a dict lookup.
-            {
-                "trees": ["x1"],
-                "records": [
-                    {"op": "tree", "tree": 0},
-                    {"op": "mutation", "parent": 0, "r1": 0.0, "r2": 0, "ms": 0.1},
-                ],
-                "root": 1,
-            },
-        ],
+        "payload", [p for p in MALFORMED_PAYLOADS if isinstance(p.get("records"), list)]
     )
     def test_malformed_outcome_matches_oracle(self, payload, table1):
         got = replay_outcome(replay_semantics, payload, table1)
@@ -817,6 +831,17 @@ class TestReplayFreesVectors:
             assert got == want
         else:
             assert np.array_equal(got, want)
+
+    def test_only_records_the_root_reaches_are_evaluated(self, table1, monkeypatch):
+        evaluated = []
+
+        def counted(t, X):
+            evaluated.append(to_infix(t))
+            return eval_matrix(t, X)
+
+        monkeypatch.setattr(gsgp_module, "eval_matrix", counted)
+        replay_semantics({**SHARED_PAYLOAD, "root": 4}, table1)  # reads records 1 and 4
+        assert evaluated == [REPLAY_TREES[1]]
 
     def test_peak_memory_bounded_by_live_width(self, table1_split):
         train, test = table1_split

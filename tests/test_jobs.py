@@ -11,7 +11,7 @@ import pytest
 import slumpgp.jobs as jobs_module
 from slumpgp.baselines import StgpConfig
 from slumpgp.gsgp import GsgpConfig, GsgpError
-from slumpgp.jobs import ENGINES, Job, JobResult, WorkerError, run_job, run_jobs
+from slumpgp.jobs import ENGINES, Job, WorkerError, run_job, run_jobs
 
 TRAIN_ROWS = tuple(range(28))
 TEST_ROWS = tuple(range(28, 34))
@@ -29,7 +29,7 @@ def make_job(method, seed, **cfg):
 
 
 def vectors(results):
-    return [r.semantics.tobytes() for r in results]
+    return [sem.tobytes() for sem in results]
 
 
 class TestRunJobs:
@@ -92,7 +92,7 @@ class TestRunJobs:
             if job.seed == 0:
                 raise GsgpError("job 0 failed")
             time.sleep(0.2)
-            return JobResult(np.zeros(len(data)))
+            return np.zeros(len(data))
 
         monkeypatch.setattr(jobs_module, "run_job", run_or_fail)
         jobs = [make_job("gsgp", seed, **TINY) for seed in range(20)]
@@ -106,7 +106,7 @@ class TestRunJobs:
         def run_or_die(job, data):
             if job.seed == 1:
                 os._exit(3)
-            return JobResult(np.zeros(len(data)))
+            return np.zeros(len(data))
 
         monkeypatch.setattr(jobs_module, "run_job", run_or_die)
         jobs = [make_job("gsgp", seed, **TINY) for seed in range(3)]
