@@ -107,7 +107,6 @@ class StgpConfig:
     p_mutation: float = 0.1
     tournament_size: int = 4
     elitism: int = 1
-    rng_seed: int = 0
 
     def __post_init__(self):
         check_loop_fields(self, BaselineError)
@@ -201,8 +200,11 @@ class SubtreeCache:
         self.entries = kept
 
 
-def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset) -> RunResult:
+def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:
     """Koza-style tree GP with subtree crossover/mutation and a depth cap.
+
+    Deterministic for a fixed config, data and seed: every stochastic draw
+    comes from one generator seeded with seed.
 
     Runs on GSGP's loop, `gsgp.run_generations`, with the literal tree as
     each individual's ancestry (TreeOrigin), so selection, elitism, fitness
@@ -223,7 +225,7 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset) -> RunResult:
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
-    rng = Random(cfg.rng_seed)
+    rng = Random(seed)
     cache = SubtreeCache(np.vstack([train.features, test.features]))
 
     def evaluate(tree: ExprTree) -> tuple[np.ndarray, int]:

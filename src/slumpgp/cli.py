@@ -4,11 +4,11 @@ Every command's artifacts are a deterministic function of its resolved
 configuration — repeated invocations produce byte-identical artifacts.
 Configuration comes from an INI-style file plus command-line overrides
 (flags win over the file, the file over the SLUMPGP_OUT environment variable
-for the output directory). `compare` runs its GP runs as one job list (see
-`jobs`) on one worker process per usable CPU. The worker count describes the
-machine, not the experiment: it is not part of the configuration, and no
-artifact depends on it. Numbers in CSV files carry 6 significant digits;
-JSON reports keep full precision.
+for the output directory). A GP run's seed is an argument of its engine:
+the master seed for `train`, master seed + i for run i of `compare`.
+`compare` runs its GP runs as one job list (see `jobs`) on one worker process
+per usable CPU, a count that appears in no artifact. Numbers in CSV files
+carry 6 significant digits; JSON reports keep full precision.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .gsgp import (
     load_ancestry,
     replay_semantics,
 )
-from .jobs import Job, WorkerError, run_jobs, usable_cpus
+from .jobs import Job, WorkerError, run_jobs
 from .stats import (
     PairedSeries,
     StatsError,
@@ -106,9 +106,8 @@ _SECTIONS: dict[str, dict[str, type]] = {
         "seed": int,
         "out": str,
     },
-    # The engine keys are the config fields; rng_seed is set from --seed.
     **{
-        section: {f.name: type(f.default) for f in fields(cls) if f.name != "rng_seed"}
+        section: {f.name: type(f.default) for f in fields(cls)}
         for section, cls in (("gsgp", GsgpConfig), ("stgp", StgpConfig))
     },
     "lssvm": {
@@ -178,20 +177,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _config_payload(cfg: ExperimentConfig) -> dict:
-    payload = asdict(cfg)
-    # per-run seeds are derived from master_seed and reported separately
-    payload["gsgp"].pop("rng_seed")
-    payload["stgp"].pop("rng_seed")
-    return payload
-
-
-def _load_dataset(cfg: ExperimentConfig) -> Dataset:
-    return builtin_table1() if cfg.dataset == "builtin" else load_csv(cfg.dataset)
-
-
 def _load_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    return split(_load_dataset(cfg), SplitSpec(cfg.train_size))
+    data = builtin_table1() if cfg.dataset == "builtin" else load_csv(cfg.dataset)
+    return split(data, SplitSpec(cfg.train_size))
 
 
 def _fmt(v: float) -> str:
@@ -227,14 +215,14 @@ def _safe_rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     train, test = _load_split(cfg)
-    result = evolve(replace(cfg.gsgp, rng_seed=cfg.master_seed), train, test)
+    result = evolve(cfg.gsgp, train, test, cfg.master_seed)
 
     # Every statistic that can fail is taken before the first file is written.
     pairs = PairedSeries(tuple(test.targets), tuple(result.predictions))
     rels = relative_errors(pairs)
     metrics = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_payload(cfg),
+        "config": asdict(cfg),
         "pearson_r": pearson_r(pairs),
         "rmse": rmse(pairs),
         "max_relative_error": max(rels),
@@ -300,8 +288,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    data = _load_dataset(cfg)
-    train, test = split(data, SplitSpec(cfg.train_size))
+    train, test = _load_split(cfg)
     if not train.has_targets:
         raise CliError("comparison requires labeled data")
     seeds = [cfg.master_seed + i for i in range(cfg.runs)]
@@ -319,17 +306,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         train.targets, np.array([lssvm_predict(svm, row) for row in train.features])
     )
 
-    train_rows = tuple(range(len(train)))
-    test_rows = tuple(range(len(train), len(data)))
     jobs = [
-        Job(method, engine_cfg, seed, train_rows, test_rows)
+        Job(method, engine_cfg, seed, train, test)
         for seed in seeds
         for method, engine_cfg in (("gsgp", cfg.gsgp), ("stgp", cfg.stgp))
     ]
     # The engines are looked up here, so a wrapper put on this module's
     # `evolve` or `stgp_run` sees every run (and keeps the runs in-process).
     engines = {"gsgp": evolve, "stgp": stgp_run}
-    results = run_jobs(jobs, data, min(usable_cpus(), len(jobs)), engines)
+    results = run_jobs(jobs, engines)
     test_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_test_rmse] * cfg.runs}
     train_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_train_rmse] * cfg.runs}
     for job, sem in zip(jobs, results):
@@ -352,7 +337,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     }
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_payload(cfg),
+        "config": asdict(cfg),
         "seeds": seeds,
         "lssvm": {
             "gamma": gamma,
@@ -373,7 +358,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_ols_baseline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     train, test = _load_split(cfg)
-    result = evolve(replace(cfg.gsgp, rng_seed=cfg.master_seed), train, test)
+    result = evolve(cfg.gsgp, train, test, cfg.master_seed)
     model = ols_fit(train)
     ols_preds = [ols_predict(model, row) for row in test.features]
 

@@ -19,6 +19,10 @@ import numpy as np
 FUNCTIONS = ("add", "sub", "mul", "div")
 N_VARS = 8
 DIV_EPS = 1e-6  # |denominator| below this makes protected division return 1.0
+# The deepest tree parse_infix builds, in node levels. Parsing, eval_matrix
+# and to_infix each recurse once per level, so every tree it returns stays
+# well inside Python's default recursion limit of 1000 frames.
+MAX_PARSE_DEPTH = 500
 
 _OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/p"}
 _SYMBOL_OP = {v: k for k, v in _OP_SYMBOL.items()}
@@ -236,7 +240,10 @@ _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
 def parse_infix(text: str) -> ExprTree:
-    """Parse the to_infix format back into a tree; inverse of to_infix."""
+    """Parse the to_infix format back into a tree; inverse of to_infix.
+
+    Text that nests deeper than MAX_PARSE_DEPTH levels is a ParseError.
+    """
     tokens = _tokenize(text)
     pos = 0
 
@@ -253,19 +260,21 @@ def parse_infix(text: str) -> ExprTree:
         pos += 1
         return tok
 
-    def operand() -> ExprTree:
+    def operand(depth: int) -> ExprTree:
+        if depth > MAX_PARSE_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_PARSE_DEPTH} levels")
         tok = take()
         if tok == "(":
-            left = operand()
+            left = operand(depth + 1)
             op = take()
             if op not in _SYMBOL_OP:
                 raise ParseError(f"expected an operator, got {op!r}")
-            right = operand()
+            right = operand(depth + 1)
             take(")")
             return binop(_SYMBOL_OP[op], left, right)
         if tok == "sigmoid":
             take("(")
-            inner = operand()
+            inner = operand(depth + 1)
             take(")")
             return sigmoid_node(inner)
         if tok.startswith("x") and tok != "x":
@@ -279,7 +288,7 @@ def parse_infix(text: str) -> ExprTree:
             return constant(float(tok))
         raise ParseError(f"unexpected token {tok!r}")
 
-    tree = operand()
+    tree = operand(1)
     if pos != len(tokens):
         raise ParseError(f"trailing input starting at {tokens[pos]!r}")
     return tree

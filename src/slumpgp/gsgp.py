@@ -140,7 +140,6 @@ class GsgpConfig:
     tournament_size: int = 4
     elitism: int = 1
     random_tree_depth: int = 4
-    rng_seed: int = 0
 
     def __post_init__(self):
         check_loop_fields(self)
@@ -321,16 +320,16 @@ def run_generations(
     )
 
 
-def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset) -> RunResult:
-    """Run GSGP; deterministic for a fixed config.
+def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:
+    """Run GSGP; deterministic for a fixed config, data and seed.
 
-    All stochastic draws come from one generator seeded with cfg.rng_seed:
+    All stochastic draws come from one generator seeded with seed:
     the ramped half-and-half initial trees first, then `run_generations`
     with geometric crossover and mutation as its operators.
     """
     if not train.has_targets:
         raise GsgpError("training dataset must carry slump targets")
-    rng = Random(cfg.rng_seed)
+    rng = Random(seed)
     stacked = np.vstack([train.features, test.features])
     pop = [
         make_individual(eval_matrix(t, stacked), train.targets, TreeOrigin(t))
@@ -474,6 +473,20 @@ def archive_individual(ind: Individual) -> dict:
     return {"trees": trees, "records": records, "root": record_ids[ind.ancestry]}
 
 
+def _index(value) -> int:
+    """A record's tree or parent index: a JSON integer, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"index {value!r} is not an integer")
+    return value
+
+
+def _weight(value) -> float:
+    """A record's tr or ms: a finite JSON number, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"could not convert {value!r} to a finite weight")
+    return float(value)
+
+
 def load_ancestry(payload: dict) -> AncestryRecord:
     """The root record of an `archive_individual` payload; its inverse.
 
@@ -489,17 +502,17 @@ def load_ancestry(payload: dict) -> AncestryRecord:
         n_records = len(records)
     except (KeyError, TypeError, ParseError) as exc:
         raise GsgpError(f"malformed model payload: {exc}") from None
-    if not isinstance(root, int) or not 0 <= root < n_records:
+    if isinstance(root, bool) or not isinstance(root, int) or not 0 <= root < n_records:
         raise GsgpError(f"model root {root!r} out of range")
     built: list[AncestryRecord] = []
 
     def tree(i) -> ExprTree:
-        if not 0 <= i < len(trees):
+        if not 0 <= _index(i) < len(trees):
             raise GsgpError(f"tree index {i!r} out of range")
         return trees[i]
 
     def parent(i) -> AncestryRecord:
-        if not 0 <= i < len(built):
+        if not 0 <= _index(i) < len(built):
             raise GsgpError(f"record {len(built)} references a later record")
         return built[i]
 
@@ -510,9 +523,9 @@ def load_ancestry(payload: dict) -> AncestryRecord:
                 built.append(TreeOrigin(tree(rec["tree"])))
             elif op == "crossover":
                 p1, p2 = parent(rec["parent1"]), parent(rec["parent2"])
-                built.append(CrossoverOrigin(p1, p2, float(rec["tr"])))
+                built.append(CrossoverOrigin(p1, p2, _weight(rec["tr"])))
             elif op == "mutation":
-                p, ms = parent(rec["parent"]), float(rec["ms"])
+                p, ms = parent(rec["parent"]), _weight(rec["ms"])
                 built.append(MutationOrigin(p, tree(rec["r1"]), tree(rec["r2"]), ms))
             else:
                 raise GsgpError(f"unknown record op {op!r}")

@@ -1,9 +1,10 @@
 """One job list for multi-run commands, run in-process or on worker processes.
 
-A `Job` is one GP run: a method, its engine config, its seed and the rows of
-the dataset it trains and tests on. `run_job` is a pure function of the job
-and the dataset, and `run_jobs` returns results in job order, so whatever is
-built from them is the same for any worker count.
+A `Job` is one GP run: a method, its engine config, its seed and the train
+and test sets it runs on. `run_job` is a pure function of the job, and
+`run_jobs` returns results in job order, so whatever is built from them is
+the same for any worker count. `run_jobs` runs one worker per usable CPU, at
+most one per job; the worker count describes the machine, not the jobs.
 
 A job's result is only the best individual's semantics, never the
 `Individual`: its ancestry is a DAG thousands of records deep after a long
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .baselines import StgpConfig, stgp_run
@@ -46,20 +47,17 @@ class Job:
     method: str  # "gsgp" or "stgp"
     config: Union[GsgpConfig, StgpConfig]
     seed: int
-    train_rows: tuple[int, ...]
-    test_rows: tuple[int, ...]
+    train: Dataset
+    test: Dataset
 
 
-# Each method's engine: (config, train, test) -> a result with `.best.semantics`.
+# Each method's engine: (config, train, test, seed) -> a result with `.best.semantics`.
 ENGINES = {"gsgp": evolve, "stgp": stgp_run}
 
 
-def run_job(job: Job, data: Dataset, engines=ENGINES) -> Semantics:
-    """Run job on data; the best individual's outputs on its train, then test rows."""
-    train = Dataset(tuple(data.samples[i] for i in job.train_rows))
-    test = Dataset(tuple(data.samples[i] for i in job.test_rows))
-    result = engines[job.method](replace(job.config, rng_seed=job.seed), train, test)
-    return result.best.semantics
+def run_job(job: Job, engines=ENGINES) -> Semantics:
+    """Run job; the best individual's outputs on its train, then test rows."""
+    return engines[job.method](job.config, job.train, job.test, job.seed).best.semantics
 
 
 def usable_cpus() -> int:
@@ -70,42 +68,32 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_worker_data: Dataset | None = None  # set once in each worker process
-
-
-def _start_worker(data: Dataset) -> None:
-    global _worker_data
-    _worker_data = data
-
-
 def _run_in_worker(job: Job) -> Semantics:
-    return run_job(job, _worker_data)
+    # Sent by name, and looks run_job up when called: a replacement put on
+    # this module before the fork (a test double) is what the workers run.
+    return run_job(job)
 
 
-def run_jobs(jobs: list[Job], data: Dataset, workers: int, engines=ENGINES) -> list[Semantics]:
+def run_jobs(jobs: list[Job], engines=ENGINES) -> list[Semantics]:
     """Run every job and return results in job order.
 
-    The jobs run in this process when workers == 1 or engines is not
-    ENGINES (see the module docstring). Otherwise they run on `workers`
-    worker processes, which get data once each and are joined before this
-    returns. The first failure cancels the jobs not yet started, and the
-    earliest failed job in job order raises its exception here, as it would
-    in-process; a worker that dies raises WorkerError.
+    The jobs run on min(usable_cpus(), len(jobs)) worker processes, which
+    are joined before this returns, or in this process when that is 1 or
+    engines is not ENGINES (see the module docstring). The first failure
+    cancels the jobs not yet started, and the earliest failed job in job
+    order raises its exception here, as it would in-process; a worker that
+    dies raises WorkerError.
     """
-    if workers == 1 or engines != ENGINES:
-        return [run_job(job, data, engines) for job in jobs]
+    workers = min(usable_cpus(), len(jobs))
+    if workers <= 1 or engines != ENGINES:
+        return [run_job(job, engines) for job in jobs]
 
     # Imported here: concurrent.futures adds about 20 ms to every CLI start.
     import multiprocessing
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context(START_METHOD),
-        initializer=_start_worker,
-        initargs=(data,),
-    )
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(START_METHOD))
     try:
         try:
             futures = [pool.submit(_run_in_worker, job) for job in jobs]

@@ -2,7 +2,7 @@
 
 import pytest
 
-import slumpgp.cli
+import slumpgp.jobs
 from slumpgp.dataset import SplitSpec, builtin_table1, split
 
 
@@ -19,6 +19,6 @@ def table1_split():
 
 @pytest.fixture(autouse=True)
 def two_usable_cpus(monkeypatch):
-    """`compare` sees two usable CPUs in every test, so no test starts more
+    """`run_jobs` sees two usable CPUs in every test, so no test starts more
     than two workers, and two workers run on a one-CPU machine too."""
-    monkeypatch.setattr(slumpgp.cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(slumpgp.jobs, "usable_cpus", lambda: 2)

@@ -35,9 +35,9 @@ from slumpgp.gsgp import TreeOrigin
 from test_expr import tree_depth
 
 
-def run(table1_split, **kwargs):
+def run(table1_split, seed, **kwargs):
     train, test = table1_split
-    return stgp_run(StgpConfig(population_size=30, generations=5, **kwargs), train, test)
+    return stgp_run(StgpConfig(population_size=30, generations=5, **kwargs), train, test, seed=seed)
 
 
 class TestStgpPinned:
@@ -62,7 +62,7 @@ class TestStgpPinned:
         ids=["seed0", "seed1", "seed4"],
     )
     def test_history_and_best_tree(self, table1_split, seed, train_fits, test_fits, best):
-        res = run(table1_split, rng_seed=seed)
+        res = run(table1_split, seed)
         assert [st.train_fitness for st in res.history] == train_fits
         assert [st.test_fitness for st in res.history] == test_fits
         assert isinstance(res.best.ancestry, TreeOrigin)
@@ -70,7 +70,7 @@ class TestStgpPinned:
         assert res.best.train_fitness == train_fits[-1]
 
     def test_depth_capped_run(self, table1_split):
-        res = run(table1_split, max_depth=5, rng_seed=3)
+        res = run(table1_split, 3, max_depth=5)
         assert [st.train_fitness for st in res.history] == [
             1350.3699999999994, 1350.3699999999994, 1350.3699999999994,
             1143.7399999999998, 772.0799999999997, 772.0799999999997,
@@ -81,11 +81,11 @@ class TestStgpPinned:
 class TestStgpRun:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_depth_cap_holds(self, table1_split, seed):
-        res = run(table1_split, max_depth=5, rng_seed=seed)
+        res = run(table1_split, seed, max_depth=5)
         assert tree_depth(res.best.ancestry.tree) <= 5
 
     def test_predictions_are_best_test_semantics(self, table1_split):
-        res = run(table1_split, rng_seed=4)
+        res = run(table1_split, 4)
         assert np.array_equal(res.predictions, res.best.semantics[28:])
         assert len(res.history) == 6
 
@@ -195,10 +195,10 @@ class TestStgpMemory:
         cache that never evicts; 0.9 MB for direct evaluation without a cache.
         """
         train, test = table1_split
-        cfg = StgpConfig(population_size=200, generations=30, rng_seed=seed)
+        cfg = StgpConfig(population_size=200, generations=30)
         tracemalloc.start()
         try:
-            stgp_run(cfg, train, test)
+            stgp_run(cfg, train, test, seed=seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

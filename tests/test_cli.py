@@ -13,9 +13,10 @@ import pytest
 
 import slumpgp.cli as cli_module
 import slumpgp.jobs as jobs_module
-from slumpgp.baselines import BaselineError
+from slumpgp.baselines import BaselineError, ols_fit, ols_predict
 from slumpgp.cli import main
 from slumpgp.dataset import SplitSpec, builtin_table1, save_csv, split
+from slumpgp.expr import MAX_PARSE_DEPTH
 from slumpgp.gsgp import GsgpError
 
 SMALL_CONFIG = """\
@@ -225,27 +226,12 @@ class TestCompareWorkers:
     def test_same_bytes_for_any_worker_count(self, tmp_path, capsys, monkeypatch, runs):
         outs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(cli_module, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(jobs_module, "usable_cpus", lambda: cpus)
             code, err, out = self.compare(tmp_path, capsys, runs=runs)
             assert (code, err) == (0, "")
             outs.append(artifacts(out))
             shutil.rmtree(out)
         assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize("cpus, runs, workers", [(8, 1, 2), (2, 3, 2), (1, 3, 1)])
-    def test_one_worker_per_cpu_and_at_most_one_per_job(
-        self, tmp_path, capsys, monkeypatch, cpus, runs, workers
-    ):
-        seen = []
-
-        def record_workers(jobs, data, n, engines):
-            seen.append(n)
-            return jobs_module.run_jobs(jobs, data, n, engines)
-
-        monkeypatch.setattr(cli_module, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cli_module, "run_jobs", record_workers)
-        code, err, _ = self.compare(tmp_path, capsys, runs=runs)
-        assert (code, err, seen) == (0, "", [workers])
 
     def test_wrapped_engines_see_every_run(self, tmp_path, capsys, monkeypatch):
         # A profiler wraps the module's engine bindings; with two usable
@@ -280,15 +266,15 @@ class TestCompareWorkers:
     ):
         run_job = jobs_module.run_job
 
-        def run_or_fail(job, data, engines=jobs_module.ENGINES):
+        def run_or_fail(job, engines=jobs_module.ENGINES):
             if (job.method, job.seed) == (method, 43):
                 raise error(f"{method} run {job.seed} failed")
-            return run_job(job, data, engines)
+            return run_job(job, engines)
 
         monkeypatch.setattr(jobs_module, "run_job", run_or_fail)
         errs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(cli_module, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(jobs_module, "usable_cpus", lambda: cpus)
             code, err, out = self.compare(tmp_path, capsys)
             assert_one_line_error(code, err)
             assert not out.exists()
@@ -297,7 +283,7 @@ class TestCompareWorkers:
 
     @pytest.mark.skipif(jobs_module.START_METHOD != "fork", reason="workers are not forked")
     def test_dead_worker_is_one_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(jobs_module, "run_job", lambda job, data: os._exit(1))
+        monkeypatch.setattr(jobs_module, "run_job", lambda job: os._exit(1))
         code, err, out = self.compare(tmp_path, capsys)
         assert_one_line_error(code, err)
         assert "worker process died" in err
@@ -380,6 +366,70 @@ class TestPredictEdgeCases:
         assert_one_line_error(code, err)
         assert "is not UTF-8 text" in err
         assert not (tmp_path / "o" / "predictions.csv").exists()
+
+
+def nested_x1(depth):
+    """Tree text depth levels deep, ((x1 + x1) + x1) ..., worth depth × x1."""
+    text = "x1"
+    for _ in range(depth - 1):
+        text = f"({text} + x1)"
+    return text
+
+
+class TestDeeplyNestedModel:
+    """A model's tree text may nest MAX_PARSE_DEPTH levels; deeper text is
+    one error line, not a RecursionError traceback."""
+
+    def predict(self, tmp_path, capsys, depth):
+        model = {"trees": [nested_x1(depth)], "records": [X1_RECORD], "root": 0}
+        (tmp_path / "model.json").write_text(
+            json.dumps({"kind": "gsgp", "model": model}), encoding="utf-8"
+        )
+        write_input(tmp_path / "in.csv")
+        argv = [
+            "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "o"),
+        ]
+        return run_cli(argv, capsys)
+
+    def test_deepest_accepted_tree_replays(self, tmp_path, capsys):
+        code, err = self.predict(tmp_path, capsys, MAX_PARSE_DEPTH)
+        assert (code, err) == (0, "")
+        written = (tmp_path / "o" / "predictions.csv").read_text(encoding="utf-8")
+        assert written.splitlines() == ["sample_no,computation", f"1,{300 * MAX_PARSE_DEPTH}"]
+
+    @pytest.mark.parametrize("depth", [MAX_PARSE_DEPTH + 1, 3000])
+    def test_deeper_tree_is_one_line_error(self, tmp_path, capsys, depth):
+        code, err = self.predict(tmp_path, capsys, depth)
+        assert_one_line_error(code, err)
+        assert f"nests deeper than {MAX_PARSE_DEPTH} levels" in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestOlsBaseline:
+    """ols-baseline's table: its GSGP column is train's, its OLS column is ols_fit's."""
+
+    def test_columns_match_train_and_ols_fit(self, tmp_path, table1_split):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        for command, out in (("ols-baseline", "b"), ("train", "t")):
+            argv = [command, "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / out)]
+            assert main(argv) == 0
+        table = (tmp_path / "b" / "baseline_predictions.csv").read_text(encoding="utf-8")
+        lines = table.splitlines()
+        assert lines[0] == "sample_no,experiment,gsgp,ols"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [str(n) for n in range(29, 35)]
+
+        trained = (tmp_path / "t" / "predictions.csv").read_text(encoding="utf-8")
+        train_rows = [line.split(",") for line in trained.splitlines()[1:]]
+        assert [row[:3] for row in rows] == [row[:3] for row in train_rows]
+
+        train, test = table1_split
+        model = ols_fit(train)
+        assert [row[3] for row in rows] == [
+            cli_module._fmt(ols_predict(model, features)) for features in test.features
+        ]
 
 
 class TestPredictInputLayout:

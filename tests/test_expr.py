@@ -12,6 +12,7 @@ from slumpgp.dataset import builtin_table1
 from slumpgp.expr import (
     DIV_EPS,
     FUNCTIONS,
+    MAX_PARSE_DEPTH,
     ExprTree,
     GenMethod,
     N_VARS,
@@ -458,6 +459,19 @@ class TestInfix:
         for bad in ("", "(x1 + x2", "x1 x2", "(x1 ? x2)", "x0", "x9", "()"):
             with pytest.raises(ValueError):
                 parse_infix(bad)
+
+    @pytest.mark.parametrize("wrap", ["({} + x1)", "(x2 - {})", "sigmoid({})"])
+    def test_deepest_parsed_tree_evaluates_and_prints(self, wrap):
+        # Every tree parse_infix returns must stay inside the recursion
+        # limit in eval_matrix and to_infix as well.
+        text = "x1"
+        for _ in range(MAX_PARSE_DEPTH - 1):
+            text = wrap.format(text)
+        t = parse_infix(text)
+        assert to_infix(t) == text
+        assert eval_matrix(t, builtin_table1().features).shape == (34,)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_PARSE_DEPTH} levels"):
+            parse_infix(wrap.format(text))
 
     def test_independent_evaluator_agrees(self):
         rng = Random(37)

@@ -313,13 +313,15 @@ class TestConfig:
 
 
 class TestEvolve:
-    small = dict(population_size=12, generations=4, rng_seed=5)
+    small = dict(population_size=12, generations=4)
+    seed = 5
 
     @pytest.mark.parametrize(
-        "kwargs, train_fits, test_fits, records, archive_sha256",
+        "kwargs, seed, train_fits, test_fits, records, archive_sha256",
         [
             (
                 small,
+                seed,
                 [1557.0, 1263.1908990198203, 1095.0051105838436, 1095.0051105838436,
                  1093.631742782007],
                 [335.0, 291.85040852974987, 268.7425925231021, 268.7425925231021,
@@ -328,7 +330,8 @@ class TestEvolve:
                 "8dfea932f1c6a440a220cc343fe0d4dbfffd3beaffcd65fcaf5003fc62cf063b",
             ),
             (
-                dict(population_size=30, generations=10, rng_seed=7),
+                dict(population_size=30, generations=10),
+                7,
                 [1557.0, 1224.7775007479731, 737.3913667118098, 670.6177166986176,
                  668.417716698618, 668.417716698618, 668.417716698618, 666.7443724535045,
                  664.5443724535048, 663.3464888233663, 662.2943724535048],
@@ -342,11 +345,13 @@ class TestEvolve:
         ],
         ids=["pop12-seed5", "pop30-seed7"],
     )
-    def test_pinned_run(self, table1_split, kwargs, train_fits, test_fits, records, archive_sha256):
+    def test_pinned_run(
+        self, table1_split, kwargs, seed, train_fits, test_fits, records, archive_sha256
+    ):
         """Exact values of small runs; any change to the RNG draw order, the
         operators or the loop moves them."""
         train, test = table1_split
-        res = evolve(GsgpConfig(**kwargs), train, test)
+        res = evolve(GsgpConfig(**kwargs), train, test, seed=seed)
         assert [st.train_fitness for st in res.history] == train_fits
         assert [st.test_fitness for st in res.history] == test_fits
         payload = archive_individual(res.best)
@@ -356,39 +361,39 @@ class TestEvolve:
 
     def test_history_length(self, table1_split):
         train, test = table1_split
-        res = evolve(GsgpConfig(**self.small), train, test)
+        res = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         assert len(res.history) == 5
 
     def test_zero_generations_returns_initial_best(self, table1_split):
         train, test = table1_split
-        res = evolve(GsgpConfig(population_size=10, generations=0, rng_seed=3), train, test)
+        res = evolve(GsgpConfig(population_size=10, generations=0), train, test, seed=3)
         assert len(res.history) == 1
         assert res.history[0].train_fitness == res.best.train_fitness
         assert np.array_equal(res.predictions, res.best.semantics[28:])
 
     def test_same_seed_identical_results(self, table1_split):
         train, test = table1_split
-        r1 = evolve(GsgpConfig(**self.small), train, test)
-        r2 = evolve(GsgpConfig(**self.small), train, test)
+        r1 = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
+        r2 = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         assert r1.history == r2.history
         assert np.array_equal(r1.predictions, r2.predictions)
 
     def test_best_train_fitness_non_increasing(self, table1_split):
         train, test = table1_split
-        res = evolve(GsgpConfig(population_size=30, generations=10, rng_seed=7), train, test)
+        res = evolve(GsgpConfig(population_size=30, generations=10), train, test, seed=7)
         fits = [st.train_fitness for st in res.history]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_best_fitness_recomputation(self, table1_split):
         train, test = table1_split
-        res = evolve(GsgpConfig(**self.small), train, test)
+        res = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         assert res.best.train_fitness == pytest.approx(
             fitness(res.best.semantics[:28], train.targets), abs=1e-12
         )
 
     def test_observer_sees_each_population_and_changes_nothing(self, table1_split, monkeypatch):
         train, test = table1_split
-        plain = evolve(GsgpConfig(**self.small), train, test)
+        plain = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         seen = []
         loop = gsgp_module.run_generations
         monkeypatch.setattr(
@@ -396,7 +401,7 @@ class TestEvolve:
             "run_generations",
             lambda *args, **kwargs: loop(*args, **kwargs, observer=lambda pop: seen.append(pop)),
         )
-        observed = evolve(GsgpConfig(**self.small), train, test)
+        observed = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         assert observed.history == plain.history
         assert archive_individual(observed.best) == archive_individual(plain.best)
         assert [len(pop) for pop in seen] == [12] * 4
@@ -412,7 +417,7 @@ class TestEvolve:
                 for s in builtin_table1().samples[28:]
             )
         )
-        res = evolve(GsgpConfig(population_size=8, generations=2, rng_seed=1), train, plain)
+        res = evolve(GsgpConfig(population_size=8, generations=2), train, plain, seed=1)
         assert math.isnan(res.history[-1].test_fitness)
         assert res.predictions.shape == (6,)
 
@@ -481,9 +486,7 @@ class TestReconstruct:
     def test_crossover_chain_reconstruction_is_bitwise(self, table1_split):
         train, test = table1_split
         rng = Random(97)
-        res = evolve(
-            GsgpConfig(population_size=10, generations=4, rng_seed=17), train, test
-        )
+        res = evolve(GsgpConfig(population_size=10, generations=4), train, test, seed=17)
         tree = reconstruct(res.best, 10**9)
         assert not isinstance(tree, BudgetExceeded)
         assert np.array_equal(eval_matrix(tree, stacked(train, test)), res.best.semantics)
@@ -496,9 +499,8 @@ class TestReconstruct:
                 population_size=rng.randrange(4, 11),
                 generations=rng.randrange(0, 6),
                 tournament_size=2,
-                rng_seed=rng.randrange(10**6),
             )
-            res = evolve(cfg, train, test)
+            res = evolve(cfg, train, test, seed=rng.randrange(10**6))
             tree = reconstruct(res.best, 10**9)
             assert not isinstance(tree, BudgetExceeded)
             assert np.array_equal(eval_matrix(tree, stacked(train, test)), res.best.semantics)
@@ -508,8 +510,8 @@ class TestReconstruct:
     @given(st.integers(0, 10**6), st.integers(4, 8), st.integers(0, 4))
     def test_reconstructed_size_is_node_count(self, seed, pop_size, generations):
         train, test = split(builtin_table1(), SplitSpec(28))
-        cfg = GsgpConfig(population_size=pop_size, generations=generations, rng_seed=seed)
-        res = evolve(cfg, train, test)
+        cfg = GsgpConfig(population_size=pop_size, generations=generations)
+        res = evolve(cfg, train, test, seed=seed)
         tree = reconstruct(res.best, 10**6)
         assert not isinstance(tree, BudgetExceeded)
         assert tree.size == count_nodes(tree)
@@ -568,8 +570,9 @@ class TestDeepAncestry:
 
 
 # Payloads load_ancestry, and so replay_semantics, must reject with a
-# GsgpError. The last six hold an index of the wrong type, records that are
-# not a list, or a malformed record after a valid one.
+# GsgpError. From the eleventh on they hold an index of the wrong type,
+# records that are not a list, a malformed record after a valid one, or a
+# boolean, string or non-finite number where an index or weight belongs.
 MALFORMED_PAYLOADS = [
     {},
     {"trees": [], "records": [], "root": 0},
@@ -620,6 +623,66 @@ MALFORMED_PAYLOADS = [
         ],
         "root": 1,
     },
+    # JSON booleans are not indices: true would read as tree 1 or record 1.
+    {"trees": ["x1", "x2"], "records": [{"op": "tree", "tree": True}], "root": 0},
+    {
+        "trees": ["x1", "x2"],
+        "records": [{"op": "tree", "tree": 0}, {"op": "tree", "tree": 1}],
+        "root": True,
+    },
+    {
+        "trees": ["x1", "x2"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "tree", "tree": 1},
+            {"op": "crossover", "parent1": True, "parent2": 0, "tr": 0.5},
+        ],
+        "root": 2,
+    },
+    # Weights are finite numbers: not strings, booleans, NaN or infinities.
+    {
+        "trees": ["x1", "x2"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "tree", "tree": 1},
+            {"op": "crossover", "parent1": 0, "parent2": 1, "tr": "0.5"},
+        ],
+        "root": 2,
+    },
+    {
+        "trees": ["x1", "x2"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "tree", "tree": 1},
+            {"op": "crossover", "parent1": 0, "parent2": 1, "tr": True},
+        ],
+        "root": 2,
+    },
+    {
+        "trees": ["x1"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "mutation", "parent": 0, "r1": 0, "r2": 0, "ms": "nan"},
+        ],
+        "root": 1,
+    },
+    {
+        "trees": ["x1"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "mutation", "parent": 0, "r1": 0, "r2": 0, "ms": math.nan},
+        ],
+        "root": 1,
+    },
+    {
+        "trees": ["x1", "x2"],
+        "records": [
+            {"op": "tree", "tree": 0},
+            {"op": "tree", "tree": 1},
+            {"op": "crossover", "parent1": 0, "parent2": 1, "tr": -math.inf},
+        ],
+        "root": 2,
+    },
 ]
 
 
@@ -632,7 +695,7 @@ class TestPersistence:
 
     def test_round_trip_after_small_run(self, table1_split):
         train, test = table1_split
-        res = evolve(GsgpConfig(population_size=10, generations=4, rng_seed=23), train, test)
+        res = evolve(GsgpConfig(population_size=10, generations=4), train, test, seed=23)
         payload = self.round_trip(res.best, train, test)
         assert set(payload) == {"trees", "records", "root"}
         assert all(isinstance(t, str) for t in payload["trees"])
@@ -641,7 +704,7 @@ class TestPersistence:
         import json
 
         train, test = table1_split
-        res = evolve(GsgpConfig(population_size=8, generations=3, rng_seed=29), train, test)
+        res = evolve(GsgpConfig(population_size=8, generations=3), train, test, seed=29)
         payload = archive_individual(res.best)
         restored = json.loads(json.dumps(payload))
         assert np.array_equal(replay_semantics(restored, train), res.best.semantics[:28])
@@ -658,15 +721,15 @@ class TestPersistence:
     @given(st.integers(0, 10**6), st.integers(4, 20), st.integers(0, 6))
     def test_replay_equals_stored_semantics(self, seed, pop_size, generations):
         train, test = split(builtin_table1(), SplitSpec(28))
-        cfg = GsgpConfig(population_size=pop_size, generations=generations, rng_seed=seed)
-        self.round_trip(evolve(cfg, train, test).best, train, test)
+        cfg = GsgpConfig(population_size=pop_size, generations=generations)
+        self.round_trip(evolve(cfg, train, test, seed=seed).best, train, test)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.integers(4, 20), st.integers(0, 6))
     def test_load_ancestry_inverts_archive(self, seed, pop_size, generations):
         train, test = split(builtin_table1(), SplitSpec(28))
-        cfg = GsgpConfig(population_size=pop_size, generations=generations, rng_seed=seed)
-        payload = json.loads(json.dumps(archive_individual(evolve(cfg, train, test).best)))
+        cfg = GsgpConfig(population_size=pop_size, generations=generations)
+        payload = json.loads(json.dumps(archive_individual(evolve(cfg, train, test, seed=seed).best)))
         loaded = Individual(np.empty(0), 0.0, load_ancestry(payload))
         assert archive_individual(loaded) == payload
 
@@ -706,17 +769,26 @@ def replay_keep_all(payload: dict, ds: Dataset) -> np.ndarray:
         root = payload["root"]
     except (KeyError, TypeError, ParseError) as exc:
         raise GsgpError(f"malformed model payload: {exc}") from None
-    if not isinstance(root, int) or not 0 <= root < len(records):
+    if isinstance(root, bool) or not isinstance(root, int) or not 0 <= root < len(records):
         raise GsgpError(f"model root {root!r} out of range")
+
+    def index(i):
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise TypeError(f"index {i!r} is not an integer")
+        return i
+
+    def weight(w):
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
+            raise ValueError(f"could not convert {w!r} to a finite weight")
+        return float(w)
 
     tree_sem = {}
 
     def sem_of_tree(i):
-        if not 0 <= i < len(trees):
+        if not 0 <= index(i) < len(trees):
             raise GsgpError(f"tree index {i!r} out of range")
-        tree = trees[i]  # before the cache, so a float index fails here too
         if i not in tree_sem:
-            tree_sem[i] = eval_matrix(tree, ds.features)
+            tree_sem[i] = eval_matrix(trees[i], ds.features)
         return tree_sem[i]
 
     out = []
@@ -726,21 +798,23 @@ def replay_keep_all(payload: dict, ds: Dataset) -> np.ndarray:
             if op == "tree":
                 sem = sem_of_tree(rec["tree"])
             elif op == "crossover":
-                p1, p2 = rec["parent1"], rec["parent2"]
+                p1, p2 = index(rec["parent1"]), index(rec["parent2"])
                 if not (0 <= p1 < pos and 0 <= p2 < pos):
                     raise GsgpError(f"record {pos} references a later record")
-                tr = float(rec["tr"])
+                tr = weight(rec["tr"])
                 sem = tr * out[p1] + (1.0 - tr) * out[p2]
             elif op == "mutation":
-                p = rec["parent"]
+                p = index(rec["parent"])
                 if not 0 <= p < pos:
                     raise GsgpError(f"record {pos} references a later record")
-                ms = float(rec["ms"])
+                ms = weight(rec["ms"])
                 delta = sigmoid(sem_of_tree(rec["r1"])) - sigmoid(sem_of_tree(rec["r2"]))
                 sem = out[p] + ms * delta
             else:
                 raise GsgpError(f"unknown record op {op!r}")
-        except (KeyError, TypeError, IndexError) as exc:
+        except GsgpError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise GsgpError(f"malformed model record {pos}: {exc}") from None
         out.append(sem)
     return out[root]
@@ -845,7 +919,7 @@ class TestReplayFreesVectors:
 
     def test_peak_memory_bounded_by_live_width(self, table1_split):
         train, test = table1_split
-        res = evolve(GsgpConfig(population_size=100, generations=20, rng_seed=1), train, test)
+        res = evolve(GsgpConfig(population_size=100, generations=20), train, test, seed=1)
         payload = archive_individual(res.best)
         rng = Random(5)
         lo, hi = train.features.min(axis=0), train.features.max(axis=0)
@@ -885,7 +959,7 @@ def uniform_rows(n: int, seed: int) -> Dataset:
 def seed1_payload(table1_split):
     """The archived best of pop 100 x 20 generations at seed 1."""
     train, test = table1_split
-    res = evolve(GsgpConfig(population_size=100, generations=20, rng_seed=1), train, test)
+    res = evolve(GsgpConfig(population_size=100, generations=20), train, test, seed=1)
     return archive_individual(res.best)
 
 
