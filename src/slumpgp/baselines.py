@@ -25,7 +25,14 @@ from random import Random
 import numpy as np
 
 from .dataset import Dataset, ScaleParams, scale_minmax
-from .expr import ExprTree, GenMethod, eval_node, ramped_half_and_half, random_tree
+from .expr import (
+    ExprTree,
+    GenMethod,
+    eval_node,
+    ramped_half_and_half,
+    random_tree,
+    randbelow,
+)
 from .gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
@@ -240,12 +247,12 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
 
     def crossover(p1: Individual, p2: Individual, rng: Random) -> Individual:
         t1, t2 = p1.ancestry.tree, p2.ancestry.tree
-        i1 = rng.randrange(t1.size)
-        i2 = rng.randrange(t2.size)
+        i1 = randbelow(rng, t1.size)
+        i2 = randbelow(rng, t2.size)
         return capped(_replace_at(t1, i1, _node_at(t2, i2)), p1)
 
     def mutation(p: Individual, rng: Random) -> Individual:
-        i = rng.randrange(p.ancestry.tree.size)
+        i = randbelow(rng, p.ancestry.tree.size)
         graft = random_tree(rng, GenMethod("grow", STGP_MUTATION_DEPTH))
         return capped(_replace_at(p.ancestry.tree, i, graft), p)
 

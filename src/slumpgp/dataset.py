@@ -223,9 +223,10 @@ def read_csv(path) -> tuple[bool, tuple[Sample, ...]]:
     header must be exactly the eight feature names, optionally followed by
     'slump'. Errors name the offending column or the data row, counted
     from 1 at the line after the header; text that is not UTF-8 is a
-    DatasetError.
+    DatasetError. A leading UTF-8 byte-order mark, which spreadsheet
+    programs write into "CSV UTF-8" files, is not part of the header.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             rows = (
                 (n, row)

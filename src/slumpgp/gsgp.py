@@ -242,12 +242,50 @@ def tournament_select(pop: list[Individual], k: int, rng: Random) -> int:
     """Sample k distinct indices and pick one of them.
 
     Return the entrant with the lowest `train_fitness` (L1 error), ties to
-    the lowest index.
+    the lowest index: the least (train_fitness, index) pair in tuple order.
+
+    Draw contract: the entrants are the same values as
+    `rng.sample(range(len(pop)), k)`, from the same draws, so the generator
+    ends in the same state; the oracle tests in tests/test_gsgp.py pin this.
+    The draws follow CPython's `sample`, taken straight from `getrandbits`:
+    a pool of all n indices when a k-set would take more memory than an
+    n-list, else up to k draws below n, each drawn again while it repeats
+    an earlier entrant.
     """
-    if not 1 <= k <= len(pop):
-        raise GsgpError(f"tournament size {k} invalid for population of {len(pop)}")
-    entrants = rng.sample(range(len(pop)), k)
-    return min(entrants, key=lambda i: (pop[i].train_fitness, i))
+    n = len(pop)
+    if not 1 <= k <= n:
+        raise GsgpError(f"tournament size {k} invalid for population of {n}")
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    entrants = []
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            entrants.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in entrants:
+                j = getrandbits(bits)
+            entrants.append(j)
+
+    best_i = entrants[0]
+    best_f = pop[best_i].train_fitness
+    for i in entrants:
+        f = pop[i].train_fitness
+        # Tuple order: the fitnesses count as equal when == or the same
+        # object, so a NaN ties only with itself, as in min(key=...).
+        if f < best_f or ((f == best_f or f is best_f) and i < best_i):
+            best_i, best_f = i, f
+    return best_i
 
 
 def _best_indices(pop: list[Individual], count: int) -> list[int]:

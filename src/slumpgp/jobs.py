@@ -15,11 +15,16 @@ a profiler's wrapper that counts and times the engine's calls. Those run in
 the calling process whatever the worker count. A forked worker would call a
 copy whose recorded calls and timings the caller never sees, and a spawned
 one could not be sent a closure at all.
+
+No worker outlives the process that runs the pool. On Linux each worker
+asks the kernel to kill it when that process ends, however it ends:
+SIGTERM and SIGKILL, which the pool never sees, included.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -36,6 +41,10 @@ from .gsgp import GsgpConfig, Semantics, evolve
 # keeps Python 3.14's switch of the Linux default to forkserver, whose server
 # process outlives the pool, from applying here.
 START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
+# prctl(2) option: send this process a signal when the thread that forked it
+# ends (linux/prctl.h). A fork pool forks its workers in the thread that first
+# submits to it, here the one running run_jobs, which outlives the pool.
+_PR_SET_PDEATHSIG = 1
 
 
 class WorkerError(RuntimeError):
@@ -74,6 +83,24 @@ def _run_in_worker(job: Job) -> Semantics:
     return run_job(job)
 
 
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: the kernel kills this worker when its parent ends.
+
+    A parent stopped by a signal never shuts its pool down, and its workers
+    would wait on the job queue forever. Linux only; elsewhere a worker
+    still outlives a parent that is killed.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent ended before the call above
+        os._exit(1)
+
+
 def run_jobs(jobs: list[Job], engines=ENGINES) -> list[Semantics]:
     """Run every job and return results in job order.
 
@@ -82,7 +109,8 @@ def run_jobs(jobs: list[Job], engines=ENGINES) -> list[Semantics]:
     engines is not ENGINES (see the module docstring). The first failure
     cancels the jobs not yet started, and the earliest failed job in job
     order raises its exception here, as it would in-process; a worker that
-    dies raises WorkerError.
+    dies raises WorkerError. A worker ends with this process, even when
+    a signal kills it (on Linux; see `_die_with_parent`).
     """
     workers = min(usable_cpus(), len(jobs))
     if workers <= 1 or engines != ENGINES:
@@ -93,7 +121,12 @@ def run_jobs(jobs: list[Job], engines=ENGINES) -> list[Semantics]:
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(START_METHOD))
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context(START_METHOD),
+        initializer=_die_with_parent,
+        initargs=(os.getpid(),),
+    )
     try:
         try:
             futures = [pool.submit(_run_in_worker, job) for job in jobs]

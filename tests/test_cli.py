@@ -1,11 +1,16 @@
 """Command-line harness: one-line errors on bad input, byte-identical reruns,
 how config files, flags and the environment resolve, and how inputs are read."""
 
+import codecs
 import hashlib
 import json
 import multiprocessing
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -289,6 +294,58 @@ class TestCompareWorkers:
         assert "worker process died" in err
         assert not out.exists()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["TERM", "KILL"])
+    def test_killed_compare_leaves_no_worker(self, tmp_path, sig):
+        # Long enough that both workers are still busy when the signal lands.
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(
+            "[gsgp]\npopulation_size = 200\ngenerations = 2000\n"
+            "[stgp]\npopulation_size = 200\ngenerations = 2000\n",
+            encoding="utf-8",
+        )
+        script = (
+            "import sys, slumpgp.jobs\n"
+            "slumpgp.jobs.usable_cpus = lambda: 2\n"
+            "from slumpgp.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["compare", "--runs", "2", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env)
+        workers = []
+        try:
+            children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline:
+                with open(children, encoding="ascii") as fh:
+                    workers = [int(pid) for pid in fh.read().split()]
+                time.sleep(0.05)
+            assert len(workers) == 2, f"compare started workers {workers}"
+            proc.send_signal(sig)
+            assert proc.wait(timeout=5) == -sig
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and any(map(process_runs, workers)):
+                time.sleep(0.05)
+            assert [pid for pid in workers if process_runs(pid)] == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in workers:
+                if process_runs(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def process_runs(pid):
+    """Whether pid names a process that is neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    # The state letter follows the parenthesised command name.
+    return stat[stat.rindex(")") + 2] != "Z"
+
 
 FEATURES = "cement,fly_ash,water,sand,stone,water_reducer,recycled_aggregate,total_mass"
 ROW = "300,60,180,700,1100,5,200,2345"
@@ -486,6 +543,33 @@ class TestPredictInputLayout:
         code, err = run_cli(argv, capsys)
         assert_one_line_error(code, err)
         assert "malformed model record 1" in err
+
+
+class TestByteOrderMark:
+    """A CSV that starts with a UTF-8 byte-order mark, as spreadsheet programs
+    save "CSV UTF-8", reads as the same CSV without it."""
+
+    @pytest.mark.parametrize("command", ["predict", "train --dataset"])
+    def test_same_bytes_with_and_without_bom(self, tmp_path, capsys, command):
+        table = tmp_path / "table1.csv"
+        save_csv(builtin_table1(), table)
+        plain = table.read_bytes()
+        out = tmp_path / "o"
+        if command == "predict":
+            write_x1_model(tmp_path / "model.json")
+            argv = ["predict", str(tmp_path / "model.json"), str(table), "--out", str(out)]
+        else:
+            cfg = tmp_path / "small.ini"
+            cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+            argv = ["train", "--config", str(cfg), "--dataset", str(table), "--out", str(out)]
+        outs = []
+        for prefix in (b"", codecs.BOM_UTF8):
+            table.write_bytes(prefix + plain)
+            assert run_cli(argv, capsys) == (0, "")
+            outs.append(artifacts(out))
+            shutil.rmtree(out)
+        assert outs[0] == outs[1]
+        assert outs[0]["predictions.csv"].count(b"\n") == (35 if command == "predict" else 7)
 
 
 GSGP_VALUES = {

@@ -1,6 +1,8 @@
 """Expression trees: construction, evaluation, generation, text format."""
 
+import dataclasses
 import math
+import re
 from random import Random
 
 import numpy as np
@@ -23,6 +25,7 @@ from slumpgp.expr import (
     parse_infix,
     ramped_half_and_half,
     random_tree,
+    randbelow,
     sigmoid,
     sigmoid_node,
     to_infix,
@@ -185,6 +188,86 @@ class TestTreeConstruction:
         a = binop("add", variable(1), variable(2))
         b = binop("add", variable(1), variable(2))
         assert a == b and hash(a) == hash(b)
+
+
+class TestExprTreeContract:
+    """Each invalid node is one ValueError with a fixed message, and a node
+    never changes after it is built."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ExprTree("add"), "add node needs 2 children"),
+            (lambda: ExprTree("div", children=(variable(1),)), "div node needs 2 children"),
+            (lambda: ExprTree("mul", children=(variable(1),) * 3), "mul node needs 2 children"),
+            (lambda: ExprTree("sigmoid"), "sigmoid node needs exactly 1 child"),
+            (
+                lambda: ExprTree("sigmoid", children=(variable(1), variable(2))),
+                "sigmoid node needs exactly 1 child",
+            ),
+            (
+                lambda: ExprTree("var", 1, children=(variable(2),)),
+                "variable leaves have no children",
+            ),
+            (
+                lambda: ExprTree("const", value=1.0, children=(variable(2),)),
+                "constant leaves have no children",
+            ),
+            (lambda: ExprTree("var", 0), "variable index must be in 1..8, got 0"),
+            (lambda: ExprTree("var", 9), "variable index must be in 1..8, got 9"),
+            (lambda: ExprTree("var", -1), "variable index must be in 1..8, got -1"),
+            (lambda: ExprTree("const", value=math.inf), "constant must be finite, got inf"),
+            (lambda: ExprTree("const", value=-math.inf), "constant must be finite, got -inf"),
+            (lambda: ExprTree("const", value=math.nan), "constant must be finite, got nan"),
+            (lambda: ExprTree("cosh", children=(variable(1),)), "unknown node kind 'cosh'"),
+        ],
+    )
+    def test_invalid_node_message(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("name", ["kind", "index", "value", "children", "size"])
+    def test_assignment_raises(self, name):
+        t = binop("add", variable(1), constant(2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, getattr(t, name))
+
+    def test_fields_as_built(self):
+        leaf = ExprTree("var", 3)
+        t = ExprTree("sub", children=(leaf, constant(0.5)))
+        assert (leaf.kind, leaf.index, leaf.value, leaf.children, leaf.size) == ("var", 3, 0.0, (), 1)
+        assert (t.kind, t.index, t.value, t.children, t.size) == (
+            "sub", 0, 0.0, (leaf, constant(0.5)), 3
+        )
+        assert sigmoid_node(t).size == 4
+        assert repr(leaf) == "ExprTree(kind='var', index=3, value=0.0, children=())"
+
+
+class TestRandbelow:
+    """Draw contract: randbelow(rng, n) is rng.randrange(n), draw for draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.just(1),
+            st.integers(0, 70).map(lambda e: 2**e),
+            st.integers(1, 2**70),
+            st.integers(1, 20),
+        ),
+        st.integers(0, 2**64),
+    )
+    def test_same_values_and_state_as_randrange(self, n, seed):
+        mine, oracle = Random(seed), Random(seed)
+        assert [randbelow(mine, n) for _ in range(30)] == [oracle.randrange(n) for _ in range(30)]
+        assert mine.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -8])
+    def test_empty_range_raises(self, n):
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            randbelow(rng, n)
+        assert rng.getstate() == state
 
 
 class TestEvalTree:

@@ -8,7 +8,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slumpgp.gsgp as gsgp_module
@@ -281,6 +281,38 @@ class TestTournament:
         for k in (0, 3):
             with pytest.raises(GsgpError):
                 tournament_select(pop, k, Random(0))
+
+
+    # A NaN that is one object ties with itself in tuple order; separate NaN
+    # objects never compare equal.
+    FITNESS = st.sampled_from([0.0, 1.0, 2.5, math.inf, math.nan]) | st.builds(
+        float, st.just("nan")
+    )
+
+    # n and k either side of each sample branch's limit: n <= 21 for k <= 5,
+    # n <= 21 + 256 for k = 40, and the default config's 500 x 4.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 600),
+        k=st.integers(2, 40),
+        levels=st.lists(FITNESS, min_size=1, max_size=4),
+        seed=st.integers(0, 2**64),
+    )
+    @example(n=21, k=4, levels=[0.0], seed=1)
+    @example(n=22, k=4, levels=[0.0], seed=1)
+    @example(n=277, k=40, levels=[1.0, 2.5], seed=2)
+    @example(n=278, k=40, levels=[1.0, 2.5], seed=2)
+    @example(n=500, k=4, levels=[math.nan, 0.0, math.inf], seed=3)
+    def test_draws_match_sample_oracle(self, n, k, levels, seed):
+        k = min(k, n)
+        # Few distinct values over many entrants, so tournaments hold ties.
+        fits = Random(seed).choices(levels, k=n)
+        pop = [Individual(semantics=None, train_fitness=f, ancestry=None) for f in fits]
+        mine, oracle = Random(seed), Random(seed)
+        for _ in range(10):
+            want = min(oracle.sample(range(n), k), key=lambda i: (fits[i], i))
+            assert tournament_select(pop, k, mine) == want
+        assert mine.getstate() == oracle.getstate()
 
 
 class TestConfig:
