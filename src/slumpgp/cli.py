@@ -265,14 +265,23 @@ def _load_model(path: str) -> dict:
     return doc["model"]
 
 
+def _read_input(path) -> tuple[bool, Dataset | None]:
+    """predict's input CSV: whether it is labeled, and its rows, or None if none.
+
+    `read_csv`'s arrays are views of its parse buffer and `Dataset` copies
+    them; they die here, so the replay does not hold the input twice.
+    """
+    labeled, features, targets = read_csv(path)
+    return labeled, (Dataset(features, targets) if len(features) else None)
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     payload = _load_model(args.model)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
 
-    labeled, samples = read_csv(args.input)
+    labeled, ds = _read_input(args.input)
     lines = [PREDICTIONS_HEADER if labeled else "sample_no,computation"]
-    if samples:
-        ds = Dataset(samples)
+    if ds is not None:
         predictions = replay_semantics(payload, ds)
         if labeled:
             pairs = PairedSeries(tuple(ds.targets), tuple(predictions))

@@ -1,9 +1,11 @@
 """Recycled-concrete slump data: loading, validation, splitting, scaling.
 
-Each sample is a mix proportioning (eight mass quantities, kg/m^3) plus an
-optional measured slump (mm). The built-in table is the 34-mix laboratory
-dataset used throughout the experiments; rows 1-28 conventionally train,
-rows 29-34 test.
+A dataset is n concrete mixes held as two arrays: `features`, eight mass
+quantities (kg/m^3) per row in FEATURE_NAMES order, and `targets`, the
+measured slump (mm) per row, or None when the mixes are unlabeled. Both
+are checked once when the dataset is built and are read-only from then
+on. The built-in table is the 34-mix laboratory dataset used throughout
+the experiments; rows 1-28 conventionally train, rows 29-34 test.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from array import array
 
 import numpy as np
 
@@ -33,9 +35,48 @@ class DatasetError(ValueError):
     """Malformed dataset file or invalid sample values."""
 
 
+def _check_row(values) -> None:
+    """Raise for the first value of one mix, slump last, that no mix may hold.
+
+    Features must be finite and >= 0, a slump finite and > 0. The one place
+    these rules and their messages live: `Sample` checks its fields here,
+    and `_check_values` the first bad row of an array.
+    """
+    for name, v in zip(CSV_HEADER, values):
+        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            raise DatasetError(f"{name} must be finite, got {v!r}")
+        if name == "slump":
+            if v <= 0:
+                raise DatasetError(f"slump must be > 0, got {v!r}")
+        elif v < 0:
+            raise DatasetError(f"{name} must be >= 0, got {v!r}")
+
+
+def _check_values(features: np.ndarray, targets: np.ndarray | None, row_nos=None) -> None:
+    """Raise `_check_row`'s message for the first row holding a bad value.
+
+    The whole arrays are checked at once; only a failing row is turned into
+    Python floats (numpy 2 would repr its own scalars as np.float64(...)).
+    With row_nos the message starts with "row {row_nos[i]}: ".
+    """
+    ok = ((features >= 0) & (features < math.inf)).all(axis=1)
+    if targets is not None:
+        ok &= (targets > 0) & (targets < math.inf)
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    row = features[i].tolist() + ([] if targets is None else [targets[i].item()])
+    try:
+        _check_row(row)
+    except DatasetError as exc:
+        if row_nos is None:
+            raise
+        raise DatasetError(f"row {row_nos[i]}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Sample:
-    """One concrete mix; feature order matches FEATURE_NAMES."""
+    """One checked concrete mix, for building a small dataset by hand."""
 
     cement: float
     fly_ash: float
@@ -48,16 +89,7 @@ class Sample:
     slump: float | None = None
 
     def __post_init__(self):
-        for name, v in zip(FEATURE_NAMES, self.features()):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DatasetError(f"{name} must be finite, got {v!r}")
-            if v < 0:
-                raise DatasetError(f"{name} must be >= 0, got {v!r}")
-        if self.slump is not None:
-            if not (isinstance(self.slump, (int, float)) and math.isfinite(self.slump)):
-                raise DatasetError(f"slump must be finite, got {self.slump!r}")
-            if self.slump <= 0:
-                raise DatasetError(f"slump must be > 0, got {self.slump!r}")
+        _check_row(self.features() if self.slump is None else (*self.features(), self.slump))
 
     def features(self) -> tuple[float, ...]:
         return (
@@ -72,21 +104,56 @@ class Sample:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of samples, all labeled or all unlabeled."""
+    """n >= 1 mixes: an n x 8 feature array and an n-vector of slumps or None.
 
-    samples: tuple[Sample, ...]
+    `Dataset(features, targets=None)` copies both into C-contiguous float64
+    arrays, checks every value with the rules of `_check_row`, and makes the
+    copies read-only, so a dataset shared across runs (`builtin_table1`)
+    cannot be changed in place. `Dataset(samples)` stacks a sequence of
+    `Sample`s, all labeled or all unlabeled, into the same arrays. Two
+    datasets are equal when their arrays are.
+    """
 
-    def __post_init__(self):
-        if not self.samples:
+    features: np.ndarray
+    targets: np.ndarray | None = None
+
+    def __init__(self, features, targets=None):
+        if targets is None and len(features) and isinstance(features[0], Sample):
+            features, targets = _stack(features)
+        features = np.array(features, dtype=np.float64, order="C")
+        if features.ndim != 2 or features.shape[1] != len(FEATURE_NAMES):
+            raise DatasetError(f"features must have shape (n, 8), got {features.shape}")
+        if not len(features):
             raise DatasetError("dataset must contain at least one sample")
-        labeled = [s.slump is not None for s in self.samples]
-        if any(labeled) and not all(labeled):
-            raise DatasetError("dataset mixes labeled and unlabeled samples")
+        if targets is not None:
+            targets = np.array(targets, dtype=np.float64)
+            if targets.shape != (len(features),):
+                raise DatasetError(
+                    f"targets must have shape ({len(features)},), got {targets.shape}"
+                )
+            targets.flags.writeable = False
+        _check_values(features, targets)
+        features.flags.writeable = False
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "targets", targets)
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so a copy sent to a worker is read-only too.
+        return Dataset, (self.features, self.targets)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        if (self.targets is None) != (other.targets is None):
+            return False
+        return np.array_equal(self.features, other.features) and (
+            self.targets is None or np.array_equal(self.targets, other.targets)
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.features)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -94,19 +161,16 @@ class Dataset:
 
     @property
     def has_targets(self) -> bool:
-        return self.samples[0].slump is not None
+        return self.targets is not None
 
-    @cached_property
-    def features(self) -> np.ndarray:
-        """Feature matrix of shape (n_samples, 8)."""
-        return np.array([s.features() for s in self.samples], dtype=float)
 
-    @cached_property
-    def targets(self) -> np.ndarray | None:
-        """Slump vector of shape (n_samples,), or None when unlabeled."""
-        if not self.has_targets:
-            return None
-        return np.array([s.slump for s in self.samples], dtype=float)
+def _stack(samples) -> tuple[list, list | None]:
+    """Feature rows and slumps of `Sample`s, which must all be labeled or none."""
+    labeled = [s.slump is not None for s in samples]
+    if any(labeled) and not all(labeled):
+        raise DatasetError("dataset mixes labeled and unlabeled samples")
+    rows = [s.features() for s in samples]
+    return rows, ([s.slump for s in samples] if labeled[0] else None)
 
 
 @dataclass(frozen=True)
@@ -184,7 +248,8 @@ def builtin_table1() -> Dataset:
     """The 34 laboratory mixes, all labeled, in measurement order."""
     global _BUILTIN
     if _BUILTIN is None:
-        _BUILTIN = Dataset(tuple(Sample(*map(float, row)) for row in _TABLE1))
+        table = np.array(_TABLE1, dtype=np.float64)
+        _BUILTIN = Dataset(table[:, :8], table[:, 8])
     return _BUILTIN
 
 
@@ -216,8 +281,12 @@ def validate_header(header) -> bool:
     return header == CSV_HEADER
 
 
-def read_csv(path) -> tuple[bool, tuple[Sample, ...]]:
-    """Read a dataset CSV: whether it is labeled, and its samples in row order.
+def read_csv(path) -> tuple[bool, np.ndarray, np.ndarray | None]:
+    """Read a dataset CSV: (labeled, features, targets), checked like a Dataset.
+
+    features is n x 8 and targets an n-vector, or None for a file without
+    the slump column; n may be 0. Every cell is parsed with `float`, so a
+    cell gives the same double as anywhere else in Python.
 
     Blank rows are skipped wherever they stand, before the header too. The
     header must be exactly the eight feature names, optionally followed by
@@ -225,57 +294,74 @@ def read_csv(path) -> tuple[bool, tuple[Sample, ...]]:
     from 1 at the line after the header; text that is not UTF-8 is a
     DatasetError. A leading UTF-8 byte-order mark, which spreadsheet
     programs write into "CSV UTF-8" files, is not part of the header.
+
+    The first bad row in file order raises, and within a row a wrong cell
+    count comes first, then a non-numeric cell in column order, then a bad
+    value in column order, slump last. Undecodable text raises only when
+    every row read before it is good.
     """
+    header = bad = undecodable = None
+    values, row_nos = array("d"), []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            rows = (
-                (n, row)
-                for n, row in enumerate(csv.reader(fh))
-                if row and not (len(row) == 1 and not row[0].strip())
-            )
-            header_no, header = next(rows, (None, None))
-            if header is None:
-                raise DatasetError("empty file: missing header row")
-            header = tuple(h.strip() for h in header)
-            labeled = validate_header(header)
-            samples = []
-            for n, row in rows:
-                row_no = n - header_no
-                if len(row) != len(header):
-                    raise DatasetError(
-                        f"row {row_no}: expected {len(header)} cells, got {len(row)}"
-                    )
-                values = [_parse_cell(c.strip(), header[i], row_no) for i, c in enumerate(row)]
+            for n, row in enumerate(csv.reader(fh)):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if header is None:
+                    header_no, header = n, tuple(h.strip() for h in row)
+                    labeled = validate_header(header)
+                    width = len(header)
+                    continue
+                # Reading stops at the first row with a wrong cell count or a
+                # cell that is not a number. Its error is raised only after
+                # the rows before it pass their value checks.
+                if len(row) != width:
+                    bad = n - header_no, row
+                    break
                 try:
-                    if labeled:
-                        samples.append(Sample(*values[:8], slump=values[8]))
-                    else:
-                        samples.append(Sample(*values))
-                except DatasetError as exc:
-                    raise DatasetError(f"row {row_no}: {exc}") from None
+                    values.extend(map(float, row))
+                except ValueError:
+                    bad = n - header_no, row
+                    break
+                row_nos.append(n - header_no)
         except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
-    return labeled, tuple(samples)
+            undecodable = DatasetError(f"{path} is not UTF-8 text: {exc}")
+    if header is None:
+        raise undecodable or DatasetError("empty file: missing header row")
+    del values[len(row_nos) * width :]  # a row that failed to parse may have added cells
+    table = np.frombuffer(values, dtype=np.float64).reshape(len(row_nos), width)
+    features = table[:, :8]
+    targets = table[:, 8] if labeled else None
+    _check_values(features, targets, row_nos)
+    if bad:
+        row_no, row = bad
+        if len(row) != width:
+            raise DatasetError(f"row {row_no}: expected {width} cells, got {len(row)}")
+        for column, cell in zip(header, row):
+            _parse_cell(cell.strip(), column, row_no)
+    if undecodable:
+        raise undecodable
+    return labeled, features, targets
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV with `read_csv`; a file without samples is an error."""
-    _, samples = read_csv(path)
-    if not samples:
+    _, features, targets = read_csv(path)
+    if not len(features):
         raise DatasetError("file contains a header but no data rows")
-    return Dataset(samples)
+    return Dataset(features, targets)
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset as CSV; load_csv(save_csv(ds)) reproduces ds exactly."""
+    rows = ds.features.tolist()
+    if ds.has_targets:
+        for row, slump in zip(rows, ds.targets.tolist()):
+            row.append(slump)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER if ds.has_targets else FEATURE_NAMES)
-        for s in ds.samples:
-            row = [repr(v) for v in s.features()]
-            if ds.has_targets:
-                row.append(repr(s.slump))
-            writer.writerow(row)
+        writer.writerows([repr(v) for v in row] for row in rows)
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -285,7 +371,11 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         raise DatasetError(
             f"n_train must be in [1, {len(ds) - 1}] for {len(ds)} samples, got {n}"
         )
-    return Dataset(ds.samples[:n]), Dataset(ds.samples[n:])
+    targets = ds.targets
+    return (
+        Dataset(ds.features[:n], None if targets is None else targets[:n]),
+        Dataset(ds.features[n:], None if targets is None else targets[n:]),
+    )
 
 
 def scale_minmax(train: Dataset) -> ScaleParams:

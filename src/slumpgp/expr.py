@@ -209,30 +209,36 @@ def random_tree(
     has; the oracle tests in tests/test_expr.py pin this.
     """
     full = gen.method == "full"
-
-    def leaf() -> ExprTree:
-        return ExprTree("var", randbelow(rng, N_VARS) + 1)
-
-    def branch(depth_left: int) -> ExprTree:
-        op = FUNCTIONS[randbelow(rng, len(FUNCTIONS))]
-        return ExprTree(op, children=(build(depth_left - 1), build(depth_left - 1)))
-
-    def build(depth_left: int) -> ExprTree:
-        if depth_left == 1:
-            return leaf()
-        if full:
-            return branch(depth_left)
-        pick = randbelow(rng, len(FUNCTIONS) + N_VARS)
-        if pick < len(FUNCTIONS):
-            kids = (build(depth_left - 1), build(depth_left - 1))
-            return ExprTree(FUNCTIONS[pick], children=kids)
-        return ExprTree("var", pick - len(FUNCTIONS) + 1)
-
     if gen.max_depth == 1:
-        return leaf()
+        return _leaf(rng)
     if full or force_root_function:
-        return branch(gen.max_depth)
-    return build(gen.max_depth)
+        return _branch(rng, gen.max_depth, full)
+    return _node(rng, gen.max_depth, full)
+
+
+# random_tree's recursion. Module-level functions that take rng and full as
+# arguments, not closures that call each other: those refer to one another
+# through their cells, which makes every call leave cyclic garbage behind.
+def _leaf(rng: Random) -> ExprTree:
+    return ExprTree("var", randbelow(rng, N_VARS) + 1)
+
+
+def _branch(rng: Random, depth_left: int, full: bool) -> ExprTree:
+    op = FUNCTIONS[randbelow(rng, len(FUNCTIONS))]
+    kids = (_node(rng, depth_left - 1, full), _node(rng, depth_left - 1, full))
+    return ExprTree(op, children=kids)
+
+
+def _node(rng: Random, depth_left: int, full: bool) -> ExprTree:
+    if depth_left == 1:
+        return _leaf(rng)
+    if full:
+        return _branch(rng, depth_left, full)
+    pick = randbelow(rng, len(FUNCTIONS) + N_VARS)
+    if pick < len(FUNCTIONS):
+        kids = (_node(rng, depth_left - 1, full), _node(rng, depth_left - 1, full))
+        return ExprTree(FUNCTIONS[pick], children=kids)
+    return ExprTree("var", pick - len(FUNCTIONS) + 1)
 
 
 def ramped_half_and_half(

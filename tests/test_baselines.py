@@ -208,7 +208,7 @@ class TestStgpMemory:
 class TestOlsFit:
     @pytest.mark.parametrize("n", [10, 20, 28, 34])
     def test_matches_lstsq_on_augmented_system(self, table1, n):
-        train = Dataset(table1.samples[:n])
+        train = Dataset(table1.features[:n], table1.targets[:n])
         m = ols_fit(train)
         got = np.array([m.intercept, *m.coefficients])
         design = np.column_stack([np.ones(n), train.features])

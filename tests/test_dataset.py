@@ -1,10 +1,15 @@
 """Dataset loading, validation, splitting, and scaling."""
 
+import csv
 import math
+import pickle
 from dataclasses import replace
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slumpgp.dataset import (
     CSV_HEADER,
@@ -18,8 +23,10 @@ from slumpgp.dataset import (
     save_csv,
     scale_minmax,
     split,
+    read_csv,
     validate_header,
 )
+from test_expr import same_bits
 
 # Column totals over all 34 built-in rows, computed once by an independent
 # spreadsheet pass over the printed table and frozen here.
@@ -90,19 +97,71 @@ class TestDataset:
         assert ds.targets is None
 
 
+    def test_arrays_are_read_only(self, table1):
+        train, _ = split(table1, SplitSpec(28))
+        for ds in (table1, train, Dataset((make_sample(),)), pickle.loads(pickle.dumps(table1))):
+            for arr in (ds.features, ds.targets):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+        assert table1.features[0, 0] == 450.0
+
+    def test_built_from_a_copy(self):
+        features = np.full((2, 8), 5.0)
+        ds = Dataset(features)
+        features[0, 0] = 6.0
+        assert ds.features[0, 0] == 5.0
+        assert features.flags.writeable
+        assert ds.features.flags.c_contiguous
+
+    def test_samples_stack_into_the_same_arrays(self, table1):
+        rows = [Sample(*f, slump=t) for f, t in zip(table1.features.tolist(), table1.targets.tolist())]
+        assert Dataset(tuple(rows)) == table1
+
+    def test_equality_is_exact(self, table1):
+        nudged = table1.features.copy()
+        nudged[5, 3] = np.nextafter(nudged[5, 3], np.inf)
+        assert Dataset(table1.features, table1.targets) == table1
+        assert Dataset(nudged, table1.targets) != table1
+        assert Dataset(table1.features) != table1
+        assert Dataset(table1.features[:33], table1.targets[:33]) != table1
+
+    @pytest.mark.parametrize(
+        "features, targets",
+        [(np.ones(8), None), (np.ones((2, 9)), None), (np.ones((2, 8)), np.ones(3))],
+    )
+    def test_wrong_shapes_rejected(self, features, targets):
+        with pytest.raises(DatasetError, match="shape"):
+            Dataset(features, targets)
+
+    @pytest.mark.parametrize(
+        "cell, value, message",
+        [
+            ((1, 2), -1.0, "water must be >= 0, got -1.0"),
+            ((1, 0), math.inf, "cement must be finite, got inf"),
+            ((1, 8), 0.0, "slump must be > 0, got 0.0"),
+            ((1, 8), math.nan, "slump must be finite, got nan"),
+        ],
+    )
+    def test_first_bad_cell_names_the_error(self, cell, value, message):
+        table = np.full((3, 9), 5.0)
+        table[cell] = value
+        table[2] = -7.0  # a later row never wins
+        with pytest.raises(DatasetError) as info:
+            Dataset(table[:, :8], table[:, 8])
+        assert str(info.value) == message
+
+
 class TestBuiltinTable:
     def test_size(self, table1):
         assert len(table1) == 34
 
     def test_first_row(self, table1):
-        s = table1.samples[0]
-        assert s.features() == (450, 0, 180, 752, 1038, 9.9, 0, 2420)
-        assert s.slump == 156
+        assert table1.features[0].tolist() == [450, 0, 180, 752, 1038, 9.9, 0, 2420]
+        assert table1.targets[0] == 156
 
     def test_last_row(self, table1):
-        s = table1.samples[-1]
-        assert s.features() == (254, 82, 190, 787, 1086, 5.71, 0, 2380)
-        assert s.slump == 123
+        assert table1.features[-1].tolist() == [254, 82, 190, 787, 1086, 5.71, 0, 2380]
+        assert table1.targets[-1] == 123
 
     def test_column_sums(self, table1):
         for i, name in enumerate(FEATURE_NAMES):
@@ -119,17 +178,26 @@ class TestSplit:
     def test_28_6(self, table1):
         train, test = split(table1, SplitSpec(28))
         assert len(train) == 28 and len(test) == 6
-        assert train.samples == table1.samples[:28]
-        assert test.samples == table1.samples[28:]
+        assert same_bits(train.features, table1.features[:28])
+        assert same_bits(train.targets, table1.targets[:28])
+        assert same_bits(test.features, table1.features[28:])
+        assert same_bits(test.targets, table1.targets[28:])
 
     def test_order_preserved_concat(self, table1):
         for n in (1, 10, 33):
             train, test = split(table1, SplitSpec(n))
-            assert train.samples + test.samples == table1.samples
+            assert same_bits(np.vstack([train.features, test.features]), table1.features)
+            assert same_bits(np.concatenate([train.targets, test.targets]), table1.targets)
 
     def test_boundary_single_test_row(self, table1):
         _, test = split(table1, SplitSpec(33))
-        assert test.samples == (table1.samples[33],)
+        assert same_bits(test.features, table1.features[33:])
+        assert same_bits(test.targets, table1.targets[33:])
+
+    def test_unlabeled_split_stays_unlabeled(self, table1):
+        train, test = split(Dataset(table1.features), SplitSpec(30))
+        assert train.targets is None and test.targets is None
+        assert same_bits(test.features, table1.features[30:])
 
     def test_out_of_range_rejected(self, table1):
         for n in (0, 34, 35, -1):
@@ -160,7 +228,9 @@ class TestCsv:
             )
             p = tmp_path / f"fuzz{case}.csv"
             save_csv(Dataset(samples), p)
-            assert load_csv(p).samples == samples
+            back = load_csv(p)
+            assert same_bits(back.features, np.array([s.features() for s in samples]))
+            assert same_bits(back.targets, np.array([s.slump for s in samples]))
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "short.csv"
@@ -221,6 +291,59 @@ class TestCsv:
         with pytest.raises(DatasetError, match="^row 3: column 'cement'"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                ["450,0,180,752,1038,9.9,0,2420,156",
+                 "450,0,-1,752,1038,9.9,0,2420,156",
+                 "450,0,180,wet,1038,9.9,0,2420,156"],
+                "row 2: water must be >= 0, got -1.0",
+            ),
+            (
+                ["450,0,180,752,1038,9.9,0,2420,156",
+                 "450,0,180,wet,1038,9.9,0,2420,156",
+                 "450,0"],
+                "row 2: column 'sand' has non-numeric value 'wet'",
+            ),
+            (["inf,0,180,752,1038,9.9,0,2420,0"], "row 1: cement must be finite, got inf"),
+            (
+                ["450,0", "450,0,-1,752,1038,9.9,0,2420,156"],
+                "row 1: expected 9 cells, got 2",
+            ),
+            (
+                ["450,0,180,752,wet,9.9,0,2420,156", "450,0,-1,752,1038,9.9,0,2420,156"],
+                "row 1: column 'stone' has non-numeric value 'wet'",
+            ),
+        ],
+        ids=[
+            "value-before-later-parse",
+            "parse-before-later-count",
+            "finite-before-slump",
+            "count-before-later-value",
+            "parse-before-later-value",
+        ],
+    )
+    def test_first_failing_row_wins(self, tmp_path, rows, message):
+        p = tmp_path / "order.csv"
+        p.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_csv(p)
+        assert str(info.value) == message
+
+    def test_bad_row_before_undecodable_text_wins(self, tmp_path):
+        # Text is decoded in chunks of a few kB, so the bad bytes come to
+        # light only after the first rows were read.
+        good = "450,0,180,752,1038,9.9,0,2420,156"
+        text = "\n".join([",".join(CSV_HEADER), good.replace("180", "-2"), *[good] * 2000])
+        p = tmp_path / "late.csv"
+        p.write_bytes(text.encode() + b"\n3\xff0,60\n")
+        with pytest.raises(DatasetError, match="^row 1: water must be >= 0, got -2.0$"):
+            load_csv(p)
+        p.write_bytes(text.replace("-2", "180").encode() + b"\n3\xff0,60\n")
+        with pytest.raises(DatasetError, match="is not UTF-8 text"):
+            load_csv(p)
+
     def test_header_without_rows_rejected(self, tmp_path):
         p = tmp_path / "bare.csv"
         p.write_text("\n" + ",".join(FEATURE_NAMES) + "\n\n")
@@ -264,3 +387,105 @@ class TestScaleMinmax:
         params = scale_minmax(train)
         water = params.transform(other.features)[:, FEATURE_NAMES.index("water")]
         assert water.tolist() == [0.5, 1.5]  # outside train range may leave [0,1]
+
+
+def oracle_read_csv(path):
+    """`read_csv` as it was written before it parsed into arrays: each row
+    parsed and checked as one mix, in file order. The reference for
+    TestReadCsvOracle."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            rows = (
+                (n, row)
+                for n, row in enumerate(csv.reader(fh))
+                if row and not (len(row) == 1 and not row[0].strip())
+            )
+            header_no, header = next(rows, (None, None))
+            if header is None:
+                raise DatasetError("empty file: missing header row")
+            header = tuple(h.strip() for h in header)
+            labeled = validate_header(header)
+            table = []
+            for n, row in rows:
+                row_no = n - header_no
+                if len(row) != len(header):
+                    raise DatasetError(
+                        f"row {row_no}: expected {len(header)} cells, got {len(row)}"
+                    )
+                values = []
+                for column, cell in zip(header, row):
+                    try:
+                        values.append(float(cell.strip()))
+                    except ValueError:
+                        raise DatasetError(
+                            f"row {row_no}: column '{column}' has non-numeric value "
+                            f"{cell.strip()!r}"
+                        ) from None
+                for name, v in zip(header, values):
+                    if not math.isfinite(v):
+                        raise DatasetError(f"row {row_no}: {name} must be finite, got {v!r}")
+                    if name == "slump" and v <= 0:
+                        raise DatasetError(f"row {row_no}: slump must be > 0, got {v!r}")
+                    if v < 0:
+                        raise DatasetError(f"row {row_no}: {name} must be >= 0, got {v!r}")
+                table.append(values)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
+    table = np.array(table, dtype=np.float64).reshape(len(table), len(header))
+    return labeled, table[:, :8], (table[:, 8] if labeled else None)
+
+
+SPELLINGS = (repr, "{:.3f}".format, lambda v: str(int(v)), "{:e}".format, " {!r}  ".format)
+FAULTS = ("wet", "", "-1", "-0.5", "nan", "inf", "-inf", "0", "short")
+
+
+@st.composite
+def csv_tables(draw):
+    """CSV text of a random table, with at most two faults and any layout."""
+    labeled = draw(st.booleans())
+    width = 9 if labeled else 8
+    n = draw(st.integers(0, 6))
+    rows = [
+        [
+            draw(st.sampled_from(SPELLINGS))(
+                draw(st.floats(0.5 if col == 8 else 0.0, 3000.0, allow_subnormal=False))
+            )
+            for col in range(width)
+        ]
+        for _ in range(n)
+    ]
+    if n:
+        for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+            row = rows[draw(st.integers(0, n - 1))]
+            if fault == "short":
+                del row[draw(st.integers(0, width - 1)) :]
+            elif row:
+                row[draw(st.integers(0, len(row) - 1))] = fault
+    lines = [",".join(CSV_HEADER[:width]), *(",".join(r) for r in rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(lines) + end
+
+
+class TestReadCsvOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_tables())
+    def test_same_arrays_or_same_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "oracle.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        try:
+            want = oracle_read_csv(p)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as info:
+                read_csv(p)
+            assert str(info.value) == str(exc)
+            return
+        labeled, features, targets = read_csv(p)
+        assert labeled == want[0]
+        assert same_bits(features, want[1])
+        if labeled:
+            assert same_bits(targets, want[2])
+        else:
+            assert targets is None

@@ -1,6 +1,7 @@
 """Expression trees: construction, evaluation, generation, text format."""
 
 import dataclasses
+import gc
 import math
 import re
 from random import Random
@@ -395,6 +396,18 @@ class TestRandomTree:
     def test_determinism(self):
         for gen in (GenMethod("full", 4), GenMethod("grow", 5)):
             assert random_tree(Random(42), gen) == random_tree(Random(42), gen)
+
+    def test_leaves_no_cyclic_garbage(self):
+        rng = Random(13)
+        gens = [GenMethod(m, d) for m in ("full", "grow") for d in (1, 3, 5)]
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(1000):
+                random_tree(rng, gens[i % len(gens)], force_root_function=i % 2 == 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_uniform_symbol_draws(self):
         rng = Random(21)

@@ -443,12 +443,7 @@ class TestEvolve:
 
     def test_unlabeled_test_set_gives_nan_test_stats(self, table1_split):
         train, _ = table1_split
-        plain = Dataset(
-            tuple(
-                Sample(*s.features(), slump=None)
-                for s in builtin_table1().samples[28:]
-            )
-        )
+        plain = Dataset(builtin_table1().features[28:])
         res = evolve(GsgpConfig(population_size=8, generations=2), train, plain, seed=1)
         assert math.isnan(res.history[-1].test_fitness)
         assert res.predictions.shape == (6,)
@@ -961,7 +956,6 @@ class TestReplayFreesVectors:
                 for _ in range(5000)
             )
         )
-        wide.features  # built before tracing: the replay's input, not its memory
         tracemalloc.start()
         try:
             replay_semantics(payload, wide)
@@ -983,7 +977,6 @@ def uniform_rows(n: int, seed: int) -> Dataset:
             for _ in range(n)
         )
     )
-    ds.features  # built here: the replay's input, not its memory
     return ds
 
 
