@@ -6,9 +6,10 @@ Configuration comes from an INI-style file plus command-line overrides
 (flags win over the file, the file over the SLUMPGP_OUT environment variable
 for the output directory). A GP run's seed is an argument of its engine:
 the master seed for `train`, master seed + i for run i of `compare`.
-`compare` runs its GP runs as one job list (see `jobs`) on one worker process
-per usable CPU, a count that appears in no artifact. Numbers in CSV files
-carry 6 significant digits; JSON reports keep full precision.
+`compare` and `ols-baseline` fit every method as one job list (see `jobs`),
+on one worker process per usable CPU, a count that appears in no artifact.
+Numbers in CSV files carry 6 significant digits; JSON reports keep full
+precision.
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ from .baselines import (
     LSSVM_GAMMA,
     LSSVM_SIGMA_SQ,
     StgpConfig,
-    lssvm_fit,
     lssvm_grid_search,
-    lssvm_predict,
-    ols_fit,
-    ols_predict,
     stgp_run,
 )
 from .dataset import (
@@ -52,7 +49,7 @@ from .gsgp import (
     load_ancestry,
     replay_semantics,
 )
-from .jobs import Job, WorkerError, run_jobs
+from .jobs import ENGINES, Job, WorkerError, run_jobs
 from .stats import (
     PairedSeries,
     StatsError,
@@ -206,7 +203,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _safe_rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
     """RMSE that degrades to +inf when predictions blew up numerically."""
-    predicted = np.asarray(predicted, dtype=float)
     if not np.isfinite(predicted).all():
         return math.inf
     return rmse(PairedSeries(tuple(actual), tuple(predicted)))
@@ -218,7 +214,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     result = evolve(cfg.gsgp, train, test, cfg.master_seed)
 
     # Every statistic that can fail is taken before the first file is written.
-    pairs = PairedSeries(tuple(test.targets), tuple(result.predictions))
+    pairs = PairedSeries(tuple(test.targets), tuple(result.best.semantics[len(train) :]))
     rels = relative_errors(pairs)
     metrics = {
         "schema_version": SCHEMA_VERSION,
@@ -298,37 +294,29 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     train, test = _load_split(cfg)
-    if not train.has_targets:
-        raise CliError("comparison requires labeled data")
     seeds = [cfg.master_seed + i for i in range(cfg.runs)]
 
-    # LS-SVM goes first, so a bad setting fails before any GP run starts.
     if cfg.lssvm_grid_search:
         gamma, sigma_sq, _ = lssvm_grid_search(train)
     else:
         gamma, sigma_sq = cfg.lssvm_gamma, cfg.lssvm_sigma_sq
-    svm = lssvm_fit(train, gamma, sigma_sq)
-    svm_test_rmse = _safe_rmse(
-        test.targets, np.array([lssvm_predict(svm, row) for row in test.features])
-    )
-    svm_train_rmse = _safe_rmse(
-        train.targets, np.array([lssvm_predict(svm, row) for row in train.features])
-    )
-
-    jobs = [
+    # LS-SVM goes first: a failed fit, on unlabeled rows too, stops the GP runs
+    # not yet started. It does not depend on the seed: one job, replicated.
+    jobs = [Job("lssvm", (gamma, sigma_sq), cfg.master_seed, train, test)] + [
         Job(method, engine_cfg, seed, train, test)
         for seed in seeds
         for method, engine_cfg in (("gsgp", cfg.gsgp), ("stgp", cfg.stgp))
     ]
     # The engines are looked up here, so a wrapper put on this module's
     # `evolve` or `stgp_run` sees every run (and keeps the runs in-process).
-    engines = {"gsgp": evolve, "stgp": stgp_run}
-    results = run_jobs(jobs, engines)
-    test_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_test_rmse] * cfg.runs}
-    train_rmse = {"gsgp": [], "stgp": [], "lssvm": [svm_train_rmse] * cfg.runs}
-    for job, sem in zip(jobs, results):
+    engines = {**ENGINES, "gsgp": evolve, "stgp": stgp_run}
+    test_rmse = {"gsgp": [], "stgp": [], "lssvm": []}
+    train_rmse = {"gsgp": [], "stgp": [], "lssvm": []}
+    for job, sem in zip(jobs, run_jobs(jobs, engines)):
         test_rmse[job.method].append(_safe_rmse(test.targets, sem[len(train) :]))
         train_rmse[job.method].append(_safe_rmse(train.targets, sem[: len(train)]))
+    test_rmse["lssvm"] *= cfg.runs
+    train_rmse["lssvm"] *= cfg.runs
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     table = ["run,seed,gsgp,stgp,lssvm"]
@@ -367,17 +355,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_ols_baseline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     train, test = _load_split(cfg)
-    result = evolve(cfg.gsgp, train, test, cfg.master_seed)
-    model = ols_fit(train)
-    ols_preds = [ols_predict(model, row) for row in test.features]
+    jobs = [
+        Job("ols", (), cfg.master_seed, train, test),
+        Job("gsgp", cfg.gsgp, cfg.master_seed, train, test),
+    ]
+    engines = {**ENGINES, "gsgp": evolve, "stgp": stgp_run}  # as in _cmd_compare
+    ols_preds, gsgp_preds = (sem[len(train) :] for sem in run_jobs(jobs, engines))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    lines = ["sample_no,experiment,gsgp,ols"]
-    for i in range(len(test)):
-        lines.append(
-            f"{cfg.train_size + i + 1},{_fmt(test.targets[i])},"
-            f"{_fmt(result.predictions[i])},{_fmt(ols_preds[i])}"
-        )
+    lines = ["sample_no,experiment,gsgp,ols"] + [
+        f"{cfg.train_size + i + 1},{_fmt(actual)},{_fmt(gsgp)},{_fmt(ols)}"
+        for i, (actual, gsgp, ols) in enumerate(zip(test.targets, gsgp_preds, ols_preds))
+    ]
     _write_lines(os.path.join(cfg.out_dir, "baseline_predictions.csv"), lines)
     return 0
 

@@ -161,7 +161,6 @@ class GenerationStats:
 class RunResult:
     history: tuple[GenerationStats, ...]
     best: Individual
-    predictions: Semantics
 
 
 def fitness(s: Semantics, targets: np.ndarray) -> float:
@@ -351,11 +350,7 @@ def run_generations(
             best_ever = gen_best
         history.append(generation_stats(gen_best))
 
-    return RunResult(
-        history=tuple(history),
-        best=best_ever,
-        predictions=best_ever.semantics[-len(test) :],
-    )
+    return RunResult(history=tuple(history), best=best_ever)
 
 
 def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:

@@ -1,14 +1,14 @@
 """One job list for multi-run commands, run in-process or on worker processes.
 
-A `Job` is one GP run: a method, its engine config, its seed and the train
-and test sets it runs on. `run_job` is a pure function of the job, and
+A `Job` is one fitted method: the method, its config, its seed and the train
+and test sets it is fitted on. `run_job` is a pure function of the job, and
 `run_jobs` returns results in job order, so whatever is built from them is
 the same for any worker count. `run_jobs` runs one worker per usable CPU, at
 most one per job; the worker count describes the machine, not the jobs.
 
-A job's result is only the best individual's semantics, never the
-`Individual`: its ancestry is a DAG thousands of records deep after a long
-GSGP run, and pickling it back from a worker would be large and recursive.
+A job's result is only its model's outputs on the train, then test rows, never
+a GP run's `Individual`: its ancestry is a DAG thousands of records deep after
+a long GSGP run, and pickling it back from a worker would be large and recursive.
 
 A caller may hand `run_jobs` engines other than `ENGINES`: a test double, or
 a profiler's wrapper that counts and times the engine's calls. Those run in
@@ -27,11 +27,12 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Union
 
-from .baselines import StgpConfig, stgp_run
+import numpy as np
+
+from .baselines import StgpConfig, lssvm_fit, lssvm_predict, ols_fit, ols_predict, stgp_run
 from .dataset import Dataset
-from .gsgp import GsgpConfig, Semantics, evolve
+from .gsgp import GsgpConfig, RunResult, Semantics, evolve
 
 # Workers are forked on Linux. A forked worker starts in a few milliseconds
 # with slumpgp already imported; a spawned one re-imports numpy and slumpgp,
@@ -53,20 +54,34 @@ class WorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class Job:
-    method: str  # "gsgp" or "stgp"
-    config: Union[GsgpConfig, StgpConfig]
-    seed: int
+    method: str  # a key of ENGINES
+    config: GsgpConfig | StgpConfig | tuple[float, ...]  # "ols": (); "lssvm": (gamma, sigma_sq)
+    seed: int  # OLS and LS-SVM ignore it
     train: Dataset
     test: Dataset
 
 
-# Each method's engine: (config, train, test, seed) -> a result with `.best.semantics`.
-ENGINES = {"gsgp": evolve, "stgp": stgp_run}
+def _outputs(predict, model, train: Dataset, test: Dataset) -> Semantics:
+    # One row at a time: a matrix product over all rows differs in the last bits.
+    return np.array([predict(model, x) for x in np.vstack([train.features, test.features])])
+
+
+def _ols(config: tuple, train: Dataset, test: Dataset, seed: int) -> Semantics:
+    return _outputs(ols_predict, ols_fit(train), train, test)
+
+
+def _lssvm(config: tuple[float, float], train: Dataset, test: Dataset, seed: int) -> Semantics:
+    return _outputs(lssvm_predict, lssvm_fit(train, *config), train, test)
+
+
+# Each method's engine: (config, train, test, seed) -> a `RunResult` or its outputs.
+ENGINES = {"gsgp": evolve, "stgp": stgp_run, "ols": _ols, "lssvm": _lssvm}
 
 
 def run_job(job: Job, engines=ENGINES) -> Semantics:
-    """Run job; the best individual's outputs on its train, then test rows."""
-    return engines[job.method](job.config, job.train, job.test, job.seed).best.semantics
+    """Run job; its model's outputs on its train, then test rows."""
+    result = engines[job.method](job.config, job.train, job.test, job.seed)
+    return result.best.semantics if isinstance(result, RunResult) else result
 
 
 def usable_cpus() -> int:

@@ -20,9 +20,10 @@ import slumpgp.cli as cli_module
 import slumpgp.jobs as jobs_module
 from slumpgp.baselines import BaselineError, ols_fit, ols_predict
 from slumpgp.cli import main
-from slumpgp.dataset import SplitSpec, builtin_table1, save_csv, split
+from slumpgp.dataset import Dataset, SplitSpec, builtin_table1, save_csv, split
 from slumpgp.expr import MAX_PARSE_DEPTH
 from slumpgp.gsgp import GsgpError
+from test_jobs import record_pools
 
 SMALL_CONFIG = """\
 [gsgp]
@@ -91,6 +92,18 @@ class TestBadInput:
         argv = ["train", "--dataset", str(bad), "--out", str(tmp_path / "o")]
         assert_one_line_error(*run_cli(argv, capsys))
 
+    @pytest.mark.parametrize("command", ["train", "compare", "ols-baseline"])
+    def test_unlabeled_dataset_fails_before_writing(self, tmp_path, capsys, command):
+        # Each command's first fit rejects training rows without slump.
+        save_csv(Dataset(builtin_table1().features), tmp_path / "data.csv")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SMALL_CONFIG + "[experiment]\nruns = 2\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--dataset", str(tmp_path / "data.csv")]
+        code, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_error(code, err)
+        assert "training dataset must carry slump targets" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["ols", "lssvm", "stgp"])
     def test_unwritten_model_kinds_rejected(self, tmp_path, capsys, kind):
         write_model(tmp_path / "model.json", kind)
@@ -120,9 +133,10 @@ class TestFailedTrainWritesNothing:
     def test_constant_test_prediction(self, tmp_path, capsys, monkeypatch):
         real_evolve = cli_module.evolve
 
-        def constant_evolve(*args):
-            res = real_evolve(*args)
-            return replace(res, predictions=np.full_like(res.predictions, 7.0))
+        def constant_evolve(cfg, train, test, seed):
+            res = real_evolve(cfg, train, test, seed)
+            sem = np.concatenate([res.best.semantics[: len(train)], np.full(len(test), 7.0)])
+            return replace(res, best=replace(res.best, semantics=sem))
 
         monkeypatch.setattr(cli_module, "evolve", constant_evolve)
         cfg = tmp_path / "exp.ini"
@@ -271,15 +285,36 @@ class TestCompareWorkers:
         assert "gamma" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["compare", "ols-baseline"])
+    def test_every_method_fits_on_two_workers(self, tmp_path, capsys, monkeypatch, command):
+        # The engines cli passes must equal jobs.ENGINES, or the jobs run
+        # in-process whatever the CPU count.
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(jobs_module, "usable_cpus", lambda: 2)
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        code, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+        assert (code, err) == (0, "")
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(jobs_module.START_METHOD != "fork", reason="workers are not forked")
-    @pytest.mark.parametrize("method, error", [("gsgp", GsgpError), ("stgp", BaselineError)])
+    @pytest.mark.parametrize(
+        "method, seed, error",
+        [
+            pytest.param("gsgp", 43, GsgpError, id="gsgp-GsgpError"),
+            pytest.param("stgp", 43, BaselineError, id="stgp-BaselineError"),
+            # The one LS-SVM job runs at the master seed, ahead of every GP run.
+            pytest.param("lssvm", 42, BaselineError, id="lssvm-BaselineError"),
+        ],
+    )
     def test_engine_error_in_worker_reads_as_in_process(
-        self, tmp_path, capsys, monkeypatch, method, error
+        self, tmp_path, capsys, monkeypatch, method, seed, error
     ):
         run_job = jobs_module.run_job
 
         def run_or_fail(job, engines=jobs_module.ENGINES):
-            if (job.method, job.seed) == (method, 43):
+            if (job.method, job.seed) == (method, seed):
                 raise error(f"{method} run {job.seed} failed")
             return run_job(job, engines)
 
@@ -291,7 +326,7 @@ class TestCompareWorkers:
             assert_one_line_error(code, err)
             assert not out.exists()
             errs.append(err)
-        assert errs == [f"error: {method} run 43 failed\n"] * 2
+        assert errs == [f"error: {method} run {seed} failed\n"] * 2
 
     @pytest.mark.skipif(jobs_module.START_METHOD != "fork", reason="workers are not forked")
     def test_dead_worker_is_one_line(self, tmp_path, capsys, monkeypatch):

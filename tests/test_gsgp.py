@@ -401,14 +401,14 @@ class TestEvolve:
         res = evolve(GsgpConfig(population_size=10, generations=0), train, test, seed=3)
         assert len(res.history) == 1
         assert res.history[0].train_fitness == res.best.train_fitness
-        assert np.array_equal(res.predictions, res.best.semantics[28:])
+        assert res.history[0].test_fitness == fitness(res.best.semantics[len(train) :], test.targets)
 
     def test_same_seed_identical_results(self, table1_split):
         train, test = table1_split
         r1 = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         r2 = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         assert r1.history == r2.history
-        assert np.array_equal(r1.predictions, r2.predictions)
+        assert np.array_equal(r1.best.semantics[len(train) :], r2.best.semantics[len(train) :])
 
     def test_best_train_fitness_non_increasing(self, table1_split):
         train, test = table1_split
@@ -446,7 +446,7 @@ class TestEvolve:
         plain = Dataset(builtin_table1().features[28:])
         res = evolve(GsgpConfig(population_size=8, generations=2), train, plain, seed=1)
         assert math.isnan(res.history[-1].test_fitness)
-        assert res.predictions.shape == (6,)
+        assert res.best.semantics[len(train) :].shape == (6,)
 
 
 class TestEstimateSize:

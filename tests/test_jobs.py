@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import slumpgp.jobs as jobs_module
-from slumpgp.baselines import StgpConfig
+from slumpgp.baselines import (
+    LSSVM_GAMMA,
+    LSSVM_SIGMA_SQ,
+    StgpConfig,
+    lssvm_fit,
+    lssvm_predict,
+    ols_fit,
+    ols_predict,
+)
 from slumpgp.dataset import SplitSpec, builtin_table1, split
 from slumpgp.gsgp import GsgpConfig, GsgpError
 from slumpgp.jobs import ENGINES, Job, WorkerError, run_job, run_jobs
@@ -25,7 +33,13 @@ needs_fork = pytest.mark.skipif(
 
 
 def make_job(method, seed, **cfg):
-    config = GsgpConfig(**cfg) if method == "gsgp" else StgpConfig(**cfg)
+    """A job on table 1's split; cfg sets GP config fields, and OLS and LS-SVM ignore it."""
+    config = {
+        "gsgp": lambda: GsgpConfig(**cfg),
+        "stgp": lambda: StgpConfig(**cfg),
+        "ols": lambda: (),
+        "lssvm": lambda: (LSSVM_GAMMA, LSSVM_SIGMA_SQ),
+    }[method]()
     return Job(method, config, seed, TRAIN, TEST)
 
 
@@ -40,17 +54,49 @@ def in_process(jobs, monkeypatch, engines=ENGINES):
         return run_jobs(jobs, engines)
 
 
+def record_pools(monkeypatch):
+    """The worker count of each process pool built from now on."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+class TestEngines:
+    """Every method is a job whose output does not depend on where it runs."""
+
+    @pytest.mark.parametrize("method", ["gsgp", "stgp", "ols", "lssvm"])
+    def test_same_output_in_process_and_on_two_workers(self, monkeypatch, method):
+        jobs = [make_job(method, seed, **TINY) for seed in (1, 2)]
+        serial = in_process(jobs, monkeypatch)
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(jobs_module, "usable_cpus", lambda: 2)
+        assert vectors(run_jobs(jobs)) == vectors(serial)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "method, fit, predict",
+        [("ols", ols_fit, ols_predict), ("lssvm", lssvm_fit, lssvm_predict)],
+    )
+    def test_fitted_outputs_are_per_row_predictions(self, method, fit, predict):
+        job = make_job(method, 0)
+        model = fit(TRAIN, *job.config)
+        out = run_job(job)
+        for rows, part in ((TRAIN.features, out[: len(TRAIN)]), (TEST.features, out[len(TRAIN) :])):
+            assert part.tobytes() == np.array([predict(model, x) for x in rows]).tobytes()
+        assert out.shape == (len(TRAIN) + len(TEST),)
+
+
 class TestRunJobs:
     @pytest.mark.parametrize("cpus, n_jobs, workers", [(8, 2, 2), (2, 6, 2), (1, 6, 1)])
     def test_one_worker_per_cpu_and_at_most_one_per_job(self, monkeypatch, cpus, n_jobs, workers):
-        pools = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        pools = record_pools(monkeypatch)
         monkeypatch.setattr(jobs_module, "usable_cpus", lambda: cpus)
         jobs = [make_job("gsgp", seed, **TINY) for seed in range(n_jobs)]
         results = run_jobs(jobs)
