@@ -27,7 +27,6 @@ import numpy as np
 from .dataset import Dataset, ScaleParams, scale_minmax
 from .expr import (
     ExprTree,
-    GenMethod,
     eval_node,
     ramped_half_and_half,
     random_tree,
@@ -235,12 +234,8 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
     rng = Random(seed)
     cache = SubtreeCache(np.vstack([train.features, test.features]))
 
-    def evaluate(tree: ExprTree) -> tuple[np.ndarray, int]:
-        with np.errstate(all="ignore"):
-            return cache.lookup(tree)
-
     def capped(offspring: ExprTree, fallback: Individual) -> Individual:
-        sem, depth = evaluate(offspring)
+        sem, depth = cache.lookup(offspring)
         if depth > cfg.max_depth:
             return fallback
         return make_individual(sem, train.targets, TreeOrigin(offspring))
@@ -253,24 +248,25 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
 
     def mutation(p: Individual, rng: Random) -> Individual:
         i = randbelow(rng, p.ancestry.tree.size)
-        graft = random_tree(rng, GenMethod("grow", STGP_MUTATION_DEPTH))
+        graft = random_tree(rng, STGP_MUTATION_DEPTH)
         return capped(_replace_at(p.ancestry.tree, i, graft), p)
 
     init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
     init_lo = min(INIT_MIN_DEPTH, init_hi)
-    pop = [
-        make_individual(evaluate(t)[0], train.targets, TreeOrigin(t))
-        for t in ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
-    ]
-    return run_generations(
-        cfg,
-        pop,
-        rng,
-        test,
-        crossover,
-        mutation,
-        observer=lambda new_pop: cache.keep_reachable(ind.ancestry.tree for ind in new_pop),
-    )
+    with np.errstate(all="ignore"):  # as in gsgp.evolve: an overflow is a value
+        pop = [
+            make_individual(cache.lookup(t)[0], train.targets, TreeOrigin(t))
+            for t in ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
+        ]
+        return run_generations(
+            cfg,
+            pop,
+            rng,
+            test,
+            crossover,
+            mutation,
+            observer=lambda new_pop: cache.keep_reachable(ind.ancestry.tree for ind in new_pop),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +354,13 @@ LSSVM_GAMMA_GRID = (1.0, 10.0, 100.0, 1000.0)
 LSSVM_SIGMA_SQ_GRID = (1.0, 8.0, 64.0)
 
 
-def lssvm_grid_search(
-    train: Dataset,
-    gammas: tuple[float, ...] = LSSVM_GAMMA_GRID,
-    sigma_sqs: tuple[float, ...] = LSSVM_SIGMA_SQ_GRID,
-) -> tuple[float, float, float]:
+def lssvm_grid_search(train: Dataset) -> tuple[float, float, float]:
     """Pick (γ, σ²) by naive leave-one-out mean absolute error.
 
-    Features are scaled once on the full training set; each fold refits the
-    dual system on the remaining rows. Returns (gamma, sigma_sq, loo_error)
-    of the strict minimum, first grid cell winning ties.
+    The grid is LSSVM_GAMMA_GRID × LSSVM_SIGMA_SQ_GRID. Features are scaled
+    once on the full training set; each fold refits the dual system on the
+    remaining rows. Returns (gamma, sigma_sq, loo_error) of the strict
+    minimum, first grid cell winning ties.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
@@ -378,8 +371,8 @@ def lssvm_grid_search(
     scaled = params.transform(train.features)
     y = train.targets
     best: tuple[float, float, float] | None = None
-    for gamma in gammas:
-        for sigma_sq in sigma_sqs:
+    for gamma in LSSVM_GAMMA_GRID:
+        for sigma_sq in LSSVM_SIGMA_SQ_GRID:
             K = _rbf_kernel(scaled, scaled, sigma_sq)
             total = 0.0
             for held in range(n):

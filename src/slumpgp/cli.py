@@ -208,6 +208,17 @@ def _safe_rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
     return rmse(PairedSeries(tuple(actual), tuple(predicted)))
 
 
+def _engines() -> dict:
+    """`jobs.ENGINES`, with this module's `evolve` and `stgp_run` looked up at each call.
+
+    A wrapper put on either (a profiler's) then sees every run: the dict
+    differs from ENGINES, so `run_jobs` keeps the runs in this process.
+    Unwrapped, it equals ENGINES and the runs go to workers; a key missing
+    here would make it differ and silently keep every run in-process.
+    """
+    return {**ENGINES, "gsgp": evolve, "stgp": stgp_run}
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     train, test = _load_split(cfg)
@@ -307,12 +318,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for seed in seeds
         for method, engine_cfg in (("gsgp", cfg.gsgp), ("stgp", cfg.stgp))
     ]
-    # The engines are looked up here, so a wrapper put on this module's
-    # `evolve` or `stgp_run` sees every run (and keeps the runs in-process).
-    engines = {**ENGINES, "gsgp": evolve, "stgp": stgp_run}
     test_rmse = {"gsgp": [], "stgp": [], "lssvm": []}
     train_rmse = {"gsgp": [], "stgp": [], "lssvm": []}
-    for job, sem in zip(jobs, run_jobs(jobs, engines)):
+    for job, sem in zip(jobs, run_jobs(jobs, _engines())):
         test_rmse[job.method].append(_safe_rmse(test.targets, sem[len(train) :]))
         train_rmse[job.method].append(_safe_rmse(train.targets, sem[: len(train)]))
     test_rmse["lssvm"] *= cfg.runs
@@ -359,8 +367,7 @@ def _cmd_ols_baseline(args: argparse.Namespace) -> int:
         Job("ols", (), cfg.master_seed, train, test),
         Job("gsgp", cfg.gsgp, cfg.master_seed, train, test),
     ]
-    engines = {**ENGINES, "gsgp": evolve, "stgp": stgp_run}  # as in _cmd_compare
-    ols_preds, gsgp_preds = (sem[len(train) :] for sem in run_jobs(jobs, engines))
+    ols_preds, gsgp_preds = (sem[len(train) :] for sem in run_jobs(jobs, _engines()))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     lines = ["sample_no,experiment,gsgp,ols"] + [

@@ -158,20 +158,6 @@ def eval_node(t: ExprTree, X: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GenMethod:
-    """Tree generation recipe: 'full' or 'grow' up to max_depth levels."""
-
-    method: str
-    max_depth: int
-
-    def __post_init__(self):
-        if self.method not in ("full", "grow"):
-            raise ValueError(f"method must be 'full' or 'grow', got {self.method!r}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-
-
 def randbelow(rng: Random, n: int) -> int:
     """A uniform integer in [0, n), drawn with rng.getrandbits.
 
@@ -192,28 +178,30 @@ def randbelow(rng: Random, n: int) -> int:
 
 
 def random_tree(
-    rng: Random, gen: GenMethod, force_root_function: bool = False
+    rng: Random, max_depth: int, *, full: bool = False, force_root_function: bool = False
 ) -> ExprTree:
-    """Draw a random tree; a leaf counts as depth 1.
+    """Draw a random tree of at most max_depth levels; a leaf counts as depth 1.
 
-    Draws happen in preorder. 'full' branches at every node above the last
-    level, so all leaves sit at exactly max_depth. 'grow' picks uniformly
-    over the 12 primitives (4 functions, 8 variables) at every node, root
-    included, so shapes vary and a tree may be a single leaf. With
-    force_root_function a grow tree keeps a function at the root whenever
-    max_depth allows — a single-leaf perturbation tree squashes to a
-    near-constant, which would make a mutation step a pure offset.
+    Draws happen in preorder. A full tree branches at every node above the
+    last level, so all leaves sit at exactly max_depth. A grow tree (the
+    default) picks uniformly over the 12 primitives (4 functions, 8
+    variables) at every node, root included, so shapes vary and a tree may
+    be a single leaf. With force_root_function a grow tree keeps a function
+    at the root whenever max_depth allows — a single-leaf perturbation tree
+    squashes to a near-constant, which would make a mutation step a pure
+    offset.
 
     Draw contract: each node takes the same values as `rng.randrange` would
     give, through `randbelow`, so a seed builds the same trees as it always
     has; the oracle tests in tests/test_expr.py pin this.
     """
-    full = gen.method == "full"
-    if gen.max_depth == 1:
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    if max_depth == 1:
         return _leaf(rng)
     if full or force_root_function:
-        return _branch(rng, gen.max_depth, full)
-    return _node(rng, gen.max_depth, full)
+        return _branch(rng, max_depth, full)
+    return _node(rng, max_depth, full)
 
 
 # random_tree's recursion. Module-level functions that take rng and full as
@@ -244,13 +232,10 @@ def _node(rng: Random, depth_left: int, full: bool) -> ExprTree:
 def ramped_half_and_half(
     rng: Random, count: int, min_depth: int = 2, max_depth: int = 6
 ) -> list[ExprTree]:
-    """Generate `count` trees cycling depths min..max, half full, half grow."""
-    schedule = [
-        GenMethod(method, depth)
-        for depth in range(min_depth, max_depth + 1)
-        for method in ("full", "grow")
-    ]
-    return [random_tree(rng, schedule[i % len(schedule)]) for i in range(count)]
+    """`count` trees, cycling (depth, full) over (min, full), (min, grow), ... (max, grow)."""
+    schedule = [(d, full) for d in range(min_depth, max_depth + 1) for full in (True, False)]
+    slots = (schedule[i % len(schedule)] for i in range(count))
+    return [random_tree(rng, depth, full=full) for depth, full in slots]
 
 
 def to_infix(t: ExprTree) -> str:

@@ -15,9 +15,14 @@ records; no other code knows that format. `replay_semantics` replays the
 loaded records on new rows in bounded memory. Every walk over an ancestry
 (sizing, reconstruction, archiving, replay) is a fold over `_post_order`.
 
-The arithmetic in the operators is mirrored exactly by the expression
-templates that `reconstruct` emits, so an expanded tree reproduces the
-stored semantics bit for bit; tests rely on that.
+Each operator is defined once, by its record's `apply`, which evolution
+and replay both call, so replay reproduces the stored semantics bit for
+bit. The templates `reconstruct` emits are `apply`'s symbolic mirror, the
+same arithmetic in the same order, so an expanded tree does too.
+
+numpy's floating-point warnings are off in `evolve`, `replay_semantics`
+and `baselines.stgp_run`: an overflow is a value, inf or NaN, and
+`make_individual` ranks a NaN fitness last.
 
 The generational loop, `run_generations`, takes its operators as
 arguments, so standard tree GP (`baselines.stgp_run`) runs on it too. Both
@@ -36,7 +41,6 @@ import numpy as np
 from .dataset import Dataset
 from .expr import (
     ExprTree,
-    GenMethod,
     ParseError,
     binop,
     constant,
@@ -82,6 +86,10 @@ class CrossoverOrigin:
     parent2: "AncestryRecord" = field(repr=False)
     tr: float
 
+    def apply(self, v1: Semantics, v2: Semantics) -> Semantics:
+        """The child's vector, from the vectors v1 of parent1 and v2 of parent2."""
+        return self.tr * v1 + (1.0 - self.tr) * v2
+
 
 @dataclass(frozen=True, eq=False)
 class MutationOrigin:
@@ -91,6 +99,10 @@ class MutationOrigin:
     r1: ExprTree
     r2: ExprTree
     ms: float
+
+    def apply(self, v: Semantics, s1: Semantics, s2: Semantics) -> Semantics:
+        """The child's vector, from the parent's v and the sigmoids s1, s2 of r1, r2."""
+        return v + self.ms * (s1 - s2)
 
 
 AncestryRecord = Union[TreeOrigin, CrossoverOrigin, MutationOrigin]
@@ -187,30 +199,23 @@ def make_individual(sem: Semantics, targets: np.ndarray, origin: AncestryRecord)
     )
 
 
-def _complement_pair(u: float) -> tuple[float, float]:
-    """Snap u to a weight pair (tr, 1−tr) whose float values sum to exactly 1.
+def _snap_weight(u: float) -> float:
+    """Snap u in [0, 1) to a weight tr whose complement 1 − tr is exact.
 
-    1−x is exact in float arithmetic only when x ≥ 0.5, so the complement is
-    taken through whichever side of the pair is ≥ 0.5. Reconstruction can
-    then recover the second weight from the first bit for bit, which keeps
-    expanded expressions semantically identical to the stored vectors.
+    1 − x is exact in float arithmetic when x ≥ 0.5, so below 0.5 tr is
+    taken as 1 − (1 − u). Then tr + (1 − tr) == 1, and 1 − tr, which
+    `CrossoverOrigin.apply` and `reconstruct`'s constant both compute, is
+    the one complement of tr.
     """
-    if u < 0.5:
-        comp = 1.0 - u
-        tr = 1.0 - comp
-    else:
-        tr = u
-        comp = 1.0 - tr
-    return tr, comp
+    return 1.0 - (1.0 - u) if u < 0.5 else u
 
 
 def geometric_crossover(
     p1: Individual, p2: Individual, rng: Random, targets: np.ndarray
 ) -> Individual:
     """Offspring semantics = tr·p1 + (1−tr)·p2, with one tr drawn per call."""
-    tr, comp = _complement_pair(rng.random())
-    origin = CrossoverOrigin(parent1=p1.ancestry, parent2=p2.ancestry, tr=tr)
-    return make_individual(tr * p1.semantics + comp * p2.semantics, targets, origin)
+    origin = CrossoverOrigin(p1.ancestry, p2.ancestry, _snap_weight(rng.random()))
+    return make_individual(origin.apply(p1.semantics, p2.semantics), targets, origin)
 
 
 def geometric_mutation(
@@ -229,12 +234,11 @@ def geometric_mutation(
     """
     if not ms > 0:
         raise GsgpError(f"mutation step must be > 0, got {ms}")
-    gen = GenMethod("grow", tree_depth)
-    r1 = random_tree(rng, gen, force_root_function=True)
-    r2 = random_tree(rng, gen, force_root_function=True)
-    delta = sigmoid(eval_matrix(r1, features)) - sigmoid(eval_matrix(r2, features))
+    r1 = random_tree(rng, tree_depth, force_root_function=True)
+    r2 = random_tree(rng, tree_depth, force_root_function=True)
     origin = MutationOrigin(parent=p.ancestry, r1=r1, r2=r2, ms=ms)
-    return make_individual(p.semantics + ms * delta, targets, origin)
+    s1, s2 = sigmoid(eval_matrix(r1, features)), sigmoid(eval_matrix(r2, features))
+    return make_individual(origin.apply(p.semantics, s1, s2), targets, origin)
 
 
 def tournament_select(pop: list[Individual], k: int, rng: Random) -> int:
@@ -364,20 +368,21 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResu
         raise GsgpError("training dataset must carry slump targets")
     rng = Random(seed)
     stacked = np.vstack([train.features, test.features])
-    pop = [
-        make_individual(eval_matrix(t, stacked), train.targets, TreeOrigin(t))
-        for t in ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
-    ]
-    return run_generations(
-        cfg,
-        pop,
-        rng,
-        test,
-        crossover=lambda p1, p2, rng: geometric_crossover(p1, p2, rng, train.targets),
-        mutation=lambda p, rng: geometric_mutation(
-            p, cfg.mutation_step, rng, stacked, train.targets, cfg.random_tree_depth
-        ),
-    )
+    with np.errstate(all="ignore"):
+        pop = [
+            make_individual(eval_matrix(t, stacked), train.targets, TreeOrigin(t))
+            for t in ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
+        ]
+        return run_generations(
+            cfg,
+            pop,
+            rng,
+            test,
+            crossover=lambda p1, p2, rng: geometric_crossover(p1, p2, rng, train.targets),
+            mutation=lambda p, rng: geometric_mutation(
+                p, cfg.mutation_step, rng, stacked, train.targets, cfg.random_tree_depth
+            ),
+        )
 
 
 def _post_order(root: AncestryRecord) -> list[AncestryRecord]:
@@ -429,9 +434,9 @@ def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
     """Expand the ancestry into a literal expression tree.
 
     Refuses with BudgetExceeded when the estimated node count is past
-    node_budget. The emitted templates perform the exact arithmetic the
-    operators performed on semantics, in the same order, so evaluating the
-    result reproduces the individual's stored semantics bit for bit.
+    node_budget. The emitted templates are the symbolic mirror of each
+    record's `apply`, the same arithmetic in the same order, so evaluating
+    the result reproduces the individual's stored semantics bit for bit.
     """
     if node_budget < 1:
         raise GsgpError(f"node_budget must be >= 1, got {node_budget}")
@@ -444,11 +449,11 @@ def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
         if isinstance(rec, TreeOrigin):
             tree[rec] = rec.tree
         elif isinstance(rec, CrossoverOrigin):
-            comp = 1.0 - rec.tr  # exact: tr came from _complement_pair
+            # tr·p1 + (1 − tr)·p2, as in CrossoverOrigin.apply.
             tree[rec] = binop(
                 "add",
                 binop("mul", tree[rec.parent1], constant(rec.tr)),
-                binop("mul", constant(comp), tree[rec.parent2]),
+                binop("mul", constant(1.0 - rec.tr), tree[rec.parent2]),
             )
         else:
             tree[rec] = binop(
@@ -574,8 +579,9 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
 
     Loads the payload with `load_ancestry`, so a malformed one fails before
     any row is evaluated, then replays the root's records with the engine's
-    own arithmetic: on the original training or test data the result is
-    bitwise identical to those rows of the stored semantics.
+    own arithmetic, each record's `apply`: on the original training or test
+    data the result is bitwise identical to those rows of the stored
+    semantics.
 
     The records are replayed once per block of at most REPLAY_ROWS rows,
     into one output array; every operation acts on each row alone, so
@@ -613,9 +619,9 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
             if isinstance(rec, TreeOrigin):
                 sem = values(rec.tree)
             elif isinstance(rec, CrossoverOrigin):
-                sem = rec.tr * live[id(rec.parent1)] + (1.0 - rec.tr) * live[id(rec.parent2)]
+                sem = rec.apply(live[id(rec.parent1)], live[id(rec.parent2)])
             else:
-                sem = live[id(rec.parent)] + rec.ms * (sigmoid_of(rec.r1) - sigmoid_of(rec.r2))
+                sem = rec.apply(live[id(rec.parent)], sigmoid_of(rec.r1), sigmoid_of(rec.r2))
             live[id(rec)] = sem
             for read in reads[pos]:
                 if last_reader[id(read)] == pos:
@@ -625,6 +631,7 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
 
     X = ds.features
     out = np.empty(len(X))
-    for start in range(0, len(X), REPLAY_ROWS):
-        out[start : start + REPLAY_ROWS] = replay_block(X[start : start + REPLAY_ROWS])
+    with np.errstate(all="ignore"):
+        for start in range(0, len(X), REPLAY_ROWS):
+            out[start : start + REPLAY_ROWS] = replay_block(X[start : start + REPLAY_ROWS])
     return out

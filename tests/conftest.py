@@ -3,7 +3,7 @@
 import pytest
 
 import slumpgp.jobs
-from slumpgp.dataset import SplitSpec, builtin_table1, split
+from slumpgp.dataset import Dataset, SplitSpec, builtin_table1, split
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +15,12 @@ def table1():
 def table1_split():
     """The conventional 28/6 split of the built-in table."""
     return split(builtin_table1(), SplitSpec(28))
+
+
+@pytest.fixture(scope="session")
+def huge_split(table1_split):
+    """The 28/6 split with every feature × 1e200, so most trees overflow to inf or NaN."""
+    return tuple(Dataset(ds.features * 1e200, ds.targets) for ds in table1_split)
 
 
 @pytest.fixture(autouse=True)

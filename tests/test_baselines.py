@@ -3,6 +3,7 @@ the OLS and LS-SVM solves against independent solvers."""
 
 import math
 import tracemalloc
+import warnings
 from random import Random
 
 import numpy as np
@@ -23,7 +24,6 @@ from slumpgp.baselines import (
 )
 from slumpgp.dataset import Dataset
 from slumpgp.expr import (
-    GenMethod,
     binop,
     constant,
     eval_matrix,
@@ -38,6 +38,13 @@ from test_expr import tree_depth
 def run(table1_split, seed, **kwargs):
     train, test = table1_split
     return stgp_run(StgpConfig(population_size=30, generations=5, **kwargs), train, test, seed=seed)
+
+
+def test_stgp_overflow_warns_nothing(huge_split):
+    """As in GSGP, an overflow inside the engine is a value, not a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(huge_split, seed=42)
 
 
 class TestStgpPinned:
@@ -158,7 +165,7 @@ class TestSubtreeCache:
     def test_graft_chains_match_direct_evaluation(self, rows, seed, steps):
         X = np.array(rows, dtype=float)
         rng = Random(seed)
-        pool = [random_tree(rng, GenMethod(m, d)) for m in ("full", "grow") for d in (1, 3, 5)]
+        pool = [random_tree(rng, d, full=full) for full in (True, False) for d in (1, 3, 5)]
         cache = SubtreeCache(X)
         for t in pool:
             self.check(cache, t, X)
@@ -178,7 +185,7 @@ class TestSubtreeCache:
                 t2 = pool[c % len(pool)]
                 graft = _node_at(t2, c % t2.size)
             else:
-                graft = random_tree(rng, GenMethod("grow", 3))
+                graft = random_tree(rng, 3)
                 if op == "wrapped":  # constants and sigmoid, as reconstruct writes them
                     scale = constant(EXTREMES[c % len(EXTREMES)])
                     graft = sigmoid_node(binop("mul", scale, graft))

@@ -17,7 +17,6 @@ from slumpgp.expr import (
     FUNCTIONS,
     MAX_PARSE_DEPTH,
     ExprTree,
-    GenMethod,
     N_VARS,
     ParseError,
     binop,
@@ -297,8 +296,8 @@ class TestEvalTree:
         rng = Random(11)
         rows = builtin_table1().features
         for _ in range(300):
-            gen = GenMethod(("full", "grow")[rng.randrange(2)], rng.randrange(1, 7))
-            t = random_tree(rng, gen)
+            full = rng.randrange(2) == 0
+            t = random_tree(rng, rng.randrange(1, 7), full=full)
             v = eval_tree(t, rows[rng.randrange(len(rows))])
             assert math.isfinite(v)
 
@@ -306,7 +305,7 @@ class TestEvalTree:
         rng = Random(13)
         rows = builtin_table1().features
         for _ in range(100):
-            t = random_tree(rng, GenMethod("grow", rng.randrange(2, 7)))
+            t = random_tree(rng, rng.randrange(2, 7))
             vec = eval_matrix(t, rows)
             assert vec.shape == (34,)
             for j, row in enumerate(rows):
@@ -316,7 +315,7 @@ class TestEvalTree:
         rng = Random(17)
         rows = builtin_table1().features
         for _ in range(50):
-            t = sigmoid_node(random_tree(rng, GenMethod("grow", 3)))
+            t = sigmoid_node(random_tree(rng, 3))
             vec = eval_matrix(t, rows)
             for j, row in enumerate(rows):
                 assert vec[j] == pytest.approx(eval_tree(t, row), rel=1e-12)
@@ -361,14 +360,14 @@ class TestSigmoidFormula:
 
 class TestRandomTree:
     def test_full_depth_one_is_single_leaf(self):
-        t = random_tree(Random(0), GenMethod("full", 1))
+        t = random_tree(Random(0), 1, full=True)
         assert not t.children and t.kind == "var"
 
     def test_full_all_leaves_at_exact_depth(self):
         rng = Random(3)
         for depth in (2, 3, 4, 5):
             for _ in range(20):
-                t = random_tree(rng, GenMethod("full", depth))
+                t = random_tree(rng, depth, full=True)
                 assert set(leaf_depths(t)) == {depth}
                 assert t.size == 2**depth - 1
 
@@ -376,35 +375,37 @@ class TestRandomTree:
         rng = Random(5)
         for _ in range(200):
             depth = rng.randrange(1, 7)
-            t = random_tree(rng, GenMethod("grow", depth))
+            t = random_tree(rng, depth)
             assert tree_depth(t) <= depth
 
     def test_grow_varies_root_kind(self):
         rng = Random(9)
-        kinds = {random_tree(rng, GenMethod("grow", 4)).kind for _ in range(200)}
+        kinds = {random_tree(rng, 4).kind for _ in range(200)}
         assert "var" in kinds  # a grow tree may be a single leaf
         assert kinds & set(FUNCTIONS)
 
     def test_force_root_function(self):
         rng = Random(9)
         for _ in range(100):
-            t = random_tree(rng, GenMethod("grow", 4), force_root_function=True)
+            t = random_tree(rng, 4, force_root_function=True)
             assert t.kind in FUNCTIONS
-        t = random_tree(rng, GenMethod("grow", 1), force_root_function=True)
+        t = random_tree(rng, 1, force_root_function=True)
         assert t.kind == "var"  # depth budget wins
 
     def test_determinism(self):
-        for gen in (GenMethod("full", 4), GenMethod("grow", 5)):
-            assert random_tree(Random(42), gen) == random_tree(Random(42), gen)
+        for depth, full in ((4, True), (5, False)):
+            first = random_tree(Random(42), depth, full=full)
+            assert random_tree(Random(42), depth, full=full) == first
 
     def test_leaves_no_cyclic_garbage(self):
         rng = Random(13)
-        gens = [GenMethod(m, d) for m in ("full", "grow") for d in (1, 3, 5)]
+        shapes = [(d, full) for full in (True, False) for d in (1, 3, 5)]
         gc.collect()
         gc.disable()
         try:
             for i in range(1000):
-                random_tree(rng, gens[i % len(gens)], force_root_function=i % 2 == 0)
+                depth, full = shapes[i % len(shapes)]
+                random_tree(rng, depth, full=full, force_root_function=i % 2 == 0)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -414,18 +415,17 @@ class TestRandomTree:
         ops = {f: 0 for f in FUNCTIONS}
         vars_seen = {i: 0 for i in range(1, N_VARS + 1)}
         for _ in range(400):
-            t = random_tree(rng, GenMethod("full", 3))
+            t = random_tree(rng, 3, full=True)
             ops[t.kind] += 1
             for leaf in leaves(t):
                 vars_seen[leaf.index] += 1
         assert all(c > 0 for c in ops.values())
         assert all(c > 0 for c in vars_seen.values())
 
-    def test_genmethod_validation(self):
-        with pytest.raises(ValueError):
-            GenMethod("half", 3)
-        with pytest.raises(ValueError):
-            GenMethod("full", 0)
+    def test_depth_below_one_rejected(self):
+        for full in (True, False):
+            with pytest.raises(ValueError, match=r"^max_depth must be >= 1, got 0$"):
+                random_tree(Random(0), 0, full=full)
 
 
 class TestRampedHalfAndHalf:
@@ -483,7 +483,7 @@ class TestSizeDepth:
     def test_full_tree_size_formula(self):
         rng = Random(8)
         for d in range(1, 7):
-            t = random_tree(rng, GenMethod("full", d))
+            t = random_tree(rng, d, full=True)
             assert t.size == 2**d - 1
 
     @settings(max_examples=200, deadline=None)
@@ -536,7 +536,7 @@ class TestInfix:
     def test_parse_round_trip_fuzz(self):
         rng = Random(31)
         for _ in range(200):
-            t = random_tree(rng, GenMethod("grow", rng.randrange(1, 6)))
+            t = random_tree(rng, rng.randrange(1, 6))
             assert parse_infix(to_infix(t)) == t
 
     def test_parse_round_trip_with_constants_and_sigmoid(self):
@@ -573,7 +573,7 @@ class TestInfix:
         rng = Random(37)
         rows = builtin_table1().features
         for _ in range(150):
-            t = random_tree(rng, GenMethod("grow", rng.randrange(1, 6)))
+            t = random_tree(rng, rng.randrange(1, 6))
             if rng.random() < 0.3:
                 t = sigmoid_node(t)
             x = rows[rng.randrange(len(rows))]

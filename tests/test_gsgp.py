@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from random import Random
 
 import numpy as np
@@ -15,7 +16,6 @@ import slumpgp.gsgp as gsgp_module
 from slumpgp.dataset import Dataset, Sample, SplitSpec, builtin_table1, split
 from slumpgp.expr import (
     ExprTree,
-    GenMethod,
     ParseError,
     binop,
     eval_matrix,
@@ -33,6 +33,7 @@ from slumpgp.gsgp import (
     Individual,
     MutationOrigin,
     TreeOrigin,
+    _snap_weight,
     archive_individual,
     estimate_size,
     evolve,
@@ -183,6 +184,20 @@ class TestGeometricCrossover:
                 fitness(child.semantics[:2], ds.targets), abs=1e-12
             )
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True))
+    @example(0.1)  # 1 - (1 - 0.1) != 0.1: unsnapped, this weight fails
+    @example(5e-324)
+    @example(0.49999999999999994)
+    @example(0.5)
+    def test_snapped_weight_has_an_exact_complement(self, u):
+        """reconstruct's constant 1 - tr and apply's both rely on this."""
+        tr = _snap_weight(u)
+        assert 1.0 - (1.0 - tr) == tr
+        assert tr + (1.0 - tr) == 1.0
+        if u >= 0.5:
+            assert tr == u
+
 
 class TestGeometricMutation:
     def test_displacement_formula(self):
@@ -209,7 +224,7 @@ class TestGeometricMutation:
     def test_identical_perturbation_trees_cancel(self, monkeypatch):
         fixed = binop("add", variable(1), variable(2))
         monkeypatch.setattr(
-            gsgp_module, "random_tree", lambda rng, gen, force_root_function=False: fixed
+            gsgp_module, "random_tree", lambda rng, max_depth, force_root_function=False: fixed
         )
         ds = tiny_dataset()
         p = raw_individual([1.0, 2.0], [3.0, 4.0], ds)
@@ -449,6 +464,18 @@ class TestEvolve:
         assert res.best.semantics[len(train) :].shape == (6,)
 
 
+class TestOverflowWarnsNothing:
+    """An overflow inside the engine is a value: no numpy warning escapes."""
+
+    def test_evolve_and_replay(self, huge_split):
+        train, test = huge_split
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best = evolve(GsgpConfig(population_size=20, generations=3), train, test, seed=42).best
+            replayed = replay_semantics(archive_individual(best), test)
+        assert same_bits(replayed, best.semantics[len(train) :])
+
+
 class TestEstimateSize:
     def test_initial_individual_is_tree_size(self):
         t = binop("add", binop("add", variable(1), variable(2)), binop("add", variable(3), variable(4)))
@@ -468,7 +495,7 @@ class TestEstimateSize:
 
     def test_mutation_of_leaf_with_leaf_perturbations(self, monkeypatch):
         monkeypatch.setattr(
-            gsgp_module, "random_tree", lambda rng, gen, force_root_function=False: variable(2)
+            gsgp_module, "random_tree", lambda rng, max_depth, force_root_function=False: variable(2)
         )
         ds = tiny_dataset()
         p = raw_individual([1.0, 2.0], [1.0, 2.0], ds)
