@@ -221,7 +221,8 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
     parent.
 
     Trees are evaluated on the stacked train+test rows through one
-    `SubtreeCache`, which also gives each offspring's depth for the cap. It
+    `SubtreeCache`, each offspring as it is drawn, so the loop's evaluate
+    phase only collects them. The cache also gives the depth for the cap. It
     is keyed by id(node), and each entry holds the node with its values and
     depth, so the id cannot pass to a new node while the entry lives. An
     offspring shares all but its grafted path with trees already looked
@@ -265,6 +266,7 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
             test,
             crossover,
             mutation,
+            evaluate=lambda slots: [child for _, child in slots],
             observer=lambda new_pop: cache.keep_reachable(ind.ancestry.tree for ind in new_pop),
         )
 

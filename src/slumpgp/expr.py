@@ -111,17 +111,17 @@ def sigmoid_node(child: ExprTree) -> ExprTree:
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Numerically stable logistic map 1 / (1 + e^(-v)); output in [0, 1].
 
-    With e = e^(-|v|) and d = 1 + e, the result is 1/d where v >= 0 and e/d
-    elsewhere (NaN included). -|v| is -v bit for bit when v >= 0 and v
-    itself when v < 0, so every element takes the same operations as in
-    the two-branch form 1/(1 + e^(-v)) | e^v/(1 + e^v), and the result is
-    equal to it bit for bit. Both sides are computed for every element,
-    which costs less than masking the array into two halves.
+    With e = e^(-|v|), the result is 1/(1 + e) where v >= 0 and e/(1 + e)
+    elsewhere (NaN included), computed as one division of the chosen
+    numerator by 1 + e. -|v| is -v bit for bit when v >= 0 and v itself
+    when v < 0, so every element takes the same operations as in the
+    two-branch form 1/(1 + e^(-v)) | e^v/(1 + e^v), and the result is equal
+    to it bit for bit. Both numerators are formed for every element, which
+    costs less than masking the array into two halves.
     """
     v = np.asarray(v, dtype=float)
     e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def eval_matrix(t: ExprTree, X: np.ndarray) -> np.ndarray:
@@ -138,8 +138,10 @@ def eval_node(t: ExprTree, X: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
     """One node's values on every row of X, from its children's values in order.
 
     Callers map a `var` leaf to column index - 1 of X themselves.
-    `eval_matrix` and the subtree cache of `baselines.stgp_run` both compose
-    this step, so they give the same values bit for bit.
+    `eval_matrix`, `eval_trees` and the subtree cache of `baselines.stgp_run`
+    all compose this step, so they give the same values bit for bit. Every
+    kind but `const` acts element by element, so `eval_trees` also calls it
+    once for many nodes of t's kind, with one row per node in each argument.
     """
     if t.kind == "const":
         return np.full(X.shape[0], t.value)
@@ -156,6 +158,56 @@ def eval_node(t: ExprTree, X: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
     ok = np.abs(b) >= DIV_EPS
     np.divide(a, b, out=out, where=ok)
     return out
+
+
+def eval_trees(trees: list[ExprTree], X: np.ndarray) -> np.ndarray:
+    """Evaluate many trees on every row of X at once: row i holds trees[i]'s values.
+
+    The nodes are taken level by level, from the deepest up, with every
+    node's children in the level below it, in order. Each level is one
+    matrix with a row per node: its `var` leaves are gathered from X's
+    columns, and the nodes of each other kind are computed by one
+    `eval_node` call on their children's rows. Every step acts on each
+    element alone, so each row equals `eval_matrix` of its tree bit for
+    bit. A subtree reached twice is evaluated twice.
+
+    On a batch of random perturbation trees this makes a few numpy calls
+    per level instead of one per node. On one tree over many rows the
+    gathers cost more than they save, so `eval_matrix` stays recursive.
+    """
+    levels = [list(trees)]
+    while levels[-1]:
+        levels.append([c for t in levels[-1] for c in t.children])
+    columns = X.T
+    below = np.empty((0, X.shape[0]))
+    for level in reversed(levels[:-1]):
+        out = np.empty((len(level), X.shape[0]))
+        var_rows, var_columns = [], []
+        kinds: dict[str, tuple[ExprTree, list[int], list[int]]] = {}
+        first_child = 0
+        for row, t in enumerate(level):
+            if t.kind == "var":
+                var_rows.append(row)
+                var_columns.append(t.index - 1)
+                continue
+            group = kinds.get(t.kind)
+            if group is None:
+                group = kinds[t.kind] = (t, [], [])
+            group[1].append(row)
+            group[2].append(first_child)
+            first_child += len(t.children)
+        if var_rows:
+            out[var_rows] = columns[var_columns]
+        for kind, (t, rows, firsts) in kinds.items():
+            if kind == "const":
+                for row in rows:
+                    out[row] = eval_node(level[row], X, [])
+                continue
+            firsts = np.array(firsts)
+            args = [below[firsts + i] for i in range(len(t.children))]
+            out[rows] = eval_node(t, X, args)
+        below = out
+    return below
 
 
 def randbelow(rng: Random, n: int) -> int:

@@ -6,8 +6,24 @@ rows — plus an ancestry record saying how that vector was produced (an
 initial tree, or a crossover/mutation over earlier records). Crossover and
 mutation therefore cost O(n) array arithmetic instead of tree surgery, and
 the symbolic expression is only materialized on demand by `reconstruct`.
-Trees are evaluated once on the stacked train+test features; `eval_matrix`
-and `sigmoid` act on each row alone, so stacking changes no value.
+Trees are evaluated once on the stacked train+test features; `eval_matrix`,
+`eval_trees` and `sigmoid` act on each row alone, so stacking changes no
+value.
+
+A generation is one matrix with an individual per row, and it is made in
+two phases (`run_generations`). The draw phase fills the slots in order
+and makes every draw: the operator draw, the tournaments, then the
+operator's own draws, which build the child's ancestry record and nothing
+else. The evaluate phase then computes the whole next matrix in a few
+numpy calls. `breed` makes one gather for the elites and reproductions,
+one `CrossoverOrigin.apply` over stacked parents with a column of
+weights, and one `eval_trees` over every perturbation tree with one
+`sigmoid` and one `MutationOrigin.apply`; `population` ranks the rows
+with one row-sum `fitness`. Tournaments read only the previous
+generation's fitness, and no draw reads a child, so the draws come in the
+same order as if each child were computed as soon as it is drawn. Each
+step is element-wise IEEE arithmetic, so every child is the same vector,
+bit for bit, as if it were computed alone.
 
 `archive_individual` writes an individual's ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
@@ -15,18 +31,19 @@ records; no other code knows that format. `replay_semantics` replays the
 loaded records on new rows in bounded memory. Every walk over an ancestry
 (sizing, reconstruction, archiving, replay) is a fold over `_post_order`.
 
-Each operator is defined once, by its record's `apply`, which evolution
-and replay both call, so replay reproduces the stored semantics bit for
-bit. The templates `reconstruct` emits are `apply`'s symbolic mirror, the
-same arithmetic in the same order, so an expanded tree does too.
+Each operator is defined once, by its record type's `apply`, which
+`breed` calls over a batch and replay over one record, so replay
+reproduces the stored semantics bit for bit. The templates `reconstruct`
+emits are `apply`'s symbolic mirror, the same arithmetic in the same
+order, so an expanded tree does too.
 
 numpy's floating-point warnings are off in `evolve`, `replay_semantics`
-and `baselines.stgp_run`: an overflow is a value, inf or NaN, and
-`make_individual` ranks a NaN fitness last.
+and `baselines.stgp_run`: an overflow is a value, inf or NaN, and a NaN
+fitness ranks last, as +inf.
 
-The generational loop, `run_generations`, takes its operators as
-arguments, so standard tree GP (`baselines.stgp_run`) runs on it too. Both
-engines build individuals with `make_individual`, which ranks NaN as +inf.
+Standard tree GP (`baselines.stgp_run`) runs on `run_generations` too. Its
+operators evaluate each child as they draw it, through its subtree cache,
+and its evaluate phase only collects them.
 """
 
 from __future__ import annotations
@@ -45,6 +62,7 @@ from .expr import (
     binop,
     constant,
     eval_matrix,
+    eval_trees,
     parse_infix,
     ramped_half_and_half,
     random_tree,
@@ -86,9 +104,14 @@ class CrossoverOrigin:
     parent2: "AncestryRecord" = field(repr=False)
     tr: float
 
-    def apply(self, v1: Semantics, v2: Semantics) -> Semantics:
-        """The child's vector, from the vectors v1 of parent1 and v2 of parent2."""
-        return self.tr * v1 + (1.0 - self.tr) * v2
+    @staticmethod
+    def apply(tr, v1: Semantics, v2: Semantics) -> Semantics:
+        """The child's vector, from the vectors v1 of parent1 and v2 of parent2.
+
+        tr is one record's weight with its parents' vectors, or a column of
+        weights with the parents stacked a child per row.
+        """
+        return tr * v1 + (1.0 - tr) * v2
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +123,14 @@ class MutationOrigin:
     r2: ExprTree
     ms: float
 
-    def apply(self, v: Semantics, s1: Semantics, s2: Semantics) -> Semantics:
-        """The child's vector, from the parent's v and the sigmoids s1, s2 of r1, r2."""
-        return v + self.ms * (s1 - s2)
+    @staticmethod
+    def apply(ms, v: Semantics, s1: Semantics, s2: Semantics) -> Semantics:
+        """The child's vector, from the parent's v and the sigmoids s1, s2 of r1, r2.
+
+        ms is one record's step with its vectors, or a column of steps with
+        the vectors stacked a child per row.
+        """
+        return v + ms * (s1 - s2)
 
 
 AncestryRecord = Union[TreeOrigin, CrossoverOrigin, MutationOrigin]
@@ -175,13 +203,19 @@ class RunResult:
     best: Individual
 
 
-def fitness(s: Semantics, targets: np.ndarray) -> float:
-    """Sum of absolute errors against the targets; lower is better."""
+def fitness(s: Semantics, targets: np.ndarray):
+    """Sum of absolute errors against the targets; lower is better.
+
+    s is one semantics vector, which gives a float, or a matrix with one
+    vector per row, which gives an array of their sums. Each row sums as
+    the vector would alone, bit for bit.
+    """
     s = np.asarray(s, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if s.shape != targets.shape:
+    if s.shape[-1:] != targets.shape:
         raise GsgpError(f"semantics length {s.shape} does not match targets {targets.shape}")
-    return float(np.abs(s - targets).sum())
+    errors = np.abs(s - targets).sum(axis=-1)
+    return float(errors) if s.ndim == 1 else errors
 
 
 def make_individual(sem: Semantics, targets: np.ndarray, origin: AncestryRecord) -> Individual:
@@ -199,6 +233,15 @@ def make_individual(sem: Semantics, targets: np.ndarray, origin: AncestryRecord)
     )
 
 
+def population(
+    sem: np.ndarray, records: list[AncestryRecord], targets: np.ndarray
+) -> list[Individual]:
+    """One Individual per row of sem, as `make_individual` builds it, from one fitness call."""
+    fits = fitness(sem[:, : len(targets)], targets)
+    fits[np.isnan(fits)] = math.inf
+    return list(map(Individual, sem, fits.tolist(), records))
+
+
 def _snap_weight(u: float) -> float:
     """Snap u in [0, 1) to a weight tr whose complement 1 − tr is exact.
 
@@ -210,35 +253,80 @@ def _snap_weight(u: float) -> float:
     return 1.0 - (1.0 - u) if u < 0.5 else u
 
 
-def geometric_crossover(
-    p1: Individual, p2: Individual, rng: Random, targets: np.ndarray
-) -> Individual:
-    """Offspring semantics = tr·p1 + (1−tr)·p2, with one tr drawn per call."""
-    origin = CrossoverOrigin(p1.ancestry, p2.ancestry, _snap_weight(rng.random()))
-    return make_individual(origin.apply(p1.semantics, p2.semantics), targets, origin)
+def draw_crossover(p1: Individual, p2: Individual, rng: Random) -> CrossoverOrigin:
+    """The record of a child tr·p1 + (1−tr)·p2, with one tr drawn per call.
+
+    Only the draw: `breed` computes the child's vector.
+    """
+    return CrossoverOrigin(p1.ancestry, p2.ancestry, _snap_weight(rng.random()))
 
 
-def geometric_mutation(
-    p: Individual,
-    ms: float,
-    rng: Random,
-    features: np.ndarray,
-    targets: np.ndarray,
-    tree_depth: int = 4,
-) -> Individual:
-    """Offspring semantics = parent + ms·(sigmoid(r1) − sigmoid(r2)).
+def draw_mutation(p: Individual, ms: float, rng: Random, tree_depth: int = 4) -> MutationOrigin:
+    """The record of a child parent + ms·(sigmoid(r1) − sigmoid(r2)).
 
-    r1 and r2 are fresh grow trees evaluated on features, one row per entry
-    of the parent's semantics; the logistic map bounds each term to [0, 1],
-    so no coordinate moves by more than ms.
+    Draws r1, then r2: fresh grow trees with a function at the root.
+    `breed` computes the child's vector. The logistic map bounds each
+    sigmoid to [0, 1], so no coordinate of the child moves by more than ms.
     """
     if not ms > 0:
         raise GsgpError(f"mutation step must be > 0, got {ms}")
     r1 = random_tree(rng, tree_depth, force_root_function=True)
     r2 = random_tree(rng, tree_depth, force_root_function=True)
-    origin = MutationOrigin(parent=p.ancestry, r1=r1, r2=r2, ms=ms)
-    s1, s2 = sigmoid(eval_matrix(r1, features)), sigmoid(eval_matrix(r2, features))
-    return make_individual(origin.apply(p.semantics, s1, s2), targets, origin)
+    return MutationOrigin(parent=p.ancestry, r1=r1, r2=r2, ms=ms)
+
+
+# A slot of the next generation, as the draw phase of `run_generations` fills
+# it: the indices of its parents in the current generation, and its child. A
+# reproduced or elite child is the parent Individual itself; an operator's
+# child is whatever the operator returned.
+Slot = tuple[tuple[int, ...], object]
+
+
+def breed(
+    sem: np.ndarray, slots: list[Slot], features: np.ndarray
+) -> tuple[np.ndarray, list[AncestryRecord]]:
+    """GSGP's evaluate phase: the next generation's matrix and records, row j from slot j.
+
+    sem holds the current generation, an individual per row; features holds
+    the rows of a semantics vector. A slot's child is an Individual (copied
+    from its parent's row), a CrossoverOrigin or a MutationOrigin. Each kind
+    is computed for all its slots at once: one gather for the copies, one
+    `CrossoverOrigin.apply` and one `MutationOrigin.apply` over stacked
+    parents with a column of weights, and one `eval_trees` and one `sigmoid`
+    over every perturbation tree, r1s then r2s.
+    """
+    copies, copied = [], []
+    crossed, parents1, parents2, trs = [], [], [], []
+    mutated, mutants, steps, r1s, r2s = [], [], [], [], []
+    records = []
+    for row, (parents, child) in enumerate(slots):
+        if isinstance(child, CrossoverOrigin):
+            crossed.append(row)
+            parents1.append(parents[0])
+            parents2.append(parents[1])
+            trs.append(child.tr)
+        elif isinstance(child, MutationOrigin):
+            mutated.append(row)
+            mutants.append(parents[0])
+            steps.append(child.ms)
+            r1s.append(child.r1)
+            r2s.append(child.r2)
+        else:
+            copies.append(row)
+            copied.append(parents[0])
+            child = child.ancestry
+        records.append(child)
+    out = np.empty((len(slots), sem.shape[1]))
+    out[copies] = sem[copied]
+    if crossed:
+        tr = np.array(trs)[:, np.newaxis]
+        out[crossed] = CrossoverOrigin.apply(tr, sem[parents1], sem[parents2])
+    if mutated:
+        squashed = sigmoid(eval_trees(r1s + r2s, features))
+        ms = np.array(steps)[:, np.newaxis]
+        s1, s2 = squashed[: len(mutated)], squashed[len(mutated) :]
+        out[mutated] = MutationOrigin.apply(ms, sem[mutants], s1, s2)
+    return out, records
 
 
 def tournament_select(pop: list[Individual], k: int, rng: Random) -> int:
@@ -301,8 +389,9 @@ def run_generations(
     pop: list[Individual],
     rng: Random,
     test: Dataset,
-    crossover: Callable[[Individual, Individual, Random], Individual],
-    mutation: Callable[[Individual, Random], Individual],
+    crossover: Callable[[Individual, Individual, Random], object],
+    mutation: Callable[[Individual, Random], object],
+    evaluate: Callable[[list[Slot]], list[Individual]],
     observer: Callable[[list[Individual]], None] | None = None,
 ) -> RunResult:
     """The elitist generational loop that GSGP and standard tree GP share.
@@ -310,12 +399,20 @@ def run_generations(
     cfg supplies population_size, generations, p_crossover, p_mutation,
     tournament_size and elitism; GsgpConfig and StgpConfig both do. Each
     generation keeps the elitism best of the previous one, then fills every
-    other slot with crossover, mutation or reproduction. Per slot the draws
-    come in a fixed order: the operator draw, its tournaments, then the
-    operator's own draws from rng. History row g holds the
-    best-of-generation-g fitness pair; when the test set has no targets the
-    test column is NaN. The last len(test) entries of a semantics vector are
-    its test rows.
+    other slot with crossover, mutation or reproduction. History row g holds
+    the best-of-generation-g fitness pair; when the test set has no targets
+    the test column is NaN. The last len(test) entries of a semantics vector
+    are its test rows.
+
+    A generation is made in two phases. The draw phase fills every slot
+    (see `Slot`) in order. Per slot the draws come in a fixed order: the
+    operator draw, its tournaments, then the operator's own draws, made by
+    crossover(p1, p2, rng) or mutation(p, rng). The evaluate phase,
+    evaluate(slots), then returns the new population, child j from slot j.
+    Tournaments read only the previous generation, and no draw reads a
+    child, so an engine may evaluate its children one by one as they are
+    drawn, as tree GP does, or all at once in `evaluate`, as GSGP does, and
+    the draws are the same.
 
     observer, when given, is called once per generation with the new
     population, after it is complete and before its statistics are taken.
@@ -334,19 +431,20 @@ def run_generations(
     history = [generation_stats(best_ever)]
 
     for _ in range(cfg.generations):
-        next_pop = [pop[i] for i in _best_indices(pop, cfg.elitism)]
-        while len(next_pop) < cfg.population_size:
+        slots: list[Slot] = [((i,), pop[i]) for i in _best_indices(pop, cfg.elitism)]
+        while len(slots) < cfg.population_size:
             draw = rng.random()
             if draw < cfg.p_crossover:
                 i1 = tournament_select(pop, cfg.tournament_size, rng)
                 i2 = tournament_select(pop, cfg.tournament_size, rng)
-                child = crossover(pop[i1], pop[i2], rng)
+                slots.append(((i1, i2), crossover(pop[i1], pop[i2], rng)))
             elif draw < cfg.p_crossover + cfg.p_mutation:
-                child = mutation(pop[tournament_select(pop, cfg.tournament_size, rng)], rng)
+                i = tournament_select(pop, cfg.tournament_size, rng)
+                slots.append(((i,), mutation(pop[i], rng)))
             else:
-                child = pop[tournament_select(pop, cfg.tournament_size, rng)]
-            next_pop.append(child)
-        pop = next_pop
+                i = tournament_select(pop, cfg.tournament_size, rng)
+                slots.append(((i,), pop[i]))
+        pop = evaluate(slots)
         if observer is not None:
             observer(pop)
         gen_best = pop[_best_indices(pop, 1)[0]]
@@ -362,26 +460,33 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResu
 
     All stochastic draws come from one generator seeded with seed:
     the ramped half-and-half initial trees first, then `run_generations`
-    with geometric crossover and mutation as its operators.
+    with `draw_crossover` and `draw_mutation` as its operators and `breed`
+    as its evaluate phase. The initial trees are evaluated one at a time,
+    into the first generation's matrix.
     """
     if not train.has_targets:
         raise GsgpError("training dataset must carry slump targets")
     rng = Random(seed)
     stacked = np.vstack([train.features, test.features])
+    trees = ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
+    sem = np.empty((len(trees), len(stacked)))
+
+    def next_generation(slots: list[Slot]) -> list[Individual]:
+        nonlocal sem
+        sem, records = breed(sem, slots, stacked)
+        return population(sem, records, train.targets)
+
     with np.errstate(all="ignore"):
-        pop = [
-            make_individual(eval_matrix(t, stacked), train.targets, TreeOrigin(t))
-            for t in ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
-        ]
+        for row, t in zip(sem, trees):
+            row[:] = eval_matrix(t, stacked)
         return run_generations(
             cfg,
-            pop,
+            population(sem, [TreeOrigin(t) for t in trees], train.targets),
             rng,
             test,
-            crossover=lambda p1, p2, rng: geometric_crossover(p1, p2, rng, train.targets),
-            mutation=lambda p, rng: geometric_mutation(
-                p, cfg.mutation_step, rng, stacked, train.targets, cfg.random_tree_depth
-            ),
+            crossover=draw_crossover,
+            mutation=lambda p, rng: draw_mutation(p, cfg.mutation_step, rng, cfg.random_tree_depth),
+            evaluate=next_generation,
         )
 
 
@@ -619,9 +724,11 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
             if isinstance(rec, TreeOrigin):
                 sem = values(rec.tree)
             elif isinstance(rec, CrossoverOrigin):
-                sem = rec.apply(live[id(rec.parent1)], live[id(rec.parent2)])
+                sem = rec.apply(rec.tr, live[id(rec.parent1)], live[id(rec.parent2)])
             else:
-                sem = rec.apply(live[id(rec.parent)], sigmoid_of(rec.r1), sigmoid_of(rec.r2))
+                sem = rec.apply(
+                    rec.ms, live[id(rec.parent)], sigmoid_of(rec.r1), sigmoid_of(rec.r2)
+                )
             live[id(rec)] = sem
             for read in reads[pos]:
                 if last_reader[id(read)] == pos:

@@ -22,6 +22,7 @@ from slumpgp.expr import (
     binop,
     constant,
     eval_matrix,
+    eval_trees,
     parse_infix,
     ramped_half_and_half,
     random_tree,
@@ -520,6 +521,78 @@ class TestStackedRows:
             assert same_bits(whole, parts)
             squashed = np.concatenate([sigmoid(eval_matrix(t, a)), sigmoid(eval_matrix(t, b))])
             assert same_bits(sigmoid(whole), squashed)
+
+
+# Feature values on both sides of DIV_EPS, signed zeros, and magnitudes whose
+# sums and products overflow to inf, and whose inf - inf is NaN.
+BELOW_EPS = math.nextafter(DIV_EPS, 0.0)
+EVAL_FLOATS = (
+    0.0, -0.0, DIV_EPS, -DIV_EPS, BELOW_EPS, -BELOW_EPS, 1e-7, 1.0, -3.5, 2420.0,
+    1e200, -1e200, 1e308, -1e308,
+)
+
+
+@st.composite
+def tree_batches(draw):
+    """Random grow and full trees of depth 1-6, some trees with constants and
+    sigmoids, and at times one tree object listed twice."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    batch = [
+        random_tree(rng, draw(st.integers(1, 6)), full=draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    batch += draw(st.lists(trees, max_size=3))
+    if batch and draw(st.booleans()):
+        twice = batch[draw(st.integers(0, len(batch) - 1))]
+        batch.insert(draw(st.integers(0, len(batch))), twice)
+    return batch
+
+
+feature_rows = st.lists(
+    st.lists(st.sampled_from(EVAL_FLOATS) | st.floats(-3000.0, 3000.0), min_size=8, max_size=8),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestEvalTrees:
+    """eval_trees gives each tree's eval_matrix values as one row, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_batches(), feature_rows)
+    def test_rows_equal_eval_matrix(self, batch, rows):
+        X = np.array(rows)
+        with np.errstate(all="ignore"):
+            got = eval_trees(batch, X)
+            assert got.shape == (len(batch), len(X))
+            for row, t in zip(got, batch):
+                assert same_bits(row, eval_matrix(t, X))
+
+    def test_division_guard_and_overflow(self):
+        X = np.array([[DIV_EPS, BELOW_EPS, 1e200, 1e200, -DIV_EPS, -BELOW_EPS, 3.0, -0.0]])
+        x = [variable(i) for i in range(1, 9)]
+        big = binop("mul", x[2], x[3])
+        batch = [
+            binop("div", x[6], x[0]),  # |denominator| == DIV_EPS: divides
+            binop("div", x[6], x[1]),  # just below: protected, 1.0
+            binop("div", x[6], x[4]),
+            binop("div", x[6], x[5]),
+            binop("div", x[6], x[7]),  # -0.0
+            big,  # inf
+            binop("sub", big, big),  # NaN
+            binop("div", big, big),  # NaN
+            x[2],  # a single leaf
+        ]
+        with np.errstate(all="ignore"):
+            got = eval_trees(batch, X)[:, 0]
+            want = np.array([eval_matrix(t, X)[0] for t in batch])
+        assert same_bits(got, want)
+        assert got[1] == got[3] == got[4] == 1.0
+        assert got[0] == 3.0 / DIV_EPS and got[2] == -3.0 / DIV_EPS
+        assert got[5] == math.inf and math.isnan(got[6]) and math.isnan(got[7])
+
+    def test_empty_batch(self):
+        assert eval_trees([], builtin_table1().features).shape == (0, 34)
 
 
 class TestInfix:

@@ -20,11 +20,15 @@ from slumpgp.expr import (
     binop,
     eval_matrix,
     parse_infix,
+    ramped_half_and_half,
+    random_tree,
     sigmoid,
     to_infix,
     variable,
 )
 from slumpgp.gsgp import (
+    INIT_MAX_DEPTH,
+    INIT_MIN_DEPTH,
     BudgetExceeded,
     CrossoverOrigin,
     GsgpConfig,
@@ -35,17 +39,20 @@ from slumpgp.gsgp import (
     TreeOrigin,
     _snap_weight,
     archive_individual,
+    breed,
+    draw_crossover,
+    draw_mutation,
     estimate_size,
     evolve,
     fitness,
-    geometric_crossover,
-    geometric_mutation,
     load_ancestry,
+    make_individual,
+    population,
     reconstruct,
     replay_semantics,
     tournament_select,
 )
-from test_expr import same_bits
+from test_expr import masked_sigmoid, same_bits
 
 FROZEN_TABLE_PAIR_FITNESS = 21.299999999999997  # sum |computed - measured| over 6 rows
 
@@ -81,6 +88,23 @@ def raw_individual(train_sem, test_sem, ds):
 def stacked(train, test):
     """Feature rows of train, then of test: the rows of an individual's semantics."""
     return np.vstack([train.features, test.features])
+
+
+def bred(parents, child, features, targets) -> Individual:
+    """The batch of one: `breed`'s child of a single slot over the parents' stacked rows."""
+    sem = np.stack([p.semantics for p in parents])
+    rows, records = breed(sem, [(tuple(range(len(parents))), child)], features)
+    return population(rows, records, targets)[0]
+
+
+def geometric_crossover(p1, p2, rng, targets) -> Individual:
+    """One crossover child of p1 and p2: its draw, then its vector."""
+    return bred([p1, p2], draw_crossover(p1, p2, rng), None, targets)
+
+
+def geometric_mutation(p, ms, rng, features, targets, tree_depth=4) -> Individual:
+    """One mutation child of p: its draws, then its vector on the rows of features."""
+    return bred([p], draw_mutation(p, ms, rng, tree_depth), features, targets)
 
 
 def count_nodes(t: ExprTree) -> int:
@@ -462,6 +486,130 @@ class TestEvolve:
         res = evolve(GsgpConfig(population_size=8, generations=2), train, plain, seed=1)
         assert math.isnan(res.history[-1].test_fitness)
         assert res.best.semantics[len(train) :].shape == (6,)
+
+
+def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
+    """Oracle: GSGP's generational loop as it was before batching.
+
+    Each child's vector and fitness are computed as soon as its draws are
+    made, with the operators' arithmetic written out and the two-branch
+    sigmoid. Returns (history as (train, test) pairs, best individual).
+    """
+    rng = Random(seed)
+    X = stacked(train, test)
+    k = cfg.tournament_size
+
+    def best_of(pop):
+        return pop[min(range(len(pop)), key=lambda i: (pop[i].train_fitness, i))]
+
+    def stats(best):
+        if test.targets is None:
+            return best.train_fitness, math.nan
+        return best.train_fitness, fitness(best.semantics[len(train) :], test.targets)
+
+    with np.errstate(all="ignore"):
+        trees = ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
+        pop = [make_individual(eval_matrix(t, X), train.targets, TreeOrigin(t)) for t in trees]
+        best_ever = best_of(pop)
+        history = [stats(best_ever)]
+        for _ in range(cfg.generations):
+            order = sorted(range(len(pop)), key=lambda i: (pop[i].train_fitness, i))
+            next_pop = [pop[i] for i in order[: cfg.elitism]]
+            while len(next_pop) < cfg.population_size:
+                draw = rng.random()
+                if draw < cfg.p_crossover:
+                    p1 = pop[tournament_select(pop, k, rng)]
+                    p2 = pop[tournament_select(pop, k, rng)]
+                    tr = _snap_weight(rng.random())
+                    sem = tr * p1.semantics + (1.0 - tr) * p2.semantics
+                    origin = CrossoverOrigin(p1.ancestry, p2.ancestry, tr)
+                    next_pop.append(make_individual(sem, train.targets, origin))
+                elif draw < cfg.p_crossover + cfg.p_mutation:
+                    p = pop[tournament_select(pop, k, rng)]
+                    r1 = random_tree(rng, cfg.random_tree_depth, force_root_function=True)
+                    r2 = random_tree(rng, cfg.random_tree_depth, force_root_function=True)
+                    delta = masked_sigmoid(eval_matrix(r1, X)) - masked_sigmoid(eval_matrix(r2, X))
+                    sem = p.semantics + cfg.mutation_step * delta
+                    origin = MutationOrigin(p.ancestry, r1, r2, cfg.mutation_step)
+                    next_pop.append(make_individual(sem, train.targets, origin))
+                else:
+                    next_pop.append(pop[tournament_select(pop, k, rng)])
+            pop = next_pop
+            gen_best = best_of(pop)
+            if gen_best.train_fitness < best_ever.train_fitness:
+                best_ever = gen_best
+            history.append(stats(gen_best))
+    return history, best_ever
+
+
+class TestBatchedGenerations:
+    """evolve breeds each generation as one matrix; that changes no draw and no bit."""
+
+    CONFIGS = {
+        "default": ({}, 42),
+        "pop200x30": ({"population_size": 200, "generations": 30}, 3),
+        "pop30x10": ({"population_size": 30, "generations": 10}, 7),
+        "elitism3-reproduction": (
+            {"population_size": 60, "generations": 12, "p_crossover": 0.5,
+             "p_mutation": 0.3, "elitism": 3},
+            11,
+        ),
+        "tournament7": ({"population_size": 50, "generations": 10, "tournament_size": 7}, 13),
+        "mutation-only": (
+            {"population_size": 40, "generations": 10, "p_crossover": 0.0, "p_mutation": 1.0},
+            17,
+        ),
+    }
+
+    def assert_matches_oracle(self, cfg, train, test, seed):
+        res = evolve(cfg, train, test, seed)
+        history, best = evolve_per_child(cfg, train, test, seed)
+        got = np.array([(row.train_fitness, row.test_fitness) for row in res.history])
+        assert same_bits(got, np.array(history))
+        assert same_bits(res.best.semantics, best.semantics)
+        assert res.best.train_fitness == best.train_fitness
+        assert json.dumps(archive_individual(res.best)) == json.dumps(archive_individual(best))
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_matches_per_child_oracle(self, name, table1_split):
+        kwargs, seed = self.CONFIGS[name]
+        self.assert_matches_oracle(GsgpConfig(**kwargs), *table1_split, seed)
+
+    def test_matches_oracle_on_unlabeled_test_set(self, table1_split):
+        train, _ = table1_split
+        unlabeled = Dataset(builtin_table1().features[28:])
+        self.assert_matches_oracle(
+            GsgpConfig(population_size=30, generations=5), train, unlabeled, seed=1
+        )
+
+    def test_matches_oracle_on_overflowing_features(self, huge_split):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_oracle(
+                GsgpConfig(population_size=100, generations=10), *huge_split, seed=42
+            )
+
+    def test_a_generation_is_rows_of_one_array(self, table1_split, monkeypatch):
+        train, test = table1_split
+        seen = []
+        loop = gsgp_module.run_generations
+        monkeypatch.setattr(
+            gsgp_module,
+            "run_generations",
+            lambda *args, **kwargs: loop(*args, **kwargs, observer=seen.append),
+        )
+        cfg = GsgpConfig(population_size=20, generations=4, p_crossover=0.5, elitism=2)
+        evolve(cfg, train, test, seed=9)
+        assert len(seen) == 4
+        bases = set()
+        for pop in seen:
+            base = pop[0].semantics.base
+            assert base.shape == (20, 34)
+            for row, ind in enumerate(pop):
+                assert ind.semantics.base is base
+                assert np.shares_memory(ind.semantics, base[row])
+            bases.add(id(base))
+        assert len(bases) == 4  # survivors are copied, not shared across generations
 
 
 class TestOverflowWarnsNothing:
