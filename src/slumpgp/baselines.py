@@ -35,11 +35,12 @@ from .expr import (
 from .gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
+    Generation,
     Individual,
     RunResult,
+    Slot,
     TreeOrigin,
     check_loop_fields,
-    make_individual,
     run_generations,
 )
 
@@ -217,17 +218,15 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
     and history rows match the semantic engine's. Crossover picks one node
     uniformly in each parent and grafts the second parent's subtree into
     the first; mutation grafts a fresh grow tree at a uniform node.
-    Offspring deeper than max_depth are rejected in favour of the first
-    parent.
 
-    Trees are evaluated on the stacked train+test rows through one
-    `SubtreeCache`, each offspring as it is drawn, so the loop's evaluate
-    phase only collects them. The cache also gives the depth for the cap. It
-    is keyed by id(node), and each entry holds the node with its values and
-    depth, so the id cannot pass to a new node while the entry lives. An
-    offspring shares all but its grafted path with trees already looked
-    up, so only that path is evaluated, rejected offspring included. After
-    each generation the cache keeps only the nodes reachable from the new
+    The operators only graft. The evaluate phase looks each offspring up
+    in one `SubtreeCache` over the stacked train+test rows, which gives its
+    values and its depth. An offspring deeper than max_depth is rejected in
+    favour of the first parent, whose row and record it takes, as elites
+    and reproductions do. An offspring shares all but its grafted path with
+    trees already looked up, so only that path is evaluated, rejected
+    offspring included. The rows make one matrix, an individual per row,
+    and the cache then keeps only the nodes reachable from the new
     population's trees, one entry per distinct live inner node.
     """
     if not train.has_targets:
@@ -235,39 +234,44 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
     rng = Random(seed)
     cache = SubtreeCache(np.vstack([train.features, test.features]))
 
-    def capped(offspring: ExprTree, fallback: Individual) -> Individual:
-        sem, depth = cache.lookup(offspring)
-        if depth > cfg.max_depth:
-            return fallback
-        return make_individual(sem, train.targets, TreeOrigin(offspring))
-
-    def crossover(p1: Individual, p2: Individual, rng: Random) -> Individual:
+    def crossover(p1: Individual, p2: Individual, rng: Random) -> ExprTree:
         t1, t2 = p1.ancestry.tree, p2.ancestry.tree
         i1 = randbelow(rng, t1.size)
         i2 = randbelow(rng, t2.size)
-        return capped(_replace_at(t1, i1, _node_at(t2, i2)), p1)
+        return _replace_at(t1, i1, _node_at(t2, i2))
 
-    def mutation(p: Individual, rng: Random) -> Individual:
+    def mutation(p: Individual, rng: Random) -> ExprTree:
         i = randbelow(rng, p.ancestry.tree.size)
-        graft = random_tree(rng, STGP_MUTATION_DEPTH)
-        return capped(_replace_at(p.ancestry.tree, i, graft), p)
+        return _replace_at(p.ancestry.tree, i, random_tree(rng, STGP_MUTATION_DEPTH))
+
+    def evaluate(sem: np.ndarray, records: list[TreeOrigin], slots: list[Slot]) -> Generation:
+        rows, kept = [], []
+        for parents, child in slots:
+            if isinstance(child, ExprTree):
+                values, depth = cache.lookup(child)
+                if depth <= cfg.max_depth:
+                    rows.append(values)
+                    kept.append(TreeOrigin(child))
+                    continue
+            rows.append(sem[parents[0]])
+            kept.append(records[parents[0]])
+        cache.keep_reachable(rec.tree for rec in kept)
+        return np.stack(rows), kept
 
     init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
     init_lo = min(INIT_MIN_DEPTH, init_hi)
     with np.errstate(all="ignore"):  # as in gsgp.evolve: an overflow is a value
-        pop = [
-            make_individual(cache.lookup(t)[0], train.targets, TreeOrigin(t))
-            for t in ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
-        ]
+        trees = ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
         return run_generations(
             cfg,
-            pop,
+            np.stack([cache.lookup(t)[0] for t in trees]),
+            [TreeOrigin(t) for t in trees],
+            train.targets,
             rng,
             test,
             crossover,
             mutation,
-            evaluate=lambda slots: [child for _, child in slots],
-            observer=lambda new_pop: cache.keep_reachable(ind.ancestry.tree for ind in new_pop),
+            evaluate,
         )
 
 

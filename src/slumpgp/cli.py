@@ -326,13 +326,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     test_rmse["lssvm"] *= cfg.runs
     train_rmse["lssvm"] *= cfg.runs
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    table = ["run,seed,gsgp,stgp,lssvm"]
-    for i, seed in enumerate(seeds):
-        cells = ",".join(_fmt(test_rmse[alg][i]) for alg in ("gsgp", "stgp", "lssvm"))
-        table.append(f"{i},{seed},{cells}")
-    _write_lines(os.path.join(cfg.out_dir, "comparison.csv"), table)
-
+    # Every statistic that can fail is taken before the first file is written.
     boxes = {alg: box_summary(values) for alg, values in test_rmse.items()}
     medians = {alg: boxes[alg].median for alg in boxes}
     wilcoxon = {
@@ -356,6 +350,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "wilcoxon_test_rmse": {pair: asdict(res) for pair, res in wilcoxon.items()},
         "ordering_by_median_test_rmse": sorted(medians, key=lambda a: (medians[a], a)),
     }
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    table = ["run,seed,gsgp,stgp,lssvm"]
+    for i, seed in enumerate(seeds):
+        cells = ",".join(_fmt(test_rmse[alg][i]) for alg in ("gsgp", "stgp", "lssvm"))
+        table.append(f"{i},{seed},{cells}")
+    _write_lines(os.path.join(cfg.out_dir, "comparison.csv"), table)
     _write_json(os.path.join(cfg.out_dir, "report.json"), report)
     return 0
 

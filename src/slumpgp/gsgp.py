@@ -10,20 +10,16 @@ Trees are evaluated once on the stacked train+test features; `eval_matrix`,
 `eval_trees` and `sigmoid` act on each row alone, so stacking changes no
 value.
 
-A generation is one matrix with an individual per row, and it is made in
-two phases (`run_generations`). The draw phase fills the slots in order
-and makes every draw: the operator draw, the tournaments, then the
-operator's own draws, which build the child's ancestry record and nothing
-else. The evaluate phase then computes the whole next matrix in a few
-numpy calls. `breed` makes one gather for the elites and reproductions,
-one `CrossoverOrigin.apply` over stacked parents with a column of
-weights, and one `eval_trees` over every perturbation tree with one
-`sigmoid` and one `MutationOrigin.apply`; `population` ranks the rows
-with one row-sum `fitness`. Tournaments read only the previous
-generation's fitness, and no draw reads a child, so the draws come in the
-same order as if each child were computed as soon as it is drawn. Each
-step is element-wise IEEE arithmetic, so every child is the same vector,
-bit for bit, as if it were computed alone.
+A generation is one matrix with an individual per row, made in two phases
+by `run_generations`. The draw phase makes every draw; the operators only
+build the children's ancestry records. The evaluate phase, `breed`, then
+computes the whole next matrix in a few numpy calls, and `population`
+ranks its rows with one row-sum `fitness`. No draw reads a child, and each
+step is element-wise IEEE arithmetic, so the draws and every child's
+vector are, bit for bit, those of computing each child alone as it is
+drawn. Standard tree GP (`baselines.stgp_run`) runs on the same loop: its
+operators only graft, and its evaluate phase looks each offspring up in
+its subtree cache.
 
 `archive_individual` writes an individual's ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
@@ -40,10 +36,6 @@ order, so an expanded tree does too.
 numpy's floating-point warnings are off in `evolve`, `replay_semantics`
 and `baselines.stgp_run`: an overflow is a value, inf or NaN, and a NaN
 fitness ranks last, as +inf.
-
-Standard tree GP (`baselines.stgp_run`) runs on `run_generations` too. Its
-operators evaluate each child as they draw it, through its subtree cache,
-and its evaluate phase only collects them.
 """
 
 from __future__ import annotations
@@ -218,25 +210,17 @@ def fitness(s: Semantics, targets: np.ndarray):
     return float(errors) if s.ndim == 1 else errors
 
 
-def make_individual(sem: Semantics, targets: np.ndarray, origin: AncestryRecord) -> Individual:
-    """Individual with its L1 train fitness; a NaN fitness becomes +inf.
-
-    sem holds the training rows, then the test rows; fitness reads the first
-    len(targets). NaN compares false against everything, so a NaN entrant
-    could win a tournament depending on entrant order; +inf always ranks last.
-    """
-    fit = fitness(sem[: len(targets)], targets)
-    return Individual(
-        semantics=sem,
-        train_fitness=math.inf if math.isnan(fit) else fit,
-        ancestry=origin,
-    )
-
-
 def population(
     sem: np.ndarray, records: list[AncestryRecord], targets: np.ndarray
 ) -> list[Individual]:
-    """One Individual per row of sem, as `make_individual` builds it, from one fitness call."""
+    """One Individual per row of sem, with its L1 train fitness; a NaN fitness becomes +inf.
+
+    `run_generations` makes every population of both engines here. Each
+    row holds the training rows, then the test rows; fitness reads the
+    first len(targets), with one call for all rows. NaN compares false
+    against everything, so a NaN entrant could win a tournament depending
+    on entrant order; +inf always ranks last.
+    """
     fits = fitness(sem[:, : len(targets)], targets)
     fits[np.isnan(fits)] = math.inf
     return list(map(Individual, sem, fits.tolist(), records))
@@ -280,11 +264,10 @@ def draw_mutation(p: Individual, ms: float, rng: Random, tree_depth: int = 4) ->
 # reproduced or elite child is the parent Individual itself; an operator's
 # child is whatever the operator returned.
 Slot = tuple[tuple[int, ...], object]
+Generation = tuple[np.ndarray, list[AncestryRecord]]  # an individual per row, and their records
 
 
-def breed(
-    sem: np.ndarray, slots: list[Slot], features: np.ndarray
-) -> tuple[np.ndarray, list[AncestryRecord]]:
+def breed(sem: np.ndarray, slots: list[Slot], features: np.ndarray) -> Generation:
     """GSGP's evaluate phase: the next generation's matrix and records, row j from slot j.
 
     sem holds the current generation, an individual per row; features holds
@@ -386,18 +369,23 @@ def _best_indices(pop: list[Individual], count: int) -> list[int]:
 
 def run_generations(
     cfg,
-    pop: list[Individual],
+    sem: np.ndarray,
+    records: list[AncestryRecord],
+    targets: np.ndarray,
     rng: Random,
     test: Dataset,
     crossover: Callable[[Individual, Individual, Random], object],
     mutation: Callable[[Individual, Random], object],
-    evaluate: Callable[[list[Slot]], list[Individual]],
-    observer: Callable[[list[Individual]], None] | None = None,
+    evaluate: Callable[[np.ndarray, list[AncestryRecord], list[Slot]], Generation],
 ) -> RunResult:
     """The elitist generational loop that GSGP and standard tree GP share.
 
-    cfg supplies population_size, generations, p_crossover, p_mutation,
-    tournament_size and elitism; GsgpConfig and StgpConfig both do. Each
+    sem and records are generation 0 (see `Generation`); the engines keep
+    no other reference to them, so each generation's matrix is freed once
+    no individual holds a row of it. targets are the training rows'
+    targets. cfg supplies population_size, generations, p_crossover,
+    p_mutation, tournament_size and elitism; GsgpConfig and StgpConfig both
+    do. Each
     generation keeps the elitism best of the previous one, then fills every
     other slot with crossover, mutation or reproduction. History row g holds
     the best-of-generation-g fitness pair; when the test set has no targets
@@ -408,16 +396,12 @@ def run_generations(
     (see `Slot`) in order. Per slot the draws come in a fixed order: the
     operator draw, its tournaments, then the operator's own draws, made by
     crossover(p1, p2, rng) or mutation(p, rng). The evaluate phase,
-    evaluate(slots), then returns the new population, child j from slot j.
-    Tournaments read only the previous generation, and no draw reads a
-    child, so an engine may evaluate its children one by one as they are
-    drawn, as tree GP does, or all at once in `evaluate`, as GSGP does, and
-    the draws are the same.
-
-    observer, when given, is called once per generation with the new
-    population, after it is complete and before its statistics are taken.
-    It must draw nothing from rng and must not change the population; the
-    run's result is then the same with or without it.
+    evaluate(sem, records, slots), then computes every child from the
+    current generation's matrix and records, and returns the next ones, row
+    j from slot j. Tournaments read only the previous generation, and no
+    draw reads a child, so the draws are the same as if each child were
+    computed as soon as it is drawn. Every generation becomes a population
+    through `population`.
     """
 
     def generation_stats(best: Individual) -> GenerationStats:
@@ -427,6 +411,7 @@ def run_generations(
             test_fit = fitness(best.semantics[-len(test) :], test.targets)
         return GenerationStats(train_fitness=best.train_fitness, test_fitness=test_fit)
 
+    pop = population(sem, records, targets)
     best_ever = pop[_best_indices(pop, 1)[0]]
     history = [generation_stats(best_ever)]
 
@@ -444,9 +429,8 @@ def run_generations(
             else:
                 i = tournament_select(pop, cfg.tournament_size, rng)
                 slots.append(((i,), pop[i]))
-        pop = evaluate(slots)
-        if observer is not None:
-            observer(pop)
+        sem, records = evaluate(sem, records, slots)
+        pop = population(sem, records, targets)
         gen_best = pop[_best_indices(pop, 1)[0]]
         if gen_best.train_fitness < best_ever.train_fitness:
             best_ever = gen_best
@@ -461,32 +445,25 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResu
     All stochastic draws come from one generator seeded with seed:
     the ramped half-and-half initial trees first, then `run_generations`
     with `draw_crossover` and `draw_mutation` as its operators and `breed`
-    as its evaluate phase. The initial trees are evaluated one at a time,
-    into the first generation's matrix.
+    as its evaluate phase. The initial trees are evaluated one at a time
+    and stacked into generation 0's matrix.
     """
     if not train.has_targets:
         raise GsgpError("training dataset must carry slump targets")
     rng = Random(seed)
     stacked = np.vstack([train.features, test.features])
     trees = ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
-    sem = np.empty((len(trees), len(stacked)))
-
-    def next_generation(slots: list[Slot]) -> list[Individual]:
-        nonlocal sem
-        sem, records = breed(sem, slots, stacked)
-        return population(sem, records, train.targets)
-
     with np.errstate(all="ignore"):
-        for row, t in zip(sem, trees):
-            row[:] = eval_matrix(t, stacked)
         return run_generations(
             cfg,
-            population(sem, [TreeOrigin(t) for t in trees], train.targets),
+            np.stack([eval_matrix(t, stacked) for t in trees]),
+            [TreeOrigin(t) for t in trees],
+            train.targets,
             rng,
             test,
             crossover=draw_crossover,
             mutation=lambda p, rng: draw_mutation(p, cfg.mutation_step, rng, cfg.random_tree_depth),
-            evaluate=next_generation,
+            evaluate=lambda sem, records, slots: breed(sem, slots, stacked),
         )
 
 

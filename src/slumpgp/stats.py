@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 
@@ -44,7 +44,7 @@ class PairedSeries:
 
 @dataclass(frozen=True)
 class BoxSummary:
-    """Five-number summary plus interquartile range."""
+    """Five-number summary plus interquartile range; two +inf quartiles give a NaN iqr."""
 
     min: float
     q1: float
@@ -56,7 +56,10 @@ class BoxSummary:
     def __post_init__(self):
         if not self.min <= self.q1 <= self.median <= self.q3 <= self.max:
             raise StatsError("box summary fields must be ordered")
-        if not math.isclose(self.iqr, self.q3 - self.q1, rel_tol=0.0, abs_tol=1e-12):
+        if self.q1 == self.q3 == math.inf:
+            if not math.isnan(self.iqr):
+                raise StatsError("iqr of two +inf quartiles must be NaN")
+        elif not math.isclose(self.iqr, self.q3 - self.q1, rel_tol=0.0, abs_tol=1e-12):
             raise StatsError("iqr must equal q3 - q1")
 
 
@@ -93,16 +96,25 @@ def pearson_r(s: PairedSeries) -> float:
     syyp = sum(a * b for a, b in zip(y, yp))
     syy = sum(a * a for a in y)
     sypyp = sum(b * b for b in yp)
+    num = n * syyp - sy * syp
     den_y = n * syy - sy * sy
     den_yp = n * sypyp - syp * syp
+    if not (math.isfinite(num) and math.isfinite(den_y) and math.isfinite(den_yp)):
+        raise StatsError("correlation overflows on values this large")
     if den_y <= 0 or den_yp <= 0:
         raise StatsError("correlation undefined for a constant series")
-    return (n * syyp - sy * syp) / (math.sqrt(den_y) * math.sqrt(den_yp))
+    return num / (math.sqrt(den_y) * math.sqrt(den_yp))
 
 
 def rmse(s: PairedSeries) -> float:
-    """Root mean square error between experimental and computed values."""
-    sq = sum((a - b) ** 2 for a, b in zip(s.experimental, s.computational))
+    """Root mean square error between experimental and computed values.
+
+    +inf when a squared error overflows, as float ** raises there.
+    """
+    try:
+        sq = sum((a - b) ** 2 for a, b in zip(s.experimental, s.computational))
+    except OverflowError:
+        return math.inf
     return math.sqrt(sq / len(s))
 
 
@@ -123,24 +135,29 @@ def _quantile(sorted_xs: Sequence[float], q: float) -> float:
     if lo == hi:
         return sorted_xs[lo]
     frac = pos - lo
-    return sorted_xs[lo] * (1.0 - frac) + sorted_xs[hi] * frac
+    a, b = sorted_xs[lo], sorted_xs[hi]
+    # Rounding can carry the sum past a or b, when they are equal or near
+    # the largest float; the quantile lies between them.
+    return min(max(a * (1.0 - frac) + b * frac, a), b)
 
 
 def box_summary(xs: Sequence[float]) -> BoxSummary:
     """Five-number summary with quartiles by linear interpolation.
 
     The q-th quantile sits at position (n−1)·q in the sorted data;
-    fractional positions interpolate between neighbours.
+    fractional positions interpolate between neighbours. The values may be
+    finite or +inf.
     """
     if len(xs) == 0:
         raise StatsError("box summary needs at least one value")
     data = sorted(float(v) for v in xs)
-    q1 = _quantile(data, 0.25)
-    q3 = _quantile(data, 0.75)
+    # Two values put all three quartiles between the same neighbours, where
+    # rounding can order near-equal ones wrongly; none may fall below the last.
+    q1, median, q3 = accumulate((_quantile(data, q) for q in (0.25, 0.5, 0.75)), max)
     return BoxSummary(
         min=data[0],
         q1=q1,
-        median=_quantile(data, 0.5),
+        median=median,
         q3=q3,
         max=data[-1],
         iqr=q3 - q1,

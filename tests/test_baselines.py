@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from slumpgp.baselines import (
     RIDGE_JITTER,
+    STGP_MUTATION_DEPTH,
     BaselineError,
     StgpConfig,
     SubtreeCache,
@@ -22,17 +23,26 @@ from slumpgp.baselines import (
     ols_fit,
     stgp_run,
 )
-from slumpgp.dataset import Dataset
+from slumpgp.dataset import Dataset, builtin_table1
 from slumpgp.expr import (
     binop,
     constant,
     eval_matrix,
+    ramped_half_and_half,
     random_tree,
+    randbelow,
     sigmoid_node,
     to_infix,
 )
-from slumpgp.gsgp import TreeOrigin
-from test_expr import tree_depth
+from slumpgp.gsgp import (
+    INIT_MAX_DEPTH,
+    INIT_MIN_DEPTH,
+    TreeOrigin,
+    fitness,
+    tournament_select,
+)
+from test_expr import same_bits, tree_depth
+from test_gsgp import assert_generations_are_rows_of_one_array, per_vector_individual
 
 
 def run(table1_split, seed, **kwargs):
@@ -83,6 +93,118 @@ class TestStgpPinned:
             1143.7399999999998, 772.0799999999997, 772.0799999999997,
         ]
         assert to_infix(res.best.ancestry.tree) == "((((x3 - x6) - x6) - x6) - x6)"
+
+
+def stgp_per_child(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int):
+    """Oracle: tree GP's generational loop with each child computed as it is drawn.
+
+    Each offspring is evaluated whole with `eval_matrix`, its depth is
+    `tree_depth`'s, and each fitness is its vector's own sum. Returns
+    (history as (train, test) pairs, best individual).
+    """
+    rng = Random(seed)
+    X = np.vstack([train.features, test.features])
+    k = cfg.tournament_size
+
+    def individual(tree):
+        return per_vector_individual(eval_matrix(tree, X), train.targets, TreeOrigin(tree))
+
+    def capped(tree, fallback):
+        return fallback if tree_depth(tree) > cfg.max_depth else individual(tree)
+
+    def best_of(pop):
+        return pop[min(range(len(pop)), key=lambda i: (pop[i].train_fitness, i))]
+
+    def stats(best):
+        if test.targets is None:
+            return best.train_fitness, math.nan
+        return best.train_fitness, fitness(best.semantics[len(train) :], test.targets)
+
+    init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
+    init_lo = min(INIT_MIN_DEPTH, init_hi)
+    with np.errstate(all="ignore"):
+        trees = ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
+        pop = [individual(t) for t in trees]
+        best_ever = best_of(pop)
+        history = [stats(best_ever)]
+        for _ in range(cfg.generations):
+            order = sorted(range(len(pop)), key=lambda i: (pop[i].train_fitness, i))
+            next_pop = [pop[i] for i in order[: cfg.elitism]]
+            while len(next_pop) < cfg.population_size:
+                draw = rng.random()
+                if draw < cfg.p_crossover:
+                    p1 = pop[tournament_select(pop, k, rng)]
+                    p2 = pop[tournament_select(pop, k, rng)]
+                    t1, t2 = p1.ancestry.tree, p2.ancestry.tree
+                    i1 = randbelow(rng, t1.size)
+                    i2 = randbelow(rng, t2.size)
+                    next_pop.append(capped(_replace_at(t1, i1, _node_at(t2, i2)), p1))
+                elif draw < cfg.p_crossover + cfg.p_mutation:
+                    p = pop[tournament_select(pop, k, rng)]
+                    i = randbelow(rng, p.ancestry.tree.size)
+                    graft = random_tree(rng, STGP_MUTATION_DEPTH)
+                    next_pop.append(capped(_replace_at(p.ancestry.tree, i, graft), p))
+                else:
+                    next_pop.append(pop[tournament_select(pop, k, rng)])
+            pop = next_pop
+            gen_best = best_of(pop)
+            if gen_best.train_fitness < best_ever.train_fitness:
+                best_ever = gen_best
+            history.append(stats(gen_best))
+    return history, best_ever
+
+
+class TestStgpMatchesPerChild:
+    """stgp_run evaluates each generation after drawing it, as one matrix;
+    that changes no draw and no bit."""
+
+    CONFIGS = {
+        "pop200x30": ({"population_size": 200, "generations": 30}, 3),
+        "max-depth5": ({"population_size": 60, "generations": 10, "max_depth": 5}, 5),
+        "elitism3-reproduction": (
+            {"population_size": 60, "generations": 12, "p_crossover": 0.5,
+             "p_mutation": 0.3, "elitism": 3},
+            11,
+        ),
+        "mutation-only": (
+            {"population_size": 40, "generations": 10, "p_crossover": 0.0, "p_mutation": 1.0},
+            17,
+        ),
+    }
+
+    def assert_matches_oracle(self, cfg, train, test, seed):
+        res = stgp_run(cfg, train, test, seed)
+        history, best = stgp_per_child(cfg, train, test, seed)
+        got = np.array([(row.train_fitness, row.test_fitness) for row in res.history])
+        assert same_bits(got, np.array(history))
+        assert to_infix(res.best.ancestry.tree) == to_infix(best.ancestry.tree)
+        assert same_bits(res.best.semantics, best.semantics)
+        assert res.best.train_fitness == best.train_fitness
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_matches_per_child_oracle(self, name, table1_split):
+        kwargs, seed = self.CONFIGS[name]
+        self.assert_matches_oracle(StgpConfig(**kwargs), *table1_split, seed)
+
+    def test_matches_oracle_on_unlabeled_test_set(self, table1_split):
+        train, _ = table1_split
+        unlabeled = Dataset(builtin_table1().features[28:])
+        self.assert_matches_oracle(
+            StgpConfig(population_size=30, generations=5), train, unlabeled, seed=1
+        )
+
+    def test_matches_oracle_on_overflowing_features(self, huge_split):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_oracle(
+                StgpConfig(population_size=100, generations=10), *huge_split, seed=42
+            )
+
+    def test_a_generation_is_rows_of_one_array(self, table1_split, monkeypatch):
+        cfg = StgpConfig(population_size=20, generations=4, p_crossover=0.5, elitism=2)
+        assert_generations_are_rows_of_one_array(
+            monkeypatch, lambda: stgp_run(cfg, *table1_split, seed=9)
+        )
 
 
 class TestStgpRun:
@@ -201,7 +323,7 @@ class TestStgpMemory:
     def test_cache_peak_bounded(self, table1_split, seed):
         """Eviction bounds the cache by the live population's distinct nodes.
 
-        Measured tracemalloc peaks: 2.4-2.6 MB with eviction; 7.8-19 MB for a
+        Measured tracemalloc peaks: 2.5-2.7 MB with eviction; 7.8-19 MB for a
         cache that never evicts; 0.9 MB for direct evaluation without a cache.
         """
         train, test = table1_split

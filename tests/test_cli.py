@@ -4,6 +4,7 @@ how config files, flags and the environment resolve, and how inputs are read."""
 import codecs
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -146,6 +147,50 @@ class TestFailedTrainWritesNothing:
         code, err = run_cli(["train", "--config", str(cfg), "--out", str(out)], capsys)
         assert_one_line_error(code, err)
         assert list(out.iterdir()) == []
+
+
+class TestFailedCompareWritesNothing:
+    def test_failed_box_summary(self, tmp_path, capsys, monkeypatch):
+        def failing(values):
+            raise cli_module.StatsError("box summary failed")
+
+        monkeypatch.setattr(cli_module, "box_summary", failing)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        argv = ["compare", "--config", str(cfg), "--runs", "2", "--out", str(out)]
+        code, err = run_cli(argv, capsys)
+        assert_one_line_error(code, err)
+        assert list(out.iterdir()) == []
+
+
+class TestOverflowingFeatures:
+    """Table 1 × 1e200: predictions overflow, and no command prints a traceback."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        t = builtin_table1()
+        save_csv(Dataset(t.features * 1e200, t.targets), tmp_path / "huge.csv")
+        pop2 = {"population_size": 2, "generations": 0, "tournament_size": 2}
+        (tmp_path / "pop2.ini").write_text(
+            ini_section("gsgp", pop2) + ini_section("stgp", pop2), encoding="utf-8"
+        )
+        return ["--config", str(tmp_path / "pop2.ini"), "--dataset", str(tmp_path / "huge.csv")]
+
+    def test_train_is_one_line_error(self, tmp_path, capsys, argv):
+        code, err = run_cli(["train", *argv, "--seed", "2", "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_error(code, err)
+        assert "correlation overflows" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_reports_inf_rmse(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        argv = ["compare", *argv, "--runs", "2", "--seed", "1", "--out", str(out)]
+        code, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert math.inf in report["test_rmse"]["gsgp"] + report["test_rmse"]["stgp"]
 
 
 def artifacts(out_dir):

@@ -46,7 +46,6 @@ from slumpgp.gsgp import (
     evolve,
     fitness,
     load_ancestry,
-    make_individual,
     population,
     reconstruct,
     replay_semantics,
@@ -462,24 +461,6 @@ class TestEvolve:
             fitness(res.best.semantics[:28], train.targets), abs=1e-12
         )
 
-    def test_observer_sees_each_population_and_changes_nothing(self, table1_split, monkeypatch):
-        train, test = table1_split
-        plain = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
-        seen = []
-        loop = gsgp_module.run_generations
-        monkeypatch.setattr(
-            gsgp_module,
-            "run_generations",
-            lambda *args, **kwargs: loop(*args, **kwargs, observer=lambda pop: seen.append(pop)),
-        )
-        observed = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
-        assert observed.history == plain.history
-        assert archive_individual(observed.best) == archive_individual(plain.best)
-        assert [len(pop) for pop in seen] == [12] * 4
-        for pop, row in zip(seen, observed.history[1:]):
-            assert min(ind.train_fitness for ind in pop) == row.train_fitness
-        assert any(ind is observed.best for ind in seen[-1])
-
     def test_unlabeled_test_set_gives_nan_test_stats(self, table1_split):
         train, _ = table1_split
         plain = Dataset(builtin_table1().features[28:])
@@ -488,12 +469,19 @@ class TestEvolve:
         assert res.best.semantics[len(train) :].shape == (6,)
 
 
+def per_vector_individual(sem, targets, origin) -> Individual:
+    """An individual with the fitness of its vector alone; a NaN fitness becomes +inf."""
+    fit = fitness(sem[: len(targets)], targets)
+    return Individual(sem, math.inf if math.isnan(fit) else fit, origin)
+
+
 def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
     """Oracle: GSGP's generational loop as it was before batching.
 
     Each child's vector and fitness are computed as soon as its draws are
     made, with the operators' arithmetic written out and the two-branch
-    sigmoid. Returns (history as (train, test) pairs, best individual).
+    sigmoid, and each fitness is its vector's own sum. Returns (history as
+    (train, test) pairs, best individual).
     """
     rng = Random(seed)
     X = stacked(train, test)
@@ -509,7 +497,7 @@ def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
 
     with np.errstate(all="ignore"):
         trees = ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
-        pop = [make_individual(eval_matrix(t, X), train.targets, TreeOrigin(t)) for t in trees]
+        pop = [per_vector_individual(eval_matrix(t, X), train.targets, TreeOrigin(t)) for t in trees]
         best_ever = best_of(pop)
         history = [stats(best_ever)]
         for _ in range(cfg.generations):
@@ -523,7 +511,7 @@ def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
                     tr = _snap_weight(rng.random())
                     sem = tr * p1.semantics + (1.0 - tr) * p2.semantics
                     origin = CrossoverOrigin(p1.ancestry, p2.ancestry, tr)
-                    next_pop.append(make_individual(sem, train.targets, origin))
+                    next_pop.append(per_vector_individual(sem, train.targets, origin))
                 elif draw < cfg.p_crossover + cfg.p_mutation:
                     p = pop[tournament_select(pop, k, rng)]
                     r1 = random_tree(rng, cfg.random_tree_depth, force_root_function=True)
@@ -531,7 +519,7 @@ def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
                     delta = masked_sigmoid(eval_matrix(r1, X)) - masked_sigmoid(eval_matrix(r2, X))
                     sem = p.semantics + cfg.mutation_step * delta
                     origin = MutationOrigin(p.ancestry, r1, r2, cfg.mutation_step)
-                    next_pop.append(make_individual(sem, train.targets, origin))
+                    next_pop.append(per_vector_individual(sem, train.targets, origin))
                 else:
                     next_pop.append(pop[tournament_select(pop, k, rng)])
             pop = next_pop
@@ -590,26 +578,34 @@ class TestBatchedGenerations:
             )
 
     def test_a_generation_is_rows_of_one_array(self, table1_split, monkeypatch):
-        train, test = table1_split
-        seen = []
-        loop = gsgp_module.run_generations
-        monkeypatch.setattr(
-            gsgp_module,
-            "run_generations",
-            lambda *args, **kwargs: loop(*args, **kwargs, observer=seen.append),
-        )
         cfg = GsgpConfig(population_size=20, generations=4, p_crossover=0.5, elitism=2)
-        evolve(cfg, train, test, seed=9)
-        assert len(seen) == 4
-        bases = set()
-        for pop in seen:
-            base = pop[0].semantics.base
-            assert base.shape == (20, 34)
-            for row, ind in enumerate(pop):
-                assert ind.semantics.base is base
-                assert np.shares_memory(ind.semantics, base[row])
-            bases.add(id(base))
-        assert len(bases) == 4  # survivors are copied, not shared across generations
+        assert_generations_are_rows_of_one_array(
+            monkeypatch, lambda: evolve(cfg, *table1_split, seed=9)
+        )
+
+
+def assert_generations_are_rows_of_one_array(monkeypatch, run):
+    """Each population that run() builds through `population`, generation 0
+    first, is the rows of one (20 × 34) array, a new array each generation."""
+    seen = []
+
+    def recorded(sem, records, targets):
+        pop = population(sem, records, targets)
+        seen.append(pop)
+        return pop
+
+    monkeypatch.setattr(gsgp_module, "population", recorded)
+    run()
+    assert len(seen) == 5
+    bases = set()
+    for pop in seen:
+        base = pop[0].semantics.base
+        assert base.shape == (20, 34)
+        for row, ind in enumerate(pop):
+            assert ind.semantics.base is base
+            assert np.shares_memory(ind.semantics, base[row])
+        bases.add(id(base))
+    assert len(bases) == 5  # survivors are copied, not shared across generations
 
 
 class TestOverflowWarnsNothing:

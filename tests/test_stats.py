@@ -6,6 +6,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slumpgp.stats import (
     BoxSummary,
@@ -76,6 +78,13 @@ class TestPearson:
         with pytest.raises(StatsError):
             pearson_r(pairs((1,), (2,)))
 
+    def test_overflowing_sums_rejected(self):
+        # Each square overflows to inf, so a denominator is inf − inf = NaN.
+        with pytest.raises(StatsError, match="overflows"):
+            pearson_r(pairs((1, 2, 3), (1e200, -3e200, 2e200)))
+        with pytest.raises(StatsError, match="overflows"):
+            pearson_r(pairs((1e200, -3e200, 2e200), (1, 2, 3)))
+
     def test_affine_invariance_fuzz(self):
         rng = Random(101)
         for _ in range(100):
@@ -129,6 +138,11 @@ class TestRmse:
 
     def test_single_pair(self):
         assert rmse(pairs((5,), (7,))) == pytest.approx(2.0, abs=1e-15)
+
+    def test_overflowing_square_is_inf(self):
+        # float ** raises OverflowError where float * would give inf.
+        assert rmse(pairs((0.0, 1.0), (1e200, 1.0))) == math.inf
+        assert rmse(pairs((-1e308,), (1e308,))) == math.inf
 
 
 class TestRelativeErrors:
@@ -187,6 +201,34 @@ class TestBoxSummary:
             assert b.q1 == pytest.approx(q1, abs=1e-12)
             assert b.median == pytest.approx(med, abs=1e-12)
             assert b.q3 == pytest.approx(q3, abs=1e-12)
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # Rounding alone misordered or overshot these: equal and adjacent floats
+    # near the subnormals, and neighbours near the largest float.
+    @example([4.074919112474914e-308, 4.074919112474914e-308])
+    @example([6.948674738744655e-309, 6.94867473874466e-309])
+    @example([4.325796368888336e306, 4.325796368888337e306])
+    @example([6.937056072972547e-309, 6.937056072972547e-309])
+    @example([5.64321652794626e-309, 5.64321652794626e-309, 5.643216527946266e-309])
+    @example([1.7976931348623157e308, 1.7976931348623157e308])
+    @example([1.0, math.inf])
+    def test_accepts_finite_or_inf_values(self, xs):
+        b = box_summary(xs)
+        assert (b.min, b.max) == (min(xs), max(xs))
+        assert math.isnan(b.iqr) == (b.q1 == math.inf)
+
+    def test_inf_quartile_pair_has_nan_iqr(self):
+        b = box_summary([1.0, math.inf])
+        assert (b.min, b.q1, b.median, b.q3, b.max) == (1.0, math.inf, math.inf, math.inf, math.inf)
+        assert math.isnan(b.iqr)
+        with pytest.raises(StatsError):
+            BoxSummary(min=1.0, q1=math.inf, median=math.inf, q3=math.inf, max=math.inf, iqr=0.0)
 
     def test_monotone_map_compatibility(self):
         xs = (3.0, 1.0, 4.0, 1.5, 9.0)
