@@ -17,7 +17,6 @@ from .gsgp import (
     RunResult,
     estimate_size,
     evolve,
-    reconstruct,
 )
 from .stats import (
     BoxSummary,
@@ -55,7 +54,6 @@ __all__ = [
     "ols_fit",
     "ols_predict",
     "pearson_r",
-    "reconstruct",
     "relative_errors",
     "rmse",
     "save_csv",

@@ -4,16 +4,12 @@ All three consume the same Dataset type as the semantic engine. OLS and
 tree GP work on raw features; the LS-SVM scales features to [0, 1] per
 column internally because the RBF kernel is scale-sensitive.
 
-Tree GP evaluates through a `SubtreeCache` (Keijzer, "Alternatives in
-Subtree Caching for Genetic Programming", EuroGP 2004). It maps id(node)
-to that node's stacked train+test values and its depth, and each entry
-holds the node itself, so the id cannot pass to another node while the
-entry lives. A child that `_replace_at` builds shares every subtree off
-the grafted path with a tree already evaluated, so evaluating it and
-checking its depth cost one `eval_node` call per node on that path, not
-one per node of the tree.
-After every generation only the entries that the new population reaches
-are kept.
+Tree GP evaluates through `expr.eval_memo` (Keijzer, "Alternatives in
+Subtree Caching for Genetic Programming", EuroGP 2004), which keeps each
+node's stacked train+test values and depth on the node. A child that
+`_replace_at` builds shares every subtree off the grafted path with a tree
+already evaluated, so evaluating it and checking its depth cost one
+`eval_node` call per node on that path, not one per node of the tree.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import numpy as np
 from .dataset import Dataset, ScaleParams, scale_minmax
 from .expr import (
     ExprTree,
-    eval_node,
+    eval_memo,
     ramped_half_and_half,
     random_tree,
     randbelow,
@@ -147,66 +143,6 @@ def _replace_at(t: ExprTree, idx: int, sub: ExprTree) -> ExprTree:
     raise IndexError(idx)
 
 
-class SubtreeCache:
-    """Values on the rows of X and depth of each tree node met so far.
-
-    Keyed by id(node). An entry holds (node, values, depth): keeping the
-    node alive keeps its id from being reused by another node while the
-    entry lives, and trees are immutable, so an entry never goes stale.
-    `var` leaves are not stored; they map to the column views of X. Every
-    stored node's children are stored too, because `lookup` stores a node
-    only after its children and `keep_reachable` keeps whole subtrees.
-    """
-
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        self.columns = [X[:, j] for j in range(X.shape[1])]
-        self.entries: dict[int, tuple[ExprTree, np.ndarray, int]] = {}
-
-    def lookup(self, t: ExprTree) -> tuple[np.ndarray, int]:
-        """t's values, equal bit for bit to eval_matrix(t, X), and its depth.
-
-        Runs `eval_node` once for each node of t, other than a `var` leaf,
-        that has no entry yet.
-        """
-        hit = self.entries.get(id(t))
-        if hit is not None:
-            return hit[1], hit[2]
-        if t.kind == "var":
-            return self.columns[t.index - 1], 1
-        args = []
-        depth = 1
-        for c in t.children:
-            values, d = self.lookup(c)
-            args.append(values)
-            depth = max(depth, d + 1)
-        values = eval_node(t, self.X, args)
-        self.entries[id(t)] = (t, values, depth)
-        return values, depth
-
-    def keep_reachable(self, trees) -> None:
-        """Drop every entry whose node is not reached from one of trees.
-
-        A tree looked up since the last eviction, or kept by it, has an entry
-        for every inner node, so the walk stops at the first node without one
-        (a `var` leaf) and at nodes already kept. A node missed otherwise is
-        only evaluated again by its next lookup.
-        """
-        entries = self.entries
-        kept: dict[int, tuple[ExprTree, np.ndarray, int]] = {}
-        stack = list(trees)
-        while stack:
-            t = stack.pop()
-            key = id(t)
-            if key in kept:
-                continue
-            entry = entries.get(key)
-            if entry is not None:
-                kept[key] = entry
-                stack.extend(t.children)
-        self.entries = kept
-
-
 def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:
     """Koza-style tree GP with subtree crossover/mutation and a depth cap.
 
@@ -219,20 +155,18 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
     uniformly in each parent and grafts the second parent's subtree into
     the first; mutation grafts a fresh grow tree at a uniform node.
 
-    The operators only graft. The evaluate phase looks each offspring up
-    in one `SubtreeCache` over the stacked train+test rows, which gives its
-    values and its depth. An offspring deeper than max_depth is rejected in
-    favour of the first parent, whose row and record it takes, as elites
-    and reproductions do. An offspring shares all but its grafted path with
-    trees already looked up, so only that path is evaluated, rejected
-    offspring included. The rows make one matrix, an individual per row,
-    and the cache then keeps only the nodes reachable from the new
-    population's trees, one entry per distinct live inner node.
+    The operators only graft. The evaluate phase gives each offspring's
+    values on the stacked train+test rows and its depth by `eval_memo`. An
+    offspring deeper than max_depth is rejected in favour of the first
+    parent, whose row and record it takes, as elites and reproductions do.
+    An offspring shares all but its grafted path with trees already
+    evaluated, so only that path is evaluated, rejected offspring included.
+    The rows make one matrix, an individual per row.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
     rng = Random(seed)
-    cache = SubtreeCache(np.vstack([train.features, test.features]))
+    X = np.vstack([train.features, test.features])
 
     def crossover(p1: Individual, p2: Individual, rng: Random) -> ExprTree:
         t1, t2 = p1.ancestry.tree, p2.ancestry.tree
@@ -248,24 +182,25 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
         rows, kept = [], []
         for parents, child in slots:
             if isinstance(child, ExprTree):
-                values, depth = cache.lookup(child)
+                values, depth = eval_memo(child, X)
                 if depth <= cfg.max_depth:
                     rows.append(values)
                     kept.append(TreeOrigin(child))
                     continue
             rows.append(sem[parents[0]])
             kept.append(records[parents[0]])
-        cache.keep_reachable(rec.tree for rec in kept)
         return np.stack(rows), kept
 
     init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
     init_lo = min(INIT_MIN_DEPTH, init_hi)
     with np.errstate(all="ignore"):  # as in gsgp.evolve: an overflow is a value
-        trees = ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
+        # Generation 0's trees are handed to the loop, not kept in a local
+        # here, which would keep their memos alive for the whole run.
+        first = [ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)]
         return run_generations(
             cfg,
-            np.stack([cache.lookup(t)[0] for t in trees]),
-            [TreeOrigin(t) for t in trees],
+            np.stack([eval_memo(t, X)[0] for t in first[0]]),
+            [TreeOrigin(t) for t in first.pop()],
             train.targets,
             rng,
             test,

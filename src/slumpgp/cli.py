@@ -9,7 +9,9 @@ the master seed for `train`, master seed + i for run i of `compare`.
 `compare` and `ols-baseline` fit every method as one job list (see `jobs`),
 on one worker process per usable CPU, a count that appears in no artifact.
 Numbers in CSV files carry 6 significant digits; JSON reports keep full
-precision.
+precision. A number that is not finite, such as the RMSE of predictions
+that overflowed, is spelled as `_fmt` gives it in CSV files (inf, nan)
+and written as null in JSON, which has no other spelling for it.
 """
 
 from __future__ import annotations
@@ -188,17 +190,35 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _prediction_rows(pairs: PairedSeries, rels, first_no: int) -> list[str]:
-    """predictions.csv lines under PREDICTIONS_HEADER, numbered from first_no."""
+def _prediction_rows(targets: np.ndarray, predictions: np.ndarray, first_no: int) -> list[str]:
+    """predictions.csv lines under PREDICTIONS_HEADER, numbered from first_no.
+
+    The relative error is |computation − experiment| / experiment, the
+    arithmetic of `stats.relative_errors`; the slump is > 0 in every
+    Dataset. A prediction that is not finite is written too, as `nan` or
+    `inf`, and so is its relative error.
+    """
     return [
-        f"{first_no + i},{_fmt(actual)},{_fmt(pred)},{_fmt(rel)}"
-        for i, (actual, pred, rel) in enumerate(zip(pairs.experimental, pairs.computational, rels))
+        f"{first_no + i},{_fmt(actual)},{_fmt(pred)},{_fmt(abs(pred - actual) / actual)}"
+        for i, (actual, pred) in enumerate(zip(targets.tolist(), predictions.tolist()))
     ]
 
 
+def _finite_or_null(value):
+    """value with every float in it that is not finite replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _safe_rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -225,14 +245,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     result = evolve(cfg.gsgp, train, test, cfg.master_seed)
 
     # Every statistic that can fail is taken before the first file is written.
-    pairs = PairedSeries(tuple(test.targets), tuple(result.best.semantics[len(train) :]))
-    rels = relative_errors(pairs)
+    predictions = result.best.semantics[len(train) :]
+    pairs = PairedSeries(tuple(test.targets), tuple(predictions))
     metrics = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
         "pearson_r": pearson_r(pairs),
         "rmse": rmse(pairs),
-        "max_relative_error": max(rels),
+        "max_relative_error": max(relative_errors(pairs)),
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -243,7 +263,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     _write_lines(
         os.path.join(cfg.out_dir, "predictions.csv"),
-        [PREDICTIONS_HEADER, *_prediction_rows(pairs, rels, cfg.train_size + 1)],
+        [PREDICTIONS_HEADER, *_prediction_rows(test.targets, predictions, cfg.train_size + 1)],
     )
 
     _write_json(
@@ -291,8 +311,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if ds is not None:
         predictions = replay_semantics(payload, ds)
         if labeled:
-            pairs = PairedSeries(tuple(ds.targets), tuple(predictions))
-            lines += _prediction_rows(pairs, relative_errors(pairs), 1)
+            lines += _prediction_rows(ds.targets, predictions, 1)
         else:
             lines += [f"{i + 1},{_fmt(pred)}" for i, pred in enumerate(predictions)]
     else:

@@ -1,9 +1,11 @@
-"""Baselines: pinned tree-GP runs, the depth cap, the subtree cache, and
-the OLS and LS-SVM solves against independent solvers."""
+"""Baselines: pinned tree-GP runs, the depth cap, the node memos tree GP
+evaluates through, and the OLS and LS-SVM solves against independent
+solvers."""
 
 import math
 import tracemalloc
 import warnings
+import weakref
 from random import Random
 
 import numpy as np
@@ -11,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slumpgp.baselines as baselines_module
 from slumpgp.baselines import (
     RIDGE_JITTER,
     STGP_MUTATION_DEPTH,
     BaselineError,
     StgpConfig,
-    SubtreeCache,
     _node_at,
     _replace_at,
     _solve_dual,
@@ -28,17 +30,20 @@ from slumpgp.expr import (
     binop,
     constant,
     eval_matrix,
+    eval_memo,
     ramped_half_and_half,
     random_tree,
     randbelow,
     sigmoid_node,
     to_infix,
+    variable,
 )
 from slumpgp.gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
     TreeOrigin,
     fitness,
+    run_generations,
     tournament_select,
 )
 from test_expr import same_bits, tree_depth
@@ -252,23 +257,24 @@ def bitwise_equal(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def inner_node_ids(trees) -> set[int]:
-    ids, stack = set(), list(trees)
+def memo_owners(trees) -> set[int]:
+    """ids of the matrices that the memos of trees' nodes belong to."""
+    owners, stack = set(), list(trees)
     while stack:
         t = stack.pop()
-        if t.kind != "var":
-            ids.add(id(t))
-            stack.extend(t.children)
-    return ids
+        if t.memo is not None:
+            owners.add(id(t.memo[0]))
+        stack.extend(t.children)
+    return owners
 
 
-class TestSubtreeCache:
-    """Cached values and depths equal eval_matrix and tree_depth on chains of
-    grafts built the way stgp_run builds them, eviction included."""
+class TestEvalMemo:
+    """eval_memo's values and depths equal eval_matrix and tree_depth on chains
+    of grafts built the way stgp_run builds them, on one matrix or several."""
 
-    def check(self, cache, t, X):
+    def check(self, t, X):
         with np.errstate(all="ignore"):
-            values, depth = cache.lookup(t)
+            values, depth = eval_memo(t, X)
             want = eval_matrix(t, X)
         assert bitwise_equal(values, want)
         assert depth == tree_depth(t)
@@ -279,7 +285,7 @@ class TestSubtreeCache:
                       min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
         steps=st.lists(
-            st.tuples(st.sampled_from(["crossover", "mutation", "wrapped", "evict"]),
+            st.tuples(st.sampled_from(["crossover", "mutation", "wrapped", "recheck"]),
                       st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
             max_size=40,
         ),
@@ -288,20 +294,12 @@ class TestSubtreeCache:
         X = np.array(rows, dtype=float)
         rng = Random(seed)
         pool = [random_tree(rng, d, full=full) for full in (True, False) for d in (1, 3, 5)]
-        cache = SubtreeCache(X)
         for t in pool:
-            self.check(cache, t, X)
+            self.check(t, X)
         for op, a, b, c in steps:
             t1 = pool[a % len(pool)]
-            if op == "evict":
-                live = pool[-1 - b % len(pool):] + [t1]
-                for t in live:  # an evicted tree is looked up again before it is kept
-                    self.check(cache, t, X)
-                cache.keep_reachable(live)
-                assert set(cache.entries) == inner_node_ids(live)
-                assert all(id(entry[0]) == key for key, entry in cache.entries.items())
-                for t in live:
-                    self.check(cache, t, X)
+            if op == "recheck":  # memos made many grafts ago are still right
+                self.check(pool[b % len(pool)], X)
                 continue
             if op == "crossover":
                 t2 = pool[c % len(pool)]
@@ -312,19 +310,53 @@ class TestSubtreeCache:
                     scale = constant(EXTREMES[c % len(EXTREMES)])
                     graft = sigmoid_node(binop("mul", scale, graft))
             child = _replace_at(t1, b % t1.size, graft)
-            self.check(cache, child, X)
+            self.check(child, X)
             pool.append(child)
-        for t in pool:  # entries made before an eviction are still right
-            self.check(cache, t, X)
+        for t in pool:
+            self.check(t, X)
+        assert memo_owners(pool) <= {id(X)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.sampled_from(EXTREMES), min_size=8, max_size=8),
+                      min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+    )
+    def test_each_matrix_gets_its_own_values(self, rows, seed, order):
+        """A memo belongs to the matrix it was computed on: a tree evaluated on
+        several matrices in turn gives each matrix's own values, never another's."""
+        base = np.array(rows, dtype=float)
+        # Copies share no memory, so each is another owner; same values too.
+        matrices = [base, base * -2.0 + 1.0, base.copy()]
+        rng = Random(seed)
+        t = random_tree(rng, 5)
+        child = _replace_at(t, t.size // 2, random_tree(rng, 3))
+        for i in order:
+            for tree in (t, child):
+                self.check(tree, matrices[i])
+        assert len(memo_owners([t, child])) <= 1
+
+    def test_memo_of_another_matrix_is_recomputed(self):
+        t = binop("mul", binop("add", variable(1), variable(2)), constant(3.0))
+        X1 = np.arange(16, dtype=float).reshape(2, 8)
+        X2 = X1 + 1.0
+        assert t.memo is None
+        assert eval_memo(t, X1)[0].tolist() == [3.0, 51.0]
+        assert t.memo[0] is X1 and t.children[0].memo[0] is X1
+        assert eval_memo(t, X2)[0].tolist() == [9.0, 57.0]
+        assert t.memo[0] is X2 and t.children[0].memo[0] is X2
+        assert eval_memo(t, X1.copy())[0].tolist() == [3.0, 51.0]
 
 
 class TestStgpMemory:
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_cache_peak_bounded(self, table1_split, seed):
-        """Eviction bounds the cache by the live population's distinct nodes.
+        """Memos die with their nodes, so memory follows the live trees.
 
-        Measured tracemalloc peaks: 2.5-2.7 MB with eviction; 7.8-19 MB for a
-        cache that never evicts; 0.9 MB for direct evaluation without a cache.
+        Measured tracemalloc peaks: 2.1-2.3 MB with a memo on each node;
+        7.8-19 MB for a cache that keeps every node's values for the run;
+        0.9 MB for direct evaluation without memos.
         """
         train, test = table1_split
         cfg = StgpConfig(population_size=200, generations=30)
@@ -335,6 +367,29 @@ class TestStgpMemory:
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
+
+    def test_first_generation_is_handed_over(self, table1_split, monkeypatch):
+        """stgp_run keeps no reference to generation 0's list of trees, so the
+        trees and their memos die once no individual holds them."""
+
+        class Trees(list):  # a list that a weak reference can watch
+            pass
+
+        made, dropped = [], []
+
+        def ramped(*args):
+            trees = Trees(ramped_half_and_half(*args))
+            made.append(weakref.ref(trees))
+            return trees
+
+        def loop(*args):
+            dropped.append(made[0]() is None)
+            return run_generations(*args)
+
+        monkeypatch.setattr(baselines_module, "ramped_half_and_half", ramped)
+        monkeypatch.setattr(baselines_module, "run_generations", loop)
+        run(table1_split, seed=42)
+        assert dropped == [True]
 
 
 class TestOlsFit:

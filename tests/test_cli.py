@@ -16,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slumpgp.cli as cli_module
 import slumpgp.jobs as jobs_module
@@ -43,6 +45,10 @@ def run_cli(argv, capsys):
     """Exit code and stderr of one in-process invocation."""
     code = main(argv)
     return code, capsys.readouterr().err
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def assert_one_line_error(code, err):
@@ -184,13 +190,91 @@ class TestOverflowingFeatures:
         assert "correlation overflows" in err
         assert not (tmp_path / "o").exists()
 
-    def test_compare_reports_inf_rmse(self, tmp_path, capsys, argv):
+    def compare(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         argv = ["compare", *argv, "--runs", "2", "--seed", "1", "--out", str(out)]
         code, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
+        return out
+
+    def test_compare_reports_inf_rmse(self, tmp_path, capsys, argv):
+        """An RMSE that overflows reads inf in comparison.csv and null in report.json."""
+        out = self.compare(tmp_path, capsys, argv)
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert math.inf in report["test_rmse"]["gsgp"] + report["test_rmse"]["stgp"]
+        assert None in report["test_rmse"]["gsgp"] + report["test_rmse"]["stgp"]
+        table = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()[1:]
+        for k, line in enumerate(table):
+            for alg, cell in zip(("gsgp", "stgp", "lssvm"), line.split(",")[2:]):
+                assert (report["test_rmse"][alg][k] is None) == (cell == "inf")
+
+    def test_compare_report_is_strict_json(self, tmp_path, capsys, argv):
+        """No Infinity or NaN token: a parser that accepts neither reads the report."""
+        out = self.compare(tmp_path, capsys, argv)
+        text = (out / "report.json").read_text(encoding="utf-8")
+        report = json.loads(text, parse_constant=reject_constant)
+        # two +inf quartiles give a NaN iqr, written as null too
+        assert any(box["iqr"] is None for box in report["box_test_rmse"].values())
+
+    def test_predict_writes_every_row_labeled_or_not(self, tmp_path, capsys):
+        """Overflowing predictions are written, with or without the slump column."""
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        t = builtin_table1()
+        save_csv(Dataset(t.features * 1e200, t.targets), tmp_path / "labeled.csv")
+        save_csv(Dataset(t.features * 1e200), tmp_path / "unlabeled.csv")
+        tables = {}
+        for name in ("labeled", "unlabeled"):
+            argv = [
+                "predict", str(tmp_path / "t" / "model.json"), str(tmp_path / f"{name}.csv"),
+                "--out", str(tmp_path / name),
+            ]
+            assert run_cli(argv, capsys) == (0, "")
+            text = (tmp_path / name / "predictions.csv").read_text(encoding="utf-8")
+            tables[name] = [line.split(",") for line in text.splitlines()]
+        labeled, unlabeled = tables["labeled"], tables["unlabeled"]
+        assert len(labeled) == len(unlabeled) == 35
+        assert [row[2] for row in labeled[1:]] == [row[1] for row in unlabeled[1:]]
+        computed = [row[2] for row in labeled[1:]]
+        assert {"nan", "inf", "-inf"} & set(computed)
+        for (_, actual, pred, rel), y in zip(labeled[1:], t.targets.tolist()):
+            assert actual == f"{y:.6g}"
+            if pred in ("nan", "inf", "-inf"):
+                assert rel == ("nan" if pred == "nan" else "inf")
+
+
+def finite_or_none(value):
+    """Oracle: value with each float that is not finite replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [finite_or_none(v) for v in value]
+    return value
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestWriteJson:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4))
+    def test_strict_json_and_finite_payloads_unchanged(self, tmp_path_factory, payload):
+        """Every non-finite float is written as null; a payload without one is
+        written as before, so finite reports keep their bytes."""
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        cli_module._write_json(str(path), payload)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text, parse_constant=reject_constant) == finite_or_none(payload)
+        if finite_or_none(payload) == payload:
+            assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def artifacts(out_dir):

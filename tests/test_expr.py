@@ -22,6 +22,7 @@ from slumpgp.expr import (
     binop,
     constant,
     eval_matrix,
+    eval_memo,
     eval_trees,
     parse_infix,
     ramped_half_and_half,
@@ -227,7 +228,7 @@ class TestExprTreeContract:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
-    @pytest.mark.parametrize("name", ["kind", "index", "value", "children", "size"])
+    @pytest.mark.parametrize("name", ["kind", "index", "value", "children", "size", "memo"])
     def test_assignment_raises(self, name):
         t = binop("add", variable(1), constant(2.0))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -242,6 +243,14 @@ class TestExprTreeContract:
         )
         assert sigmoid_node(t).size == 4
         assert repr(leaf) == "ExprTree(kind='var', index=3, value=0.0, children=())"
+        assert leaf.memo is None and t.memo is None
+
+    def test_memo_takes_no_part_in_equality_hash_or_repr(self):
+        t = binop("div", variable(1), constant(0.5))
+        twin = binop("div", variable(1), constant(0.5))
+        eval_memo(t, ROW1[None, :])
+        assert t.memo is not None and twin.memo is None
+        assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
 
 
 class TestRandbelow:

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 from random import Random
 
 import numpy as np
@@ -18,18 +19,20 @@ from slumpgp.expr import (
     ExprTree,
     ParseError,
     binop,
+    constant,
     eval_matrix,
     parse_infix,
     ramped_half_and_half,
     random_tree,
     sigmoid,
+    sigmoid_node,
     to_infix,
     variable,
 )
 from slumpgp.gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
-    BudgetExceeded,
+    AncestryRecord,
     CrossoverOrigin,
     GsgpConfig,
     GsgpError,
@@ -37,6 +40,7 @@ from slumpgp.gsgp import (
     Individual,
     MutationOrigin,
     TreeOrigin,
+    _post_order,
     _snap_weight,
     archive_individual,
     breed,
@@ -47,7 +51,6 @@ from slumpgp.gsgp import (
     fitness,
     load_ancestry,
     population,
-    reconstruct,
     replay_semantics,
     tournament_select,
 )
@@ -104,6 +107,53 @@ def geometric_crossover(p1, p2, rng, targets) -> Individual:
 def geometric_mutation(p, ms, rng, features, targets, tree_depth=4) -> Individual:
     """One mutation child of p: its draws, then its vector on the rows of features."""
     return bred([p], draw_mutation(p, ms, rng, tree_depth), features, targets)
+
+
+@dataclass(frozen=True)
+class BudgetExceeded:
+    """Reconstruction refused: the expanded tree would have `estimate` nodes."""
+
+    estimate: int
+
+
+def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
+    """Oracle: expand the ancestry into a literal expression tree.
+
+    Refuses with BudgetExceeded when the estimated node count is past
+    node_budget; no command builds this tree, and `estimate_size` puts a
+    model at the default config at billions of nodes. The emitted templates
+    are the symbolic mirror of each record's `apply`, the same arithmetic in
+    the same order, so evaluating the result reproduces the individual's
+    stored semantics bit for bit.
+    """
+    if node_budget < 1:
+        raise GsgpError(f"node_budget must be >= 1, got {node_budget}")
+    est = estimate_size(ind)
+    if est > node_budget:
+        return BudgetExceeded(estimate=est)
+
+    tree: dict[AncestryRecord, ExprTree] = {}
+    for rec in _post_order(ind.ancestry):
+        if isinstance(rec, TreeOrigin):
+            tree[rec] = rec.tree
+        elif isinstance(rec, CrossoverOrigin):
+            # tr·p1 + (1 − tr)·p2, as in CrossoverOrigin.apply.
+            tree[rec] = binop(
+                "add",
+                binop("mul", tree[rec.parent1], constant(rec.tr)),
+                binop("mul", constant(1.0 - rec.tr), tree[rec.parent2]),
+            )
+        else:
+            tree[rec] = binop(
+                "add",
+                tree[rec.parent],
+                binop(
+                    "mul",
+                    constant(rec.ms),
+                    binop("sub", sigmoid_node(rec.r1), sigmoid_node(rec.r2)),
+                ),
+            )
+    return tree[ind.ancestry]
 
 
 def count_nodes(t: ExprTree) -> int:
