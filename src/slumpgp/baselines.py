@@ -1,8 +1,9 @@
 """Comparison models: multiple linear regression, standard tree GP, LS-SVM.
 
-All three consume the same Dataset type as the semantic engine. OLS and
-tree GP work on raw features; the LS-SVM scales features to [0, 1] per
-column internally because the RBF kernel is scale-sensitive.
+All three consume the same Dataset type as the semantic engine. Tree GP
+works on raw features. OLS centres and scales each column internally, so
+its fit does not depend on the features' units, and the LS-SVM scales
+features to [0, 1] per column because the RBF kernel is scale-sensitive.
 
 Tree GP evaluates through `expr.eval_memo` (Keijzer, "Alternatives in
 Subtree Caching for Genetic Programming", EuroGP 2004), which keeps each
@@ -32,7 +33,6 @@ from .gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
     Generation,
-    Individual,
     RunResult,
     Slot,
     TreeOrigin,
@@ -67,24 +67,32 @@ RIDGE_JITTER = 1e-8
 def ols_fit(train: Dataset) -> LinearModel:
     """Least-squares fit of slump ~ intercept + features.
 
-    Solves the normal equations (XᵀX + λI)β = Xᵀy with λ = 1e-8 on the
-    diagonal — the total-mass column is near-collinear with the rest, so a
-    tiny ridge keeps the system well-posed. The solve goes through the
-    equivalent augmented least-squares problem [X; √λ·I] for numerical
-    stability; a plain dense solve of the normal matrix loses ~5 digits.
+    Each column is centred on its training mean and divided by its range
+    (1 if constant), so the fit does not depend on the features' units;
+    the range, unlike the std, squares nothing that could overflow. On
+    these columns Z it solves (ZᵀZ + λI)γ = Zᵀy with λ = 1e-8, as the
+    total-mass column is near-collinear with the rest, through the
+    augmented least-squares problem [Z; √λ·I], which keeps ~5 digits that
+    a dense solve of the normal matrix loses. γ is then mapped back.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
     n = len(train)
     if n <= 9:
         raise BaselineError(f"need more than 9 training rows, got {n}")
-    design = np.hstack([np.ones((n, 1)), train.features])
+    X = train.features
+    mean = X.mean(axis=0)
+    spread = X.max(axis=0) - X.min(axis=0)
+    spread[spread == 0] = 1.0
+    design = np.hstack([np.ones((n, 1)), (X - mean) / spread])
     augmented = np.vstack([design, math.sqrt(RIDGE_JITTER) * np.eye(9)])
     rhs = np.concatenate([train.targets, np.zeros(9)])
     beta, _, rank, _ = np.linalg.lstsq(augmented, rhs, rcond=None)
     if rank < 9:
         raise BaselineError("design matrix is singular even after ridge jitter")
-    return LinearModel(intercept=float(beta[0]), coefficients=tuple(float(c) for c in beta[1:]))
+    coefficients = beta[1:] / spread
+    intercept = beta[0] - float(np.dot(coefficients, mean))
+    return LinearModel(intercept=float(intercept), coefficients=tuple(coefficients.tolist()))
 
 
 def ols_predict(m: LinearModel, x) -> float:
@@ -168,15 +176,15 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
     rng = Random(seed)
     X = np.vstack([train.features, test.features])
 
-    def crossover(p1: Individual, p2: Individual, rng: Random) -> ExprTree:
-        t1, t2 = p1.ancestry.tree, p2.ancestry.tree
+    def crossover(rec1: TreeOrigin, rec2: TreeOrigin, rng: Random) -> ExprTree:
+        t1, t2 = rec1.tree, rec2.tree
         i1 = randbelow(rng, t1.size)
         i2 = randbelow(rng, t2.size)
         return _replace_at(t1, i1, _node_at(t2, i2))
 
-    def mutation(p: Individual, rng: Random) -> ExprTree:
-        i = randbelow(rng, p.ancestry.tree.size)
-        return _replace_at(p.ancestry.tree, i, random_tree(rng, STGP_MUTATION_DEPTH))
+    def mutation(rec: TreeOrigin, rng: Random) -> ExprTree:
+        i = randbelow(rng, rec.tree.size)
+        return _replace_at(rec.tree, i, random_tree(rng, STGP_MUTATION_DEPTH))
 
     def evaluate(sem: np.ndarray, records: list[TreeOrigin], slots: list[Slot]) -> Generation:
         rows, kept = [], []

@@ -2,9 +2,10 @@
 
 Random trees drawn here feed both the semantic engine (initial population,
 mutation perturbations) and the standard tree-GP baseline. Constant leaves
-and sigmoid wrapper nodes never occur in randomly generated trees; they
-exist so lineage expansion can spell out crossover/mutation arithmetic as
-a literal expression.
+and sigmoid wrapper nodes never occur in randomly generated trees. They
+remain because `parse_infix` accepts them, so a model file may hold them,
+and because the tests' oracle builds them when it spells a GSGP ancestry
+out as one literal expression.
 """
 
 from __future__ import annotations

@@ -11,16 +11,17 @@ Trees are evaluated once on the stacked train+test features; `eval_matrix`,
 `eval_trees` and `sigmoid` act on each row alone, so stacking changes no
 value.
 
-A generation is one matrix with an individual per row, made in two phases
-by `run_generations`. The draw phase makes every draw; the operators only
-build the children's ancestry records. The evaluate phase, `breed`, then
-computes the whole next matrix in a few numpy calls, and `population`
-ranks its rows with one row-sum `fitness`. No draw reads a child, and each
-step is element-wise IEEE arithmetic, so the draws and every child's
-vector are, bit for bit, those of computing each child alone as it is
-drawn. Standard tree GP (`baselines.stgp_run`) runs on the same loop: its
-operators only graft, and its evaluate phase reads each offspring's values
-from the memos its nodes keep (`expr.eval_memo`).
+A generation is a matrix with an individual per row, their fitnesses and
+their ancestry records, made in two phases by `run_generations`. The draw
+phase makes every draw; the operators only build the children's records.
+The evaluate phase, `breed`, then computes the whole next matrix in a few
+numpy calls, and `fitnesses` scores its rows with one row-sum `fitness`.
+No draw reads a child, and each step is element-wise IEEE arithmetic, so
+the draws and every child's vector are, bit for bit, those of computing
+each child alone as it is drawn. Only the best so far becomes an
+`Individual`. Standard tree GP (`baselines.stgp_run`) runs on the same
+loop: its operators only graft, and its evaluate phase reads each
+offspring's values from the memos its nodes keep (`expr.eval_memo`).
 
 `archive_individual` writes an individual's ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
@@ -126,6 +127,8 @@ AncestryRecord = Union[TreeOrigin, CrossoverOrigin, MutationOrigin]
 
 @dataclass(frozen=True, eq=False)
 class Individual:
+    """A run's best: its row of a generation's matrix, train fitness and record."""
+
     semantics: Semantics
     train_fitness: float
     ancestry: AncestryRecord
@@ -199,12 +202,10 @@ def fitness(s: Semantics, targets: np.ndarray):
     return float(errors) if s.ndim == 1 else errors
 
 
-def population(
-    sem: np.ndarray, records: list[AncestryRecord], targets: np.ndarray
-) -> list[Individual]:
-    """One Individual per row of sem, with its L1 train fitness; a NaN fitness becomes +inf.
+def fitnesses(sem: np.ndarray, targets: np.ndarray) -> list[float]:
+    """The L1 train fitness of each row of sem; a NaN fitness becomes +inf.
 
-    `run_generations` makes every population of both engines here. Each
+    `run_generations` scores every generation of both engines here. Each
     row holds the training rows, then the test rows; fitness reads the
     first len(targets), with one call for all rows. NaN compares false
     against everything, so a NaN entrant could win a tournament depending
@@ -212,7 +213,7 @@ def population(
     """
     fits = fitness(sem[:, : len(targets)], targets)
     fits[np.isnan(fits)] = math.inf
-    return list(map(Individual, sem, fits.tolist(), records))
+    return fits.tolist()
 
 
 def _snap_weight(u: float) -> float:
@@ -226,16 +227,18 @@ def _snap_weight(u: float) -> float:
     return 1.0 - (1.0 - u) if u < 0.5 else u
 
 
-def draw_crossover(p1: Individual, p2: Individual, rng: Random) -> CrossoverOrigin:
-    """The record of a child tr·p1 + (1−tr)·p2, with one tr drawn per call.
+def draw_crossover(rec1: AncestryRecord, rec2: AncestryRecord, rng: Random) -> CrossoverOrigin:
+    """The record of a child tr·rec1 + (1−tr)·rec2, with one tr drawn per call.
 
     Only the draw: `breed` computes the child's vector.
     """
-    return CrossoverOrigin(p1.ancestry, p2.ancestry, _snap_weight(rng.random()))
+    return CrossoverOrigin(rec1, rec2, _snap_weight(rng.random()))
 
 
-def draw_mutation(p: Individual, ms: float, rng: Random, tree_depth: int = 4) -> MutationOrigin:
-    """The record of a child parent + ms·(sigmoid(r1) − sigmoid(r2)).
+def draw_mutation(
+    rec: AncestryRecord, ms: float, rng: Random, tree_depth: int = 4
+) -> MutationOrigin:
+    """The record of a child parent + ms·(sigmoid(r1) − sigmoid(r2)), rec the parent's.
 
     Draws r1, then r2: fresh grow trees with a function at the root.
     `breed` computes the child's vector. The logistic map bounds each
@@ -245,32 +248,34 @@ def draw_mutation(p: Individual, ms: float, rng: Random, tree_depth: int = 4) ->
         raise GsgpError(f"mutation step must be > 0, got {ms}")
     r1 = random_tree(rng, tree_depth, force_root_function=True)
     r2 = random_tree(rng, tree_depth, force_root_function=True)
-    return MutationOrigin(parent=p.ancestry, r1=r1, r2=r2, ms=ms)
+    return MutationOrigin(parent=rec, r1=r1, r2=r2, ms=ms)
 
 
 # A slot of the next generation, as the draw phase of `run_generations` fills
-# it: the indices of its parents in the current generation, and its child. A
-# reproduced or elite child is the parent Individual itself; an operator's
-# child is whatever the operator returned.
+# it: the indices of its parents in the current generation, and its child.
+# A reproduced or elite child is None, a copy of its parent's row and
+# record; an operator's child is whatever the operator returned.
 Slot = tuple[tuple[int, ...], object]
 Generation = tuple[np.ndarray, list[AncestryRecord]]  # an individual per row, and their records
 
 
-def breed(sem: np.ndarray, slots: list[Slot], features: np.ndarray) -> Generation:
+def breed(
+    sem: np.ndarray, records: list[AncestryRecord], slots: list[Slot], features: np.ndarray
+) -> Generation:
     """GSGP's evaluate phase: the next generation's matrix and records, row j from slot j.
 
-    sem holds the current generation, an individual per row; features holds
-    the rows of a semantics vector. A slot's child is an Individual (copied
-    from its parent's row), a CrossoverOrigin or a MutationOrigin. Each kind
-    is computed for all its slots at once: one gather for the copies, one
-    `CrossoverOrigin.apply` and one `MutationOrigin.apply` over stacked
+    sem and records hold the current generation, a row each; features holds
+    the rows of a semantics vector. A slot's child is None (a copy of its
+    parent's row and record), a CrossoverOrigin or a MutationOrigin. Each
+    kind is computed for all its slots at once: one gather for the copies,
+    one `CrossoverOrigin.apply` and one `MutationOrigin.apply` over stacked
     parents with a column of weights, and one `eval_trees` and one `sigmoid`
     over every perturbation tree, r1s then r2s.
     """
     copies, copied = [], []
     crossed, parents1, parents2, trs = [], [], [], []
     mutated, mutants, steps, r1s, r2s = [], [], [], [], []
-    records = []
+    children = []
     for row, (parents, child) in enumerate(slots):
         if isinstance(child, CrossoverOrigin):
             crossed.append(row)
@@ -286,8 +291,8 @@ def breed(sem: np.ndarray, slots: list[Slot], features: np.ndarray) -> Generatio
         else:
             copies.append(row)
             copied.append(parents[0])
-            child = child.ancestry
-        records.append(child)
+            child = records[parents[0]]
+        children.append(child)
     out = np.empty((len(slots), sem.shape[1]))
     out[copies] = sem[copied]
     if crossed:
@@ -298,24 +303,24 @@ def breed(sem: np.ndarray, slots: list[Slot], features: np.ndarray) -> Generatio
         ms = np.array(steps)[:, np.newaxis]
         s1, s2 = squashed[: len(mutated)], squashed[len(mutated) :]
         out[mutated] = MutationOrigin.apply(ms, sem[mutants], s1, s2)
-    return out, records
+    return out, children
 
 
-def tournament_select(pop: list[Individual], k: int, rng: Random) -> int:
-    """Sample k distinct indices and pick one of them.
+def tournament_select(fits: list[float], k: int, rng: Random) -> int:
+    """Sample k distinct indices of fits and pick one of them.
 
-    Return the entrant with the lowest `train_fitness` (L1 error), ties to
-    the lowest index: the least (train_fitness, index) pair in tuple order.
+    Return the entrant with the lowest fitness (L1 error), ties to the
+    lowest index: the least (fits[i], i) pair in tuple order.
 
     Draw contract: the entrants are the same values as
-    `rng.sample(range(len(pop)), k)`, from the same draws, so the generator
+    `rng.sample(range(len(fits)), k)`, from the same draws, so the generator
     ends in the same state; the oracle tests in tests/test_gsgp.py pin this.
     The draws follow CPython's `sample`, taken straight from `getrandbits`:
     a pool of all n indices when a k-set would take more memory than an
     n-list, else up to k draws below n, each drawn again while it repeats
     an earlier entrant.
     """
-    n = len(pop)
+    n = len(fits)
     if not 1 <= k <= n:
         raise GsgpError(f"tournament size {k} invalid for population of {n}")
     getrandbits = rng.getrandbits
@@ -341,19 +346,14 @@ def tournament_select(pop: list[Individual], k: int, rng: Random) -> int:
             entrants.append(j)
 
     best_i = entrants[0]
-    best_f = pop[best_i].train_fitness
+    best_f = fits[best_i]
     for i in entrants:
-        f = pop[i].train_fitness
+        f = fits[i]
         # Tuple order: the fitnesses count as equal when == or the same
         # object, so a NaN ties only with itself, as in min(key=...).
         if f < best_f or ((f == best_f or f is best_f) and i < best_i):
             best_i, best_f = i, f
     return best_i
-
-
-def _best_indices(pop: list[Individual], count: int) -> list[int]:
-    order = sorted(range(len(pop)), key=lambda i: (pop[i].train_fitness, i))
-    return order[:count]
 
 
 def run_generations(
@@ -363,69 +363,62 @@ def run_generations(
     targets: np.ndarray,
     rng: Random,
     test: Dataset,
-    crossover: Callable[[Individual, Individual, Random], object],
-    mutation: Callable[[Individual, Random], object],
+    crossover: Callable[[AncestryRecord, AncestryRecord, Random], object],
+    mutation: Callable[[AncestryRecord, Random], object],
     evaluate: Callable[[np.ndarray, list[AncestryRecord], list[Slot]], Generation],
 ) -> RunResult:
     """The elitist generational loop that GSGP and standard tree GP share.
 
     sem and records are generation 0 (see `Generation`); the engines keep
-    no other reference to them, so each generation's matrix is freed once
-    no individual holds a row of it. targets are the training rows'
-    targets. cfg supplies population_size, generations, p_crossover,
-    p_mutation, tournament_size and elitism; GsgpConfig and StgpConfig both
-    do. Each
-    generation keeps the elitism best of the previous one, then fills every
-    other slot with crossover, mutation or reproduction. History row g holds
-    the best-of-generation-g fitness pair; when the test set has no targets
-    the test column is NaN. The last len(test) entries of a semantics vector
-    are its test rows.
+    no other reference to them, so a generation's matrix is freed once the
+    loop moves on, unless the best so far is a row of it. targets are the
+    training rows' targets. cfg supplies population_size, generations,
+    p_crossover, p_mutation, tournament_size and elitism; GsgpConfig and
+    StgpConfig both do. History row g holds the best-of-generation-g
+    fitness pair; when the test set has no targets the test column is NaN.
+    The last len(test) entries of a semantics vector are its test rows.
 
-    A generation is made in two phases. The draw phase fills every slot
-    (see `Slot`) in order. Per slot the draws come in a fixed order: the
-    operator draw, its tournaments, then the operator's own draws, made by
-    crossover(p1, p2, rng) or mutation(p, rng). The evaluate phase,
-    evaluate(sem, records, slots), then computes every child from the
-    current generation's matrix and records, and returns the next ones, row
-    j from slot j. Tournaments read only the previous generation, and no
-    draw reads a child, so the draws are the same as if each child were
-    computed as soon as it is drawn. Every generation becomes a population
-    through `population`.
+    Each generation is scored by `fitnesses` and sorted once by (fitness,
+    index), which gives its best row and the elitism rows the next
+    generation keeps. Only a new best so far becomes an `Individual`. The
+    other slots (see `Slot`) are made in two phases. The draw phase fills
+    them in order, each with its operator draw, its tournaments over the
+    fitnesses, then crossover(rec1, rec2, rng) or mutation(rec, rng) on
+    the parents' records, or a reproduction. The evaluate phase,
+    evaluate(sem, records, slots), then returns the next matrix and
+    records, row j from slot j. Tournaments read only the previous
+    generation, and no draw reads a child, so the draws are the same as if
+    each child were computed as soon as it is drawn.
     """
 
-    def generation_stats(best: Individual) -> GenerationStats:
-        if test.targets is None:
-            test_fit = math.nan
-        else:
-            test_fit = fitness(best.semantics[-len(test) :], test.targets)
-        return GenerationStats(train_fitness=best.train_fitness, test_fitness=test_fit)
+    k = cfg.tournament_size
+    history: list[GenerationStats] = []
+    best = None
+    while True:
+        fits = fitnesses(sem, targets)
+        # fitnesses holds no NaN and the sort is stable, so ties keep index order.
+        order = sorted(range(len(fits)), key=fits.__getitem__)
+        b = order[0]
+        if best is None or fits[b] < best.train_fitness:
+            best = Individual(sem[b], fits[b], records[b])
+        test_fit = math.nan if test.targets is None else fitness(sem[b, -len(test) :], test.targets)
+        history.append(GenerationStats(train_fitness=fits[b], test_fitness=test_fit))
+        if len(history) > cfg.generations:
+            return RunResult(history=tuple(history), best=best)
 
-    pop = population(sem, records, targets)
-    best_ever = pop[_best_indices(pop, 1)[0]]
-    history = [generation_stats(best_ever)]
-
-    for _ in range(cfg.generations):
-        slots: list[Slot] = [((i,), pop[i]) for i in _best_indices(pop, cfg.elitism)]
+        slots: list[Slot] = [((i,), None) for i in order[: cfg.elitism]]
         while len(slots) < cfg.population_size:
             draw = rng.random()
             if draw < cfg.p_crossover:
-                i1 = tournament_select(pop, cfg.tournament_size, rng)
-                i2 = tournament_select(pop, cfg.tournament_size, rng)
-                slots.append(((i1, i2), crossover(pop[i1], pop[i2], rng)))
+                i1 = tournament_select(fits, k, rng)
+                i2 = tournament_select(fits, k, rng)
+                slots.append(((i1, i2), crossover(records[i1], records[i2], rng)))
             elif draw < cfg.p_crossover + cfg.p_mutation:
-                i = tournament_select(pop, cfg.tournament_size, rng)
-                slots.append(((i,), mutation(pop[i], rng)))
+                i = tournament_select(fits, k, rng)
+                slots.append(((i,), mutation(records[i], rng)))
             else:
-                i = tournament_select(pop, cfg.tournament_size, rng)
-                slots.append(((i,), pop[i]))
+                slots.append(((tournament_select(fits, k, rng),), None))
         sem, records = evaluate(sem, records, slots)
-        pop = population(sem, records, targets)
-        gen_best = pop[_best_indices(pop, 1)[0]]
-        if gen_best.train_fitness < best_ever.train_fitness:
-            best_ever = gen_best
-        history.append(generation_stats(gen_best))
-
-    return RunResult(history=tuple(history), best=best_ever)
 
 
 def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:
@@ -452,7 +445,7 @@ def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResu
             test,
             crossover=draw_crossover,
             mutation=lambda p, rng: draw_mutation(p, cfg.mutation_step, rng, cfg.random_tree_depth),
-            evaluate=lambda sem, records, slots: breed(sem, slots, stacked),
+            evaluate=lambda sem, records, slots: breed(sem, records, slots, stacked),
         )
 
 

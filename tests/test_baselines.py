@@ -10,7 +10,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slumpgp.baselines as baselines_module
@@ -23,6 +23,7 @@ from slumpgp.baselines import (
     _replace_at,
     _solve_dual,
     ols_fit,
+    ols_predict,
     stgp_run,
 )
 from slumpgp.dataset import Dataset, builtin_table1
@@ -135,22 +136,23 @@ def stgp_per_child(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int):
         for _ in range(cfg.generations):
             order = sorted(range(len(pop)), key=lambda i: (pop[i].train_fitness, i))
             next_pop = [pop[i] for i in order[: cfg.elitism]]
+            fits = [ind.train_fitness for ind in pop]
             while len(next_pop) < cfg.population_size:
                 draw = rng.random()
                 if draw < cfg.p_crossover:
-                    p1 = pop[tournament_select(pop, k, rng)]
-                    p2 = pop[tournament_select(pop, k, rng)]
+                    p1 = pop[tournament_select(fits, k, rng)]
+                    p2 = pop[tournament_select(fits, k, rng)]
                     t1, t2 = p1.ancestry.tree, p2.ancestry.tree
                     i1 = randbelow(rng, t1.size)
                     i2 = randbelow(rng, t2.size)
                     next_pop.append(capped(_replace_at(t1, i1, _node_at(t2, i2)), p1))
                 elif draw < cfg.p_crossover + cfg.p_mutation:
-                    p = pop[tournament_select(pop, k, rng)]
+                    p = pop[tournament_select(fits, k, rng)]
                     i = randbelow(rng, p.ancestry.tree.size)
                     graft = random_tree(rng, STGP_MUTATION_DEPTH)
                     next_pop.append(capped(_replace_at(p.ancestry.tree, i, graft), p))
                 else:
-                    next_pop.append(pop[tournament_select(pop, k, rng)])
+                    next_pop.append(pop[tournament_select(fits, k, rng)])
             pop = next_pop
             gen_best = best_of(pop)
             if gen_best.train_fitness < best_ever.train_fitness:
@@ -392,21 +394,54 @@ class TestStgpMemory:
         assert dropped == [True]
 
 
+def ols_scaled_system(features):
+    """The design ols_fit solves on: a ones column, then each feature column
+    centred on its mean and divided by its range (1 for a constant column).
+    Returns (design, mean, range)."""
+    mean = features.mean(axis=0)
+    spread = np.ptp(features, axis=0)
+    spread = np.where(spread > 0, spread, 1.0)
+    return np.column_stack([np.ones(len(features)), (features - mean) / spread]), mean, spread
+
+
 class TestOlsFit:
     @pytest.mark.parametrize("n", [10, 20, 28, 34])
     def test_matches_lstsq_on_augmented_system(self, table1, n):
         train = Dataset(table1.features[:n], table1.targets[:n])
         m = ols_fit(train)
-        got = np.array([m.intercept, *m.coefficients])
-        design = np.column_stack([np.ones(n), train.features])
+        design, mean, spread = ols_scaled_system(train.features)
+        # The model's coefficients in the scaled units the system is solved in.
+        got = np.array([m.intercept + np.dot(m.coefficients, mean),
+                        *(np.array(m.coefficients) * spread)])
         A = np.vstack([design, math.sqrt(RIDGE_JITTER) * np.eye(9)])
         rhs = np.concatenate([train.targets, np.zeros(9)])
         want = np.linalg.lstsq(A, rhs, rcond=None)[0]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
-        # and it solves the ridge normal equations (XᵀX + λI)β = Xᵀy
+        # and it solves the ridge normal equations (ZᵀZ + λI)γ = Zᵀy
         normal = design.T @ design + RIDGE_JITTER * np.eye(9)
         residual = normal @ got - design.T @ train.targets
         assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(design.T @ train.targets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-6.0, 8.0), min_size=8, max_size=8))
+    @example([-6.0] * 8)
+    @example([8.0] * 8)
+    @example([-6.0, 8.0] * 4)
+    def test_predictions_do_not_depend_on_feature_units(self, table1, exponents):
+        """Rescaling each column by a factor in [1e-6, 1e8] moves no
+        prediction by more than 1e-9 relative."""
+        factors = 10.0 ** np.array(exponents)
+        train = Dataset(table1.features[:28], table1.targets[:28])
+        rescaled = Dataset(train.features * factors, train.targets)
+        want = [ols_predict(ols_fit(train), x) for x in table1.features]
+        got = [ols_predict(ols_fit(rescaled), x) for x in table1.features * factors]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_constant_column_gets_no_weight(self, table1):
+        features = table1.features[:28].copy()
+        features[:, 6] = 535.0
+        m = ols_fit(Dataset(features, table1.targets[:28]))
+        assert m.coefficients[6] == 0.0
 
 
 class TestSolveDual:

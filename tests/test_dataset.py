@@ -4,6 +4,7 @@ import csv
 import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -41,6 +42,10 @@ COLUMN_SUMS = {
     "total_mass": 81600.0,
     "slump": 4368.0,
 }
+
+
+# Table 1 with row 8's fly ash as 48 kg/m³ instead of 481 (see data/README.md).
+ROW8_VARIANT = Path(__file__).resolve().parent.parent / "data" / "table1_row8_fly_ash_48.csv"
 
 
 def make_sample(slump=120.0):
@@ -172,6 +177,29 @@ class TestBuiltinTable:
 
     def test_all_labeled(self, table1):
         assert table1.has_targets
+
+    def test_mass_balance_singles_out_row_8(self, table1):
+        """Total mass minus the sum of the seven components: row 8 alone
+        lies outside [−70, 0], at −451.4 kg/m³; every other row reads
+        between −63.9 and −5.71."""
+        gap = table1.features[:, 7] - table1.features[:, :7].sum(axis=1)
+        outside = [row for row, g in enumerate(gap.tolist(), start=1) if not -70.0 <= g <= 0.0]
+        assert outside == [8]
+        assert gap[7] == pytest.approx(-451.4, abs=1e-9)
+        others = np.delete(gap, 7)
+        assert others.min() == pytest.approx(-63.9, abs=1e-9)
+        assert others.max() == pytest.approx(-5.71, abs=1e-9)
+
+    def test_row8_variant_differs_in_one_cell(self, table1):
+        variant = load_csv(ROW8_VARIANT)
+        assert variant.has_targets
+        assert np.array_equal(variant.targets, table1.targets)
+        changed = np.argwhere(variant.features != table1.features).tolist()
+        assert changed == [[7, FEATURE_NAMES.index("fly_ash")]]
+        assert table1.features[7, 1] == 481.0
+        assert variant.features[7, 1] == 48.0
+        gap = variant.features[7, 7] - variant.features[7, :7].sum()
+        assert gap == pytest.approx(-18.4, abs=1e-9)
 
 
 class TestSplit:

@@ -1,6 +1,7 @@
 """Semantic engine: operators, evolution loop, lineage, persistence."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -49,8 +50,8 @@ from slumpgp.gsgp import (
     estimate_size,
     evolve,
     fitness,
+    fitnesses,
     load_ancestry,
-    population,
     replay_semantics,
     tournament_select,
 )
@@ -95,18 +96,19 @@ def stacked(train, test):
 def bred(parents, child, features, targets) -> Individual:
     """The batch of one: `breed`'s child of a single slot over the parents' stacked rows."""
     sem = np.stack([p.semantics for p in parents])
-    rows, records = breed(sem, [(tuple(range(len(parents))), child)], features)
-    return population(rows, records, targets)[0]
+    records = [p.ancestry for p in parents]
+    rows, kids = breed(sem, records, [(tuple(range(len(parents))), child)], features)
+    return Individual(rows[0], fitnesses(rows, targets)[0], kids[0])
 
 
 def geometric_crossover(p1, p2, rng, targets) -> Individual:
     """One crossover child of p1 and p2: its draw, then its vector."""
-    return bred([p1, p2], draw_crossover(p1, p2, rng), None, targets)
+    return bred([p1, p2], draw_crossover(p1.ancestry, p2.ancestry, rng), None, targets)
 
 
 def geometric_mutation(p, ms, rng, features, targets, tree_depth=4) -> Individual:
     """One mutation child of p: its draws, then its vector on the rows of features."""
-    return bred([p], draw_mutation(p, ms, rng, tree_depth), features, targets)
+    return bred([p], draw_mutation(p.ancestry, ms, rng, tree_depth), features, targets)
 
 
 @dataclass(frozen=True)
@@ -322,32 +324,19 @@ class TestGeometricMutation:
 
 
 class TestTournament:
-    def population(self, fits, ds):
-        """Individuals whose train_fitness equals fits: target + f/2 on both rows."""
-        pop = [raw_individual(ds.targets + f / 2, ds.targets + f / 2, ds) for f in fits]
-        assert [ind.train_fitness for ind in pop] == fits
-        return pop
-
     def test_exhaustive_tournament_returns_global_best(self):
-        ds = tiny_dataset(targets=(1000.0, 1000.0))
-        pop = self.population([5.0, 1.0, 3.0, 4.0], ds)
-        assert tournament_select(pop, 4, Random(0)) == 1
+        assert tournament_select([5.0, 1.0, 3.0, 4.0], 4, Random(0)) == 1
 
     def test_population_of_one(self):
-        ds = tiny_dataset(targets=(1000.0, 1000.0))
-        pop = self.population([5.0], ds)
-        assert tournament_select(pop, 1, Random(0)) == 0
+        assert tournament_select([5.0], 1, Random(0)) == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        ds = tiny_dataset(targets=(1000.0, 1000.0))
-        pop = self.population([7.0, 7.0, 7.0], ds)
-        assert tournament_select(pop, 3, Random(9)) == 0
+        assert tournament_select([7.0, 7.0, 7.0], 3, Random(9)) == 0
 
     def test_deterministic_under_seed(self):
-        ds = tiny_dataset(targets=(1000.0, 1000.0))
-        pop = self.population([3.0, 9.0, 1.0, 4.0, 8.0, 2.0], ds)
-        picks_a = [tournament_select(pop, 2, Random(55)) for _ in range(20)]
-        picks_b = [tournament_select(pop, 2, Random(55)) for _ in range(20)]
+        fits = [3.0, 9.0, 1.0, 4.0, 8.0, 2.0]
+        picks_a = [tournament_select(fits, 2, Random(55)) for _ in range(20)]
+        picks_b = [tournament_select(fits, 2, Random(55)) for _ in range(20)]
         assert picks_a == picks_b
 
     def test_nan_fitness_is_worst(self):
@@ -359,16 +348,17 @@ class TestTournament:
         child = geometric_crossover(broken, finite, FixedRandom(0.5), ds.targets)
         assert math.isnan(child.semantics[0])
         assert child.train_fitness == math.inf
-        pop = [child] + self.population([5.0, 1.0, 3.0], ds)
+        # The child's train rows, then rows at fitness 5, 1 and 3: target + f/2.
+        rows = np.stack([child.semantics[:2]] + [ds.targets + f / 2 for f in (5.0, 1.0, 3.0)])
+        fits = fitnesses(rows, ds.targets)
+        assert fits == [math.inf, 5.0, 1.0, 3.0]
         for seed in range(20):
-            assert tournament_select(pop, len(pop), Random(seed)) == 2
+            assert tournament_select(fits, len(fits), Random(seed)) == 2
 
     def test_invalid_k(self):
-        ds = tiny_dataset(targets=(1000.0, 1000.0))
-        pop = self.population([1.0, 2.0], ds)
         for k in (0, 3):
             with pytest.raises(GsgpError):
-                tournament_select(pop, k, Random(0))
+                tournament_select([1.0, 2.0], k, Random(0))
 
 
     # A NaN that is one object ties with itself in tuple order; separate NaN
@@ -395,11 +385,10 @@ class TestTournament:
         k = min(k, n)
         # Few distinct values over many entrants, so tournaments hold ties.
         fits = Random(seed).choices(levels, k=n)
-        pop = [Individual(semantics=None, train_fitness=f, ancestry=None) for f in fits]
         mine, oracle = Random(seed), Random(seed)
         for _ in range(10):
             want = min(oracle.sample(range(n), k), key=lambda i: (fits[i], i))
-            assert tournament_select(pop, k, mine) == want
+            assert tournament_select(fits, k, mine) == want
         assert mine.getstate() == oracle.getstate()
 
 
@@ -553,17 +542,18 @@ def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
         for _ in range(cfg.generations):
             order = sorted(range(len(pop)), key=lambda i: (pop[i].train_fitness, i))
             next_pop = [pop[i] for i in order[: cfg.elitism]]
+            fits = [ind.train_fitness for ind in pop]
             while len(next_pop) < cfg.population_size:
                 draw = rng.random()
                 if draw < cfg.p_crossover:
-                    p1 = pop[tournament_select(pop, k, rng)]
-                    p2 = pop[tournament_select(pop, k, rng)]
+                    p1 = pop[tournament_select(fits, k, rng)]
+                    p2 = pop[tournament_select(fits, k, rng)]
                     tr = _snap_weight(rng.random())
                     sem = tr * p1.semantics + (1.0 - tr) * p2.semantics
                     origin = CrossoverOrigin(p1.ancestry, p2.ancestry, tr)
                     next_pop.append(per_vector_individual(sem, train.targets, origin))
                 elif draw < cfg.p_crossover + cfg.p_mutation:
-                    p = pop[tournament_select(pop, k, rng)]
+                    p = pop[tournament_select(fits, k, rng)]
                     r1 = random_tree(rng, cfg.random_tree_depth, force_root_function=True)
                     r2 = random_tree(rng, cfg.random_tree_depth, force_root_function=True)
                     delta = masked_sigmoid(eval_matrix(r1, X)) - masked_sigmoid(eval_matrix(r2, X))
@@ -571,7 +561,7 @@ def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
                     origin = MutationOrigin(p.ancestry, r1, r2, cfg.mutation_step)
                     next_pop.append(per_vector_individual(sem, train.targets, origin))
                 else:
-                    next_pop.append(pop[tournament_select(pop, k, rng)])
+                    next_pop.append(pop[tournament_select(fits, k, rng)])
             pop = next_pop
             gen_best = best_of(pop)
             if gen_best.train_fitness < best_ever.train_fitness:
@@ -635,27 +625,24 @@ class TestBatchedGenerations:
 
 
 def assert_generations_are_rows_of_one_array(monkeypatch, run):
-    """Each population that run() builds through `population`, generation 0
-    first, is the rows of one (20 × 34) array, a new array each generation."""
+    """Each generation that run() scores through `fitnesses`, generation 0
+    first, is one (20 × 34) array of its own, a new array each generation,
+    and the best individual's semantics is a row of one of them."""
     seen = []
 
-    def recorded(sem, records, targets):
-        pop = population(sem, records, targets)
-        seen.append(pop)
-        return pop
+    def recorded(sem, targets):
+        seen.append(sem)
+        return fitnesses(sem, targets)
 
-    monkeypatch.setattr(gsgp_module, "population", recorded)
-    run()
+    monkeypatch.setattr(gsgp_module, "fitnesses", recorded)
+    best = run().best
     assert len(seen) == 5
-    bases = set()
-    for pop in seen:
-        base = pop[0].semantics.base
-        assert base.shape == (20, 34)
-        for row, ind in enumerate(pop):
-            assert ind.semantics.base is base
-            assert np.shares_memory(ind.semantics, base[row])
-        bases.add(id(base))
-    assert len(bases) == 5  # survivors are copied, not shared across generations
+    for sem in seen:
+        assert sem.shape == (20, 34)
+        assert sem.flags.owndata
+    # Survivors are copied, not shared across generations.
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
+    assert any(best.semantics.base is sem for sem in seen)
 
 
 class TestOverflowWarnsNothing:
