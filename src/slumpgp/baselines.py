@@ -146,7 +146,7 @@ def _replace_at(t: ExprTree, idx: int, sub: ExprTree) -> ExprTree:
     for ci, c in enumerate(children):
         if idx < pos + c.size:
             children[ci] = _replace_at(c, idx - pos, sub)
-            return ExprTree(t.kind, t.index, t.value, tuple(children))
+            return ExprTree(t.kind, t.index, tuple(children))
         pos += c.size
     raise IndexError(idx)
 

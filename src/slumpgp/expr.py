@@ -1,16 +1,14 @@
 """Expression trees over {+, -, *, protected /} and the inputs x1..x8.
 
 Random trees drawn here feed both the semantic engine (initial population,
-mutation perturbations) and the standard tree-GP baseline. Constant leaves
-and sigmoid wrapper nodes never occur in randomly generated trees. They
-remain because `parse_infix` accepts them, so a model file may hold them,
-and because the tests' oracle builds them when it spells a GSGP ancestry
-out as one literal expression.
+mutation perturbations) and the standard tree-GP baseline. A tree holds
+exactly what `random_tree` draws: function nodes over two children and
+variable leaves, with no constants. The logistic map of GSGP's mutation is
+applied to perturbation trees' values (`sigmoid`); it is never a node.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from random import Random
@@ -37,33 +35,25 @@ class ParseError(ValueError):
 class ExprTree:
     """Immutable expression node.
 
-    kind is one of 'add', 'sub', 'mul', 'div' (binary), 'var' (leaf,
-    1-based index), 'const' (leaf, value) or 'sigmoid' (unary). size is the
-    node count of the subtree, set at construction. memo is None until
-    `eval_memo` stores (X, values, depth) in it: the node's values on the
-    rows of the feature matrix X and the subtree's depth. Neither takes
-    part in equality, hashing or repr.
+    kind is one of 'add', 'sub', 'mul', 'div' (two children) or 'var'
+    (leaf, 1-based index). size is the node count of the subtree, set at
+    construction. memo is None until `eval_memo` stores (X, values, depth)
+    in it: the node's values on the rows of the feature matrix X and the
+    subtree's depth. Neither takes part in equality, hashing or repr.
     """
 
     kind: str
     index: int = 0
-    value: float = 0.0
     children: tuple["ExprTree", ...] = ()
     size: int = field(init=False, compare=False, repr=False)
     memo: tuple | None = field(init=False, compare=False, repr=False)
 
     # Written by hand, not generated: one call that checks the node, sums its
-    # size and sets the six slots takes about 12% less time than the
-    # generated __init__ plus a __post_init__ (1.04 against 1.18 us for a
+    # size and sets the five slots takes about 13% less time than the
+    # generated __init__ plus a __post_init__ (0.92 against 1.06 us for a
     # binary node, CPython 3.11 on an Intel Xeon), and every random tree,
     # STGP graft and parsed model builds its nodes here.
-    def __init__(
-        self,
-        kind: str,
-        index: int = 0,
-        value: float = 0.0,
-        children: tuple["ExprTree", ...] = (),
-    ):
+    def __init__(self, kind: str, index: int = 0, children: tuple["ExprTree", ...] = ()):
         if kind in FUNCTIONS:
             if len(children) != 2:
                 raise ValueError(f"{kind} node needs 2 children")
@@ -74,21 +64,10 @@ class ExprTree:
             if not 1 <= index <= N_VARS:
                 raise ValueError(f"variable index must be in 1..{N_VARS}, got {index}")
             size = 1
-        elif kind == "sigmoid":
-            if len(children) != 1:
-                raise ValueError("sigmoid node needs exactly 1 child")
-            size = 1 + children[0].size
-        elif kind == "const":
-            if children:
-                raise ValueError("constant leaves have no children")
-            if not math.isfinite(value):
-                raise ValueError(f"constant must be finite, got {value!r}")
-            size = 1
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         _set(self, "kind", kind)
         _set(self, "index", index)
-        _set(self, "value", value)
         _set(self, "children", children)
         _set(self, "size", size)
         _set(self, "memo", None)
@@ -101,16 +80,8 @@ def variable(i: int) -> ExprTree:
     return ExprTree("var", index=i)
 
 
-def constant(v: float) -> ExprTree:
-    return ExprTree("const", value=float(v))
-
-
 def binop(op: str, left: ExprTree, right: ExprTree) -> ExprTree:
     return ExprTree(op, children=(left, right))
-
-
-def sigmoid_node(child: ExprTree) -> ExprTree:
-    return ExprTree("sigmoid", children=(child,))
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
@@ -133,31 +104,24 @@ def eval_matrix(t: ExprTree, X: np.ndarray) -> np.ndarray:
     """Evaluate one tree on every row of an (n, 8) feature matrix."""
     if t.kind == "var":
         return X[:, t.index - 1]
-    args = []
-    for c in t.children:
-        args.append(eval_matrix(c, X))
-    return eval_node(t, X, args)
+    left, right = t.children
+    return eval_node(t.kind, eval_matrix(left, X), eval_matrix(right, X))
 
 
-def eval_node(t: ExprTree, X: np.ndarray, args: list[np.ndarray]) -> np.ndarray:
-    """One node's values on every row of X, from its children's values in order.
+def eval_node(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A function node's values from its left (a) and right (b) children's values.
 
     Callers map a `var` leaf to column index - 1 of X themselves.
     `eval_matrix`, `eval_trees` and `eval_memo` all compose this step, so
-    they give the same values bit for bit. Every kind but `const` acts
-    element by element, so `eval_trees` also calls it once for many nodes
-    of t's kind, with one row per node in each argument.
+    they give the same values bit for bit. Every kind acts element by
+    element, so `eval_trees` also calls it once for many nodes of one kind,
+    with one row per node in each argument.
     """
-    if t.kind == "const":
-        return np.full(X.shape[0], t.value)
-    if t.kind == "sigmoid":
-        return sigmoid(args[0])
-    a, b = args
-    if t.kind == "add":
+    if kind == "add":
         return a + b
-    if t.kind == "sub":
+    if kind == "sub":
         return a - b
-    if t.kind == "mul":
+    if kind == "mul":
         return a * b
     out = np.ones_like(b)
     ok = np.abs(b) >= DIV_EPS
@@ -180,13 +144,11 @@ def eval_memo(t: ExprTree, X: np.ndarray) -> tuple[np.ndarray, int]:
     memo = t.memo
     if memo is not None and memo[0] is X:
         return memo[1], memo[2]
-    args = []
-    depth = 1
-    for c in t.children:
-        values, d = eval_memo(c, X)
-        args.append(values)
-        depth = max(depth, d + 1)
-    values = eval_node(t, X, args)
+    left, right = t.children
+    a, left_depth = eval_memo(left, X)
+    b, right_depth = eval_memo(right, X)
+    values = eval_node(t.kind, a, b)
+    depth = 1 + max(left_depth, right_depth)
     _set(t, "memo", (X, values, depth))
     return values, depth
 
@@ -197,10 +159,10 @@ def eval_trees(trees: list[ExprTree], X: np.ndarray) -> np.ndarray:
     The nodes are taken level by level, from the deepest up, with every
     node's children in the level below it, in order. Each level is one
     matrix with a row per node: its `var` leaves are gathered from X's
-    columns, and the nodes of each other kind are computed by one
-    `eval_node` call on their children's rows. Every step acts on each
-    element alone, so each row equals `eval_matrix` of its tree bit for
-    bit. A subtree reached twice is evaluated twice.
+    columns, and the function nodes of each kind are computed by one
+    `eval_node` call on their left and right children's rows. Every step
+    acts on each element alone, so each row equals `eval_matrix` of its
+    tree bit for bit. A subtree reached twice is evaluated twice.
 
     On a batch of random perturbation trees this makes a few numpy calls
     per level instead of one per node. On one tree over many rows the
@@ -214,7 +176,7 @@ def eval_trees(trees: list[ExprTree], X: np.ndarray) -> np.ndarray:
     for level in reversed(levels[:-1]):
         out = np.empty((len(level), X.shape[0]))
         var_rows, var_columns = [], []
-        kinds: dict[str, tuple[ExprTree, list[int], list[int]]] = {}
+        kinds: dict[str, tuple[list[int], list[int]]] = {}
         first_child = 0
         for row, t in enumerate(level):
             if t.kind == "var":
@@ -223,20 +185,15 @@ def eval_trees(trees: list[ExprTree], X: np.ndarray) -> np.ndarray:
                 continue
             group = kinds.get(t.kind)
             if group is None:
-                group = kinds[t.kind] = (t, [], [])
-            group[1].append(row)
-            group[2].append(first_child)
-            first_child += len(t.children)
+                group = kinds[t.kind] = ([], [])
+            group[0].append(row)
+            group[1].append(first_child)
+            first_child += 2
         if var_rows:
             out[var_rows] = columns[var_columns]
-        for kind, (t, rows, firsts) in kinds.items():
-            if kind == "const":
-                for row in rows:
-                    out[row] = eval_node(level[row], X, [])
-                continue
+        for kind, (rows, firsts) in kinds.items():
             firsts = np.array(firsts)
-            args = [below[firsts + i] for i in range(len(t.children))]
-            out[rows] = eval_node(t, X, args)
+            out[rows] = eval_node(kind, below[firsts], below[firsts + 1])
         below = out
     return below
 
@@ -325,17 +282,11 @@ def to_infix(t: ExprTree) -> str:
     """Fully parenthesized infix text; '/p' marks protected division."""
     if t.kind == "var":
         return f"x{t.index}"
-    if t.kind == "const":
-        return repr(t.value)
-    if t.kind == "sigmoid":
-        return f"sigmoid({to_infix(t.children[0])})"
     left, right = t.children
     return f"({to_infix(left)} {_OP_SYMBOL[t.kind]} {to_infix(right)})"
 
 
-_TOKEN_RE = re.compile(
-    r"\(|\)|\+|/p|\*|-|sigmoid|x\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-)
+_TOKEN_RE = re.compile(r"\(|\)|\+|/p|\*|-|x[1-9][0-9]*")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -353,19 +304,15 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
-
-
 def parse_infix(text: str) -> ExprTree:
     """Parse the to_infix format back into a tree; inverse of to_infix.
 
-    Text that nests deeper than MAX_PARSE_DEPTH levels is a ParseError.
+    The grammar is  T := x1 | ... | x8 | "(" T op T ")"  with op one of
+    + - * /p, and whitespace between tokens ignored. Any other text, and
+    text that nests deeper than MAX_PARSE_DEPTH levels, is a ParseError.
     """
     tokens = _tokenize(text)
     pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
 
     def take(expected: str | None = None) -> str:
         nonlocal pos
@@ -389,20 +336,11 @@ def parse_infix(text: str) -> ExprTree:
             right = operand(depth + 1)
             take(")")
             return binop(_SYMBOL_OP[op], left, right)
-        if tok == "sigmoid":
-            take("(")
-            inner = operand(depth + 1)
-            take(")")
-            return sigmoid_node(inner)
-        if tok.startswith("x") and tok != "x":
+        if tok[0] == "x":
             try:
                 return variable(int(tok[1:]))
             except ValueError as exc:
                 raise ParseError(str(exc)) from None
-        if tok == "-" and peek() is not None and _NUMBER_RE.match(peek()):
-            return constant(-float(take()))
-        if _NUMBER_RE.match(tok):
-            return constant(float(tok))
         raise ParseError(f"unexpected token {tok!r}")
 
     tree = operand(1)

@@ -221,8 +221,8 @@ def _snap_weight(u: float) -> float:
 
     1 − x is exact in float arithmetic when x ≥ 0.5, so below 0.5 tr is
     taken as 1 − (1 − u). Then tr + (1 − tr) == 1, and 1 − tr, which
-    `CrossoverOrigin.apply` computes and a tree spelling the record out
-    holds as a constant, is the one complement of tr.
+    `CrossoverOrigin.apply` computes and the record's literal expression
+    (see `estimate_size`) holds as a constant, is the one complement of tr.
     """
     return 1.0 - (1.0 - u) if u < 0.5 else u
 
@@ -474,12 +474,15 @@ def _post_order(root: AncestryRecord) -> list[AncestryRecord]:
 
 
 def estimate_size(ind: Individual) -> int:
-    """Node count of the literal expression tree of ind's ancestry, without building it.
+    """Node count of the literal expression of ind's ancestry, without building it.
 
-    Counting rule per record: an initial tree counts its literal nodes; a
-    crossover adds five nodes on top of both parents (add, two mul, the
-    two weight constants); a mutation adds six on top of the parent and
-    both perturbation trees (add, mul, the ms constant, sub, two sigmoid).
+    That expression is not an `ExprTree`: it spells the weights and ms out
+    as constant leaves and the logistic maps as sigmoid nodes, which no
+    `ExprTree` holds. Counting rule per record: an initial tree counts its
+    nodes; a crossover adds five nodes on top of both parents (add, two
+    mul, the two weight constants); a mutation adds six on top of the
+    parent and both perturbation trees (add, mul, the ms constant, sub,
+    two sigmoid).
     Exact integer arithmetic — along deep ancestries this grows far past
     what could ever be materialized.
     """

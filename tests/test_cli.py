@@ -604,21 +604,38 @@ def nested_x1(depth):
     return text
 
 
+def predict_tree(tmp_path, capsys, tree):
+    """Exit code and stderr of predict, on one row, of a model whose root is the tree text."""
+    model = {"trees": [tree], "records": [X1_RECORD], "root": 0}
+    (tmp_path / "model.json").write_text(
+        json.dumps({"kind": "gsgp", "model": model}), encoding="utf-8"
+    )
+    write_input(tmp_path / "in.csv")
+    argv = [
+        "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
+        "--out", str(tmp_path / "o"),
+    ]
+    return run_cli(argv, capsys)
+
+
+class TestTreeOutsideGrammar:
+    """Tree text with a numeric literal or a sigmoid node, which no command
+    writes, is one error line naming the payload, and nothing is written."""
+
+    @pytest.mark.parametrize("tree", ["(x1 + 1e999)", "sigmoid(x1)"])
+    def test_one_line_error(self, tmp_path, capsys, tree):
+        code, err = predict_tree(tmp_path, capsys, tree)
+        assert_one_line_error(code, err)
+        assert err.startswith("error: malformed model payload: ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestDeeplyNestedModel:
     """A model's tree text may nest MAX_PARSE_DEPTH levels; deeper text is
     one error line, not a RecursionError traceback."""
 
     def predict(self, tmp_path, capsys, depth):
-        model = {"trees": [nested_x1(depth)], "records": [X1_RECORD], "root": 0}
-        (tmp_path / "model.json").write_text(
-            json.dumps({"kind": "gsgp", "model": model}), encoding="utf-8"
-        )
-        write_input(tmp_path / "in.csv")
-        argv = [
-            "predict", str(tmp_path / "model.json"), str(tmp_path / "in.csv"),
-            "--out", str(tmp_path / "o"),
-        ]
-        return run_cli(argv, capsys)
+        return predict_tree(tmp_path, capsys, nested_x1(depth))
 
     def test_deepest_accepted_tree_replays(self, tmp_path, capsys):
         code, err = self.predict(tmp_path, capsys, MAX_PARSE_DEPTH)

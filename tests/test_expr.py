@@ -20,7 +20,6 @@ from slumpgp.expr import (
     N_VARS,
     ParseError,
     binop,
-    constant,
     eval_matrix,
     eval_memo,
     eval_trees,
@@ -29,7 +28,6 @@ from slumpgp.expr import (
     random_tree,
     randbelow,
     sigmoid,
-    sigmoid_node,
     to_infix,
     variable,
 )
@@ -41,14 +39,6 @@ def eval_tree(t: ExprTree, x) -> float:
     """Oracle: evaluate one tree on a single 8-feature row, in scalar floats."""
     if t.kind == "var":
         return float(x[t.index - 1])
-    if t.kind == "const":
-        return t.value
-    if t.kind == "sigmoid":
-        v = eval_tree(t.children[0], x)
-        if v >= 0:
-            return 1.0 / (1.0 + math.exp(-v))
-        ev = math.exp(v)
-        return ev / (1.0 + ev)
     a = eval_tree(t.children[0], x)
     b = eval_tree(t.children[1], x)
     if t.kind == "add":
@@ -58,6 +48,14 @@ def eval_tree(t: ExprTree, x) -> float:
     if t.kind == "mul":
         return a * b
     return a / b if abs(b) >= DIV_EPS else 1.0
+
+
+def scalar_sigmoid(v: float) -> float:
+    """Oracle: the two-branch logistic map on one float."""
+    if v >= 0:
+        return 1.0 / (1.0 + math.exp(-v))
+    ev = math.exp(v)
+    return ev / (1.0 + ev)
 
 
 def tree_depth(t: ExprTree) -> int:
@@ -136,23 +134,12 @@ def independent_eval(text: str, x) -> float:
             if op == "*":
                 return left * right
             return left / right if abs(right) >= 1e-6 else 1.0
-        if text.startswith("sigmoid(", pos):
-            pos += len("sigmoid(")
-            v = expr()
-            skip_ws()
-            assert text[pos] == ")"
-            pos += 1
-            return 1.0 / (1.0 + math.exp(-v)) if v >= 0 else math.exp(v) / (1.0 + math.exp(v))
-        if text[pos] == "x":
-            pos += 1
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            return x[int(text[start:pos]) - 1]
+        assert text[pos] == "x", f"variable expected at {pos}"
+        pos += 1
         start = pos
-        while pos < len(text) and text[pos] not in " )":
+        while pos < len(text) and text[pos].isdigit():
             pos += 1
-        return float(text[start:pos])
+        return x[int(text[start:pos]) - 1]
 
     out = expr()
     assert pos == len(text)
@@ -177,14 +164,9 @@ class TestTreeConstruction:
         with pytest.raises(ValueError):
             ExprTree("var", index=1, children=(variable(1), variable(2)))
         with pytest.raises(ValueError):
-            ExprTree("sigmoid", children=(variable(1), variable(2)))
+            ExprTree("sub", children=(variable(1),) * 3)
         with pytest.raises(ValueError):
             ExprTree("cosh", children=(variable(1), variable(2)))
-
-    def test_constant_must_be_finite(self):
-        constant(0.5)
-        with pytest.raises(ValueError):
-            constant(math.inf)
 
     def test_trees_hashable_and_equal_by_structure(self):
         a = binop("add", variable(1), variable(2))
@@ -202,52 +184,41 @@ class TestExprTreeContract:
             (lambda: ExprTree("add"), "add node needs 2 children"),
             (lambda: ExprTree("div", children=(variable(1),)), "div node needs 2 children"),
             (lambda: ExprTree("mul", children=(variable(1),) * 3), "mul node needs 2 children"),
-            (lambda: ExprTree("sigmoid"), "sigmoid node needs exactly 1 child"),
-            (
-                lambda: ExprTree("sigmoid", children=(variable(1), variable(2))),
-                "sigmoid node needs exactly 1 child",
-            ),
             (
                 lambda: ExprTree("var", 1, children=(variable(2),)),
                 "variable leaves have no children",
             ),
-            (
-                lambda: ExprTree("const", value=1.0, children=(variable(2),)),
-                "constant leaves have no children",
-            ),
             (lambda: ExprTree("var", 0), "variable index must be in 1..8, got 0"),
             (lambda: ExprTree("var", 9), "variable index must be in 1..8, got 9"),
             (lambda: ExprTree("var", -1), "variable index must be in 1..8, got -1"),
-            (lambda: ExprTree("const", value=math.inf), "constant must be finite, got inf"),
-            (lambda: ExprTree("const", value=-math.inf), "constant must be finite, got -inf"),
-            (lambda: ExprTree("const", value=math.nan), "constant must be finite, got nan"),
             (lambda: ExprTree("cosh", children=(variable(1),)), "unknown node kind 'cosh'"),
+            # Evolution draws neither constants nor sigmoid nodes, so a tree holds none.
+            (lambda: ExprTree("const"), "unknown node kind 'const'"),
+            (lambda: ExprTree("sigmoid", children=(variable(1),)), "unknown node kind 'sigmoid'"),
         ],
     )
     def test_invalid_node_message(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
-    @pytest.mark.parametrize("name", ["kind", "index", "value", "children", "size", "memo"])
+    @pytest.mark.parametrize("name", ["kind", "index", "children", "size", "memo"])
     def test_assignment_raises(self, name):
-        t = binop("add", variable(1), constant(2.0))
+        t = binop("add", variable(1), variable(2))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(t, name, getattr(t, name))
 
     def test_fields_as_built(self):
         leaf = ExprTree("var", 3)
-        t = ExprTree("sub", children=(leaf, constant(0.5)))
-        assert (leaf.kind, leaf.index, leaf.value, leaf.children, leaf.size) == ("var", 3, 0.0, (), 1)
-        assert (t.kind, t.index, t.value, t.children, t.size) == (
-            "sub", 0, 0.0, (leaf, constant(0.5)), 3
-        )
-        assert sigmoid_node(t).size == 4
-        assert repr(leaf) == "ExprTree(kind='var', index=3, value=0.0, children=())"
+        t = ExprTree("sub", children=(leaf, variable(5)))
+        assert (leaf.kind, leaf.index, leaf.children, leaf.size) == ("var", 3, (), 1)
+        assert (t.kind, t.index, t.children, t.size) == ("sub", 0, (leaf, variable(5)), 3)
+        assert binop("mul", t, leaf).size == 5
+        assert repr(leaf) == "ExprTree(kind='var', index=3, children=())"
         assert leaf.memo is None and t.memo is None
 
     def test_memo_takes_no_part_in_equality_hash_or_repr(self):
-        t = binop("div", variable(1), constant(0.5))
-        twin = binop("div", variable(1), constant(0.5))
+        t = binop("div", variable(1), variable(5))
+        twin = binop("div", variable(1), variable(5))
         eval_memo(t, ROW1[None, :])
         assert t.memo is not None and twin.memo is None
         assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
@@ -295,8 +266,9 @@ class TestEvalTree:
         assert eval_tree(t, ROW1) == 1.0
 
     def test_protection_threshold(self):
-        t = binop("div", constant(1.0), variable(1))
+        t = binop("div", variable(2), variable(1))
         x = np.zeros(8)
+        x[1] = 1.0
         x[0] = DIV_EPS
         assert eval_tree(t, x) == 1.0 / DIV_EPS
         x[0] = DIV_EPS / 2
@@ -325,10 +297,10 @@ class TestEvalTree:
         rng = Random(17)
         rows = builtin_table1().features
         for _ in range(50):
-            t = sigmoid_node(random_tree(rng, 3))
-            vec = eval_matrix(t, rows)
+            t = random_tree(rng, 3)
+            vec = sigmoid(eval_matrix(t, rows))
             for j, row in enumerate(rows):
-                assert vec[j] == pytest.approx(eval_tree(t, row), rel=1e-12)
+                assert vec[j] == pytest.approx(scalar_sigmoid(eval_tree(t, row)), rel=1e-12)
 
     def test_sigmoid_stable_and_bounded(self):
         v = sigmoid(np.array([-1e6, -50.0, 0.0, 50.0, 1e6]))
@@ -468,14 +440,8 @@ def count_nodes(t: ExprTree) -> int:
 
 
 trees = st.recursive(
-    st.one_of(
-        st.integers(1, N_VARS).map(variable),
-        st.floats(allow_nan=False, allow_infinity=False).map(constant),
-    ),
-    lambda kids: st.one_of(
-        st.tuples(st.sampled_from(FUNCTIONS), kids, kids).map(lambda a: binop(*a)),
-        kids.map(sigmoid_node),
-    ),
+    st.integers(1, N_VARS).map(variable),
+    lambda kids: st.tuples(st.sampled_from(FUNCTIONS), kids, kids).map(lambda a: binop(*a)),
     max_leaves=40,
 )
 
@@ -510,7 +476,7 @@ class TestSizeDepth:
         rebuilt = parse_infix(to_infix(t))
         assert rebuilt is not t
         assert rebuilt == t and hash(rebuilt) == hash(t)
-        copied = ExprTree(t.kind, t.index, t.value, t.children)
+        copied = ExprTree(t.kind, t.index, t.children)
         assert copied == t and hash(copied) == hash(t)
         assert "size" not in repr(t)
 
@@ -543,8 +509,8 @@ EVAL_FLOATS = (
 
 @st.composite
 def tree_batches(draw):
-    """Random grow and full trees of depth 1-6, some trees with constants and
-    sigmoids, and at times one tree object listed twice."""
+    """Random grow and full trees of depth 1-6, a few trees from the `trees`
+    strategy, and at times one tree object listed twice."""
     rng = Random(draw(st.integers(0, 2**32)))
     batch = [
         random_tree(rng, draw(st.integers(1, 6)), full=draw(st.booleans()))
@@ -621,24 +587,30 @@ class TestInfix:
             t = random_tree(rng, rng.randrange(1, 6))
             assert parse_infix(to_infix(t)) == t
 
-    def test_parse_round_trip_with_constants_and_sigmoid(self):
-        t = binop(
-            "add",
-            binop("mul", variable(1), constant(0.25)),
-            binop("mul", constant(0.1), binop("sub", sigmoid_node(variable(2)), sigmoid_node(variable(3)))),
-        )
-        assert parse_infix(to_infix(t)) == t
-
-    def test_parse_constant_exact_float(self):
-        v = 0.1234567890123456789
-        assert parse_infix(repr(v)).value == v
-
     def test_parse_errors(self):
-        for bad in ("", "(x1 + x2", "x1 x2", "(x1 ? x2)", "x0", "x9", "()"):
-            with pytest.raises(ValueError):
+        for bad in (
+            "", "(x1 + x2", "x1 x2", "(x1 ? x2)", "x0", "x9", "x01", "()",
+            "0.5", "-x1", "(x1 * 0.5)", "sigmoid(x1)",
+        ):
+            with pytest.raises(ParseError):
                 parse_infix(bad)
 
-    @pytest.mark.parametrize("wrap", ["({} + x1)", "(x2 - {})", "sigmoid({})"])
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="()+-*/px0123456789e. sigmoid", max_size=40))
+    @example("1e999")
+    @example("(x1 + 1e999)")
+    @example("-1e999")
+    @example("sigmoid(x1)")
+    @example("(x1 * 0.5)")
+    def test_any_text_is_a_tree_or_a_parse_error(self, text):
+        """parse_infix returns a tree or raises ParseError, never another exception."""
+        try:
+            t = parse_infix(text)
+        except ParseError:
+            return
+        assert parse_infix(to_infix(t)) == t
+
+    @pytest.mark.parametrize("wrap", ["({} + x1)", "(x2 - {})"])
     def test_deepest_parsed_tree_evaluates_and_prints(self, wrap):
         # Every tree parse_infix returns must stay inside the recursion
         # limit in eval_matrix and to_infix as well.
@@ -656,8 +628,6 @@ class TestInfix:
         rows = builtin_table1().features
         for _ in range(150):
             t = random_tree(rng, rng.randrange(1, 6))
-            if rng.random() < 0.3:
-                t = sigmoid_node(t)
             x = rows[rng.randrange(len(rows))]
             mine = eval_tree(t, x)
             theirs = independent_eval(to_infix(t), x)

@@ -4,9 +4,10 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 import numpy as np
@@ -20,13 +21,11 @@ from slumpgp.expr import (
     ExprTree,
     ParseError,
     binop,
-    constant,
     eval_matrix,
     parse_infix,
     ramped_half_and_half,
     random_tree,
     sigmoid,
-    sigmoid_node,
     to_infix,
     variable,
 )
@@ -118,15 +117,51 @@ class BudgetExceeded:
     estimate: int
 
 
-def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
-    """Oracle: expand the ancestry into a literal expression tree.
+@dataclass(frozen=True)
+class Literal:
+    """A node of the expression `reconstruct` writes: 'add', 'sub' or 'mul'
+    over two children, 'sigmoid' over one, or a 'const' leaf holding value.
+    Its other leaves are ExprTrees. size is the node count, as on ExprTree."""
+
+    kind: str
+    children: tuple = ()
+    value: float = 0.0
+    size: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", 1 + sum(c.size for c in self.children))
+
+
+def const(value: float) -> Literal:
+    return Literal("const", value=value)
+
+
+def eval_literal(e: ExprTree | Literal, X: np.ndarray) -> np.ndarray:
+    """Oracle: the values of reconstruct's expression on every row of X.
+
+    ExprTree leaves go through eval_matrix and 'sigmoid' through
+    expr.sigmoid, the functions evolution and replay use."""
+    if isinstance(e, ExprTree):
+        return eval_matrix(e, X)
+    if e.kind == "const":
+        return np.full(X.shape[0], e.value)
+    if e.kind == "sigmoid":
+        return sigmoid(eval_literal(e.children[0], X))
+    left, right = e.children
+    op = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}[e.kind]
+    return op(eval_literal(left, X), eval_literal(right, X))
+
+
+def reconstruct(ind: Individual, node_budget: int) -> ExprTree | Literal | BudgetExceeded:
+    """Oracle: expand the ancestry into one literal expression.
 
     Refuses with BudgetExceeded when the estimated node count is past
-    node_budget; no command builds this tree, and `estimate_size` puts a
-    model at the default config at billions of nodes. The emitted templates
-    are the symbolic mirror of each record's `apply`, the same arithmetic in
-    the same order, so evaluating the result reproduces the individual's
-    stored semantics bit for bit.
+    node_budget; no command builds this expression, and `estimate_size`
+    puts a model at the default config at billions of nodes. The emitted
+    templates are the symbolic mirror of each record's `apply`, the same
+    arithmetic in the same order, so `eval_literal` of the result
+    reproduces the individual's stored semantics bit for bit. An initial
+    tree is returned as it is.
     """
     if node_budget < 1:
         raise GsgpError(f"node_budget must be >= 1, got {node_budget}")
@@ -134,27 +169,23 @@ def reconstruct(ind: Individual, node_budget: int) -> ExprTree | BudgetExceeded:
     if est > node_budget:
         return BudgetExceeded(estimate=est)
 
-    tree: dict[AncestryRecord, ExprTree] = {}
+    tree: dict[AncestryRecord, ExprTree | Literal] = {}
     for rec in _post_order(ind.ancestry):
         if isinstance(rec, TreeOrigin):
             tree[rec] = rec.tree
         elif isinstance(rec, CrossoverOrigin):
             # tr·p1 + (1 − tr)·p2, as in CrossoverOrigin.apply.
-            tree[rec] = binop(
+            tree[rec] = Literal(
                 "add",
-                binop("mul", tree[rec.parent1], constant(rec.tr)),
-                binop("mul", constant(1.0 - rec.tr), tree[rec.parent2]),
-            )
-        else:
-            tree[rec] = binop(
-                "add",
-                tree[rec.parent],
-                binop(
-                    "mul",
-                    constant(rec.ms),
-                    binop("sub", sigmoid_node(rec.r1), sigmoid_node(rec.r2)),
+                (
+                    Literal("mul", (tree[rec.parent1], const(rec.tr))),
+                    Literal("mul", (const(1.0 - rec.tr), tree[rec.parent2])),
                 ),
             )
+        else:
+            # p + ms·(σ(r1) − σ(r2)), as in MutationOrigin.apply.
+            squashed = Literal("sub", (Literal("sigmoid", (rec.r1,)), Literal("sigmoid", (rec.r2,))))
+            tree[rec] = Literal("add", (tree[rec.parent], Literal("mul", (const(rec.ms), squashed))))
     return tree[ind.ancestry]
 
 
@@ -724,7 +755,7 @@ class TestReconstruct:
         res = evolve(GsgpConfig(population_size=10, generations=4), train, test, seed=17)
         tree = reconstruct(res.best, 10**9)
         assert not isinstance(tree, BudgetExceeded)
-        assert np.array_equal(eval_matrix(tree, stacked(train, test)), res.best.semantics)
+        assert np.array_equal(eval_literal(tree, stacked(train, test)), res.best.semantics)
 
     def test_reconstruction_equivalence_fuzz(self, table1_split):
         train, test = table1_split
@@ -738,7 +769,7 @@ class TestReconstruct:
             res = evolve(cfg, train, test, seed=rng.randrange(10**6))
             tree = reconstruct(res.best, 10**9)
             assert not isinstance(tree, BudgetExceeded)
-            assert np.array_equal(eval_matrix(tree, stacked(train, test)), res.best.semantics)
+            assert np.array_equal(eval_literal(tree, stacked(train, test)), res.best.semantics)
 
 
     @settings(max_examples=25, deadline=None)
@@ -1063,7 +1094,7 @@ def replay_outcome(replay, payload, ds):
         return str(exc)
 
 
-REPLAY_TREES = ["x1", "(x2 * x3)", "sigmoid((x4 - 0.5))", "(x8 /p x3)"]
+REPLAY_TREES = ["x1", "(x2 * x3)", "(x4 - x5)", "(x8 /p x3)"]
 
 
 @st.composite
