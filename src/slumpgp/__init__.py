@@ -13,14 +13,12 @@ from .baselines import (
 from .dataset import Dataset, Sample, SplitSpec, builtin_table1, load_csv, save_csv, split
 from .gsgp import (
     GsgpConfig,
-    Individual,
     RunResult,
     estimate_size,
     evolve,
 )
 from .stats import (
     BoxSummary,
-    PairedSeries,
     RankSumResult,
     box_summary,
     pearson_r,
@@ -35,10 +33,8 @@ __all__ = [
     "BoxSummary",
     "Dataset",
     "GsgpConfig",
-    "Individual",
     "LinearModel",
     "LssvmModel",
-    "PairedSeries",
     "RankSumResult",
     "RunResult",
     "Sample",

@@ -10,8 +10,9 @@ the master seed for `train`, master seed + i for run i of `compare`.
 on one worker process per usable CPU, a count that appears in no artifact.
 Numbers in CSV files carry 6 significant digits; JSON reports keep full
 precision. A number that is not finite, such as the RMSE of predictions
-that overflowed, is spelled as `_fmt` gives it in CSV files (inf, nan)
-and written as null in JSON, which has no other spelling for it.
+that overflowed (see `stats` for what each metric makes of one), is
+spelled as `_fmt` gives it in CSV files (inf, nan) and written as null in
+JSON, which has no other spelling for it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .gsgp import (
 )
 from .jobs import ENGINES, Job, WorkerError, run_jobs
 from .stats import (
-    PairedSeries,
     StatsError,
     box_summary,
     pearson_r,
@@ -193,14 +193,13 @@ def _write_lines(path: str, lines: list[str]) -> None:
 def _prediction_rows(targets: np.ndarray, predictions: np.ndarray, first_no: int) -> list[str]:
     """predictions.csv lines under PREDICTIONS_HEADER, numbered from first_no.
 
-    The relative error is |computation − experiment| / experiment, the
-    arithmetic of `stats.relative_errors`; the slump is > 0 in every
-    Dataset. A prediction that is not finite is written too, as `nan` or
-    `inf`, and so is its relative error.
+    A prediction that is not finite is written too, as `nan` or `inf`, and
+    so is its relative error.
     """
+    actual, computed = targets.tolist(), predictions.tolist()
     return [
-        f"{first_no + i},{_fmt(actual)},{_fmt(pred)},{_fmt(abs(pred - actual) / actual)}"
-        for i, (actual, pred) in enumerate(zip(targets.tolist(), predictions.tolist()))
+        f"{first_no + i},{_fmt(y)},{_fmt(p)},{_fmt(e)}"
+        for i, (y, p, e) in enumerate(zip(actual, computed, relative_errors(actual, computed)))
     ]
 
 
@@ -221,13 +220,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _safe_rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """RMSE that degrades to +inf when predictions blew up numerically."""
-    if not np.isfinite(predicted).all():
-        return math.inf
-    return rmse(PairedSeries(tuple(actual), tuple(predicted)))
-
-
 def _engines() -> dict:
     """`jobs.ENGINES`, with this module's `evolve` and `stgp_run` looked up at each call.
 
@@ -245,14 +237,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     result = evolve(cfg.gsgp, train, test, cfg.master_seed)
 
     # Every statistic that can fail is taken before the first file is written.
-    predictions = result.best.semantics[len(train) :]
-    pairs = PairedSeries(tuple(test.targets), tuple(predictions))
+    predictions = result.semantics[len(train) :]
     metrics = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
-        "pearson_r": pearson_r(pairs),
-        "rmse": rmse(pairs),
-        "max_relative_error": max(relative_errors(pairs)),
+        "pearson_r": pearson_r(test.targets, predictions),
+        "rmse": rmse(test.targets, predictions),
+        "max_relative_error": max(relative_errors(test.targets, predictions)),
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -271,7 +262,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "gsgp",
-            "model": archive_individual(result.best),
+            "model": archive_individual(result.ancestry),
         },
     )
     _write_json(os.path.join(cfg.out_dir, "metrics.json"), metrics)
@@ -340,8 +331,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     test_rmse = {"gsgp": [], "stgp": [], "lssvm": []}
     train_rmse = {"gsgp": [], "stgp": [], "lssvm": []}
     for job, sem in zip(jobs, run_jobs(jobs, _engines())):
-        test_rmse[job.method].append(_safe_rmse(test.targets, sem[len(train) :]))
-        train_rmse[job.method].append(_safe_rmse(train.targets, sem[: len(train)]))
+        test_rmse[job.method].append(rmse(test.targets, sem[len(train) :]))
+        train_rmse[job.method].append(rmse(train.targets, sem[: len(train)]))
     test_rmse["lssvm"] *= cfg.runs
     train_rmse["lssvm"] *= cfg.runs
 

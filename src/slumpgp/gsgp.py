@@ -18,12 +18,13 @@ The evaluate phase, `breed`, then computes the whole next matrix in a few
 numpy calls, and `fitnesses` scores its rows with one row-sum `fitness`.
 No draw reads a child, and each step is element-wise IEEE arithmetic, so
 the draws and every child's vector are, bit for bit, those of computing
-each child alone as it is drawn. Only the best so far becomes an
-`Individual`. Standard tree GP (`baselines.stgp_run`) runs on the same
-loop: its operators only graft, and its evaluate phase reads each
-offspring's values from the memos its nodes keep (`expr.eval_memo`).
+each child alone as it is drawn. A run's result is its history and the
+best individual's row and record. Standard tree GP (`baselines.stgp_run`)
+runs on the same loop: its operators only graft, and its evaluate phase
+reads each offspring's values from the memos its nodes keep
+(`expr.eval_memo`).
 
-`archive_individual` writes an individual's ancestry as JSON-able data, and
+`archive_individual` writes an ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
 records; no other code knows that format. `replay_semantics` replays the
 loaded records on new rows in bounded memory. Every walk over an ancestry
@@ -125,15 +126,6 @@ class MutationOrigin:
 AncestryRecord = Union[TreeOrigin, CrossoverOrigin, MutationOrigin]
 
 
-@dataclass(frozen=True, eq=False)
-class Individual:
-    """A run's best: its row of a generation's matrix, train fitness and record."""
-
-    semantics: Semantics
-    train_fitness: float
-    ancestry: AncestryRecord
-
-
 def check_loop_fields(cfg, error: type[ValueError] = GsgpError) -> None:
     """Reject out-of-range values of the six config fields `run_generations` reads."""
     if cfg.population_size < 1:
@@ -183,8 +175,15 @@ class GenerationStats:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's history and its best individual's semantics and ancestry record.
+
+    Elitism keeps the best, so history's train column never rises, and its
+    last entry is the train fitness of semantics.
+    """
+
     history: tuple[GenerationStats, ...]
-    best: Individual
+    semantics: Semantics
+    ancestry: AncestryRecord
 
 
 def fitness(s: Semantics, targets: np.ndarray):
@@ -380,11 +379,11 @@ def run_generations(
 
     Each generation is scored by `fitnesses` and sorted once by (fitness,
     index), which gives its best row and the elitism rows the next
-    generation keeps. Only a new best so far becomes an `Individual`. The
-    other slots (see `Slot`) are made in two phases. The draw phase fills
-    them in order, each with its operator draw, its tournaments over the
-    fitnesses, then crossover(rec1, rec2, rng) or mutation(rec, rng) on
-    the parents' records, or a reproduction. The evaluate phase,
+    generation keeps; the best so far is kept as its fitness, row and
+    record. The other slots (see `Slot`) are made in two phases. The draw
+    phase fills them in order, each with its operator draw, its tournaments
+    over the fitnesses, then crossover(rec1, rec2, rng) or mutation(rec,
+    rng) on the parents' records, or a reproduction. The evaluate phase,
     evaluate(sem, records, slots), then returns the next matrix and
     records, row j from slot j. Tournaments read only the previous
     generation, and no draw reads a child, so the draws are the same as if
@@ -393,18 +392,18 @@ def run_generations(
 
     k = cfg.tournament_size
     history: list[GenerationStats] = []
-    best = None
+    best = None  # (train fitness, row, record)
     while True:
         fits = fitnesses(sem, targets)
         # fitnesses holds no NaN and the sort is stable, so ties keep index order.
         order = sorted(range(len(fits)), key=fits.__getitem__)
         b = order[0]
-        if best is None or fits[b] < best.train_fitness:
-            best = Individual(sem[b], fits[b], records[b])
+        if best is None or fits[b] < best[0]:
+            best = fits[b], sem[b], records[b]
         test_fit = math.nan if test.targets is None else fitness(sem[b, -len(test) :], test.targets)
         history.append(GenerationStats(train_fitness=fits[b], test_fitness=test_fit))
         if len(history) > cfg.generations:
-            return RunResult(history=tuple(history), best=best)
+            return RunResult(tuple(history), *best[1:])
 
         slots: list[Slot] = [((i,), None) for i in order[: cfg.elitism]]
         while len(slots) < cfg.population_size:
@@ -473,8 +472,8 @@ def _post_order(root: AncestryRecord) -> list[AncestryRecord]:
     return order
 
 
-def estimate_size(ind: Individual) -> int:
-    """Node count of the literal expression of ind's ancestry, without building it.
+def estimate_size(root: AncestryRecord) -> int:
+    """Node count of the literal expression of the ancestry root, without building it.
 
     That expression is not an `ExprTree`: it spells the weights and ms out
     as constant leaves and the logistic maps as sigmoid nodes, which no
@@ -487,22 +486,22 @@ def estimate_size(ind: Individual) -> int:
     what could ever be materialized.
     """
     size: dict[AncestryRecord, int] = {}
-    for rec in _post_order(ind.ancestry):
+    for rec in _post_order(root):
         if isinstance(rec, TreeOrigin):
             size[rec] = rec.tree.size
         elif isinstance(rec, CrossoverOrigin):
             size[rec] = size[rec.parent1] + size[rec.parent2] + 5
         else:
             size[rec] = size[rec.parent] + rec.r1.size + rec.r2.size + 6
-    return size[ind.ancestry]
+    return size[root]
 
 
-def archive_individual(ind: Individual) -> dict:
-    """Serialize the ancestry reachable from an individual to JSON-able data.
+def archive_individual(root: AncestryRecord) -> dict:
+    """Serialize the ancestry reachable from the record root to JSON-able data.
 
     Trees go into one textual archive; records reference archive positions.
-    Only records reachable from this individual are kept, numbered in
-    topological order with the individual's own record last.
+    Only records reachable from root are kept, numbered in topological
+    order with root last.
     """
     trees: list[str] = []
     tree_ids: dict[ExprTree, int] = {}
@@ -517,7 +516,7 @@ def archive_individual(ind: Individual) -> dict:
         tree_ids[t] = len(trees) - 1
         return tree_ids[t]
 
-    for rec in _post_order(ind.ancestry):
+    for rec in _post_order(root):
         if isinstance(rec, TreeOrigin):
             entry = {"op": "tree", "tree": tree_id(rec.tree)}
         elif isinstance(rec, CrossoverOrigin):
@@ -537,7 +536,7 @@ def archive_individual(ind: Individual) -> dict:
             }
         record_ids[rec] = len(records)
         records.append(entry)
-    return {"trees": trees, "records": records, "root": record_ids[ind.ancestry]}
+    return {"trees": trees, "records": records, "root": record_ids[root]}
 
 
 def _index(value) -> int:

@@ -7,8 +7,8 @@ the same for any worker count. `run_jobs` runs one worker per usable CPU, at
 most one per job; the worker count describes the machine, not the jobs.
 
 A job's result is only its model's outputs on the train, then test rows, never
-a GP run's `Individual`: its ancestry is a DAG thousands of records deep after
-a long GSGP run, and pickling it back from a worker would be large and recursive.
+a GP run's ancestry record: after a long GSGP run that is a DAG thousands of
+records deep, and pickling it back from a worker would be large and recursive.
 
 A caller may hand `run_jobs` engines other than `ENGINES`: a test double, or
 a profiler's wrapper that counts and times the engine's calls. Those run in
@@ -81,7 +81,7 @@ ENGINES = {"gsgp": evolve, "stgp": stgp_run, "ols": _ols, "lssvm": _lssvm}
 def run_job(job: Job, engines=ENGINES) -> Semantics:
     """Run job; its model's outputs on its train, then test rows."""
     result = engines[job.method](job.config, job.train, job.test, job.seed)
-    return result.best.semantics if isinstance(result, RunResult) else result
+    return result.semantics if isinstance(result, RunResult) else result
 
 
 def usable_cpus() -> int:

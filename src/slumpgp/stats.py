@@ -1,7 +1,11 @@
 """Evaluation metrics and rank-based comparison tests.
 
 Everything here is a pure function over plain sequences; nothing depends
-on the learning code. The Wilcoxon implementation enumerates the exact
+on the learning code. The metrics take measured values y and a model's
+outputs y_hat, of the same nonzero length, as numpy arrays, lists or
+tuples. An entry that is not finite, as an overflowed prediction is, makes
+`rmse` +inf and `pearson_r` raise StatsError, and gives NaN or +inf in its
+entry of `relative_errors`. The Wilcoxon implementation enumerates the exact
 null distribution for small tie-free samples and otherwise falls back to
 the tie-corrected normal approximation with continuity correction.
 """
@@ -16,30 +20,6 @@ from typing import Sequence
 
 class StatsError(ValueError):
     """Metric undefined for the given input."""
-
-
-@dataclass(frozen=True)
-class PairedSeries:
-    """Measured values paired with model outputs for the same samples."""
-
-    experimental: tuple[float, ...]
-    computational: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "experimental", tuple(float(v) for v in self.experimental))
-        object.__setattr__(self, "computational", tuple(float(v) for v in self.computational))
-        if len(self.experimental) != len(self.computational):
-            raise StatsError(
-                f"series lengths differ: {len(self.experimental)} vs {len(self.computational)}"
-            )
-        if not self.experimental:
-            raise StatsError("series must be non-empty")
-        for v in self.experimental + self.computational:
-            if not math.isfinite(v):
-                raise StatsError(f"series entries must be finite, got {v!r}")
-
-    def __len__(self) -> int:
-        return len(self.experimental)
 
 
 @dataclass(frozen=True)
@@ -82,13 +62,26 @@ class RankSumResult:
             raise StatsError(f"unknown method {self.method!r}")
 
 
-def pearson_r(s: PairedSeries) -> float:
-    """Correlation coefficient between experimental and computed values.
+def _floats(y: Sequence[float], y_hat: Sequence[float]) -> tuple[list, list]:
+    """y and y_hat as Python floats; float ** raises OverflowError where numpy's warns."""
+    y, y_hat = list(map(float, y)), list(map(float, y_hat))
+    if len(y) != len(y_hat):
+        raise StatsError(f"series lengths differ: {len(y)} vs {len(y_hat)}")
+    if not y:
+        raise StatsError("series must be non-empty")
+    return y, y_hat
+
+
+def pearson_r(y: Sequence[float], y_hat: Sequence[float]) -> float:
+    """Correlation coefficient between measured values y and model outputs y_hat.
 
     R = (n·Σyy′ − Σy·Σy′) / (√(n·Σy² − (Σy)²) · √(n·Σy′² − (Σy′)²))
     """
-    y, yp = s.experimental, s.computational
-    n = len(s)
+    y, yp = _floats(y, y_hat)
+    for v in y + yp:
+        if not math.isfinite(v):
+            raise StatsError(f"series entries must be finite, got {v!r}")
+    n = len(y)
     if n < 2:
         raise StatsError("correlation needs at least 2 pairs")
     sy = sum(y)
@@ -106,26 +99,26 @@ def pearson_r(s: PairedSeries) -> float:
     return num / (math.sqrt(den_y) * math.sqrt(den_yp))
 
 
-def rmse(s: PairedSeries) -> float:
-    """Root mean square error between experimental and computed values.
+def rmse(y: Sequence[float], y_hat: Sequence[float]) -> float:
+    """Root mean square error between measured values y and model outputs y_hat.
 
-    +inf when a squared error overflows, as float ** raises there.
+    +inf when an entry is not finite or a square overflows.
     """
+    y, y_hat = _floats(y, y_hat)
     try:
-        sq = sum((a - b) ** 2 for a, b in zip(s.experimental, s.computational))
+        sq = sum((a - b) ** 2 for a, b in zip(y, y_hat))
     except OverflowError:
         return math.inf
-    return math.sqrt(sq / len(s))
+    # A NaN or infinite entry makes sq NaN or +inf.
+    return math.inf if math.isnan(sq) else math.sqrt(sq / len(y))
 
 
-def relative_errors(s: PairedSeries) -> tuple[float, ...]:
-    """Element-wise |y′ − y| / |y|; experimental values must be nonzero."""
-    for v in s.experimental:
-        if v == 0:
-            raise StatsError("relative error undefined for a zero experimental value")
-    return tuple(
-        abs(b - a) / abs(a) for a, b in zip(s.experimental, s.computational)
-    )
+def relative_errors(y: Sequence[float], y_hat: Sequence[float]) -> tuple[float, ...]:
+    """Element-wise |y′ − y| / |y|, NaN or +inf where an entry is not finite; no y may be 0."""
+    y, y_hat = _floats(y, y_hat)
+    if 0.0 in y:
+        raise StatsError("relative error undefined for a zero experimental value")
+    return tuple(abs(b - a) / abs(a) for a, b in zip(y, y_hat))
 
 
 def _quantile(sorted_xs: Sequence[float], q: float) -> float:

@@ -86,9 +86,10 @@ class TestStgpPinned:
         res = run(table1_split, seed)
         assert [st.train_fitness for st in res.history] == train_fits
         assert [st.test_fitness for st in res.history] == test_fits
-        assert isinstance(res.best.ancestry, TreeOrigin)
-        assert to_infix(res.best.ancestry.tree) == best
-        assert res.best.train_fitness == train_fits[-1]
+        assert isinstance(res.ancestry, TreeOrigin)
+        assert to_infix(res.ancestry.tree) == best
+        train = table1_split[0]
+        assert fitness(res.semantics[: len(train)], train.targets) == train_fits[-1]
 
     def test_depth_capped_run(self, table1_split):
         res = run(table1_split, 3, max_depth=5)
@@ -96,7 +97,7 @@ class TestStgpPinned:
             1350.3699999999994, 1350.3699999999994, 1350.3699999999994,
             1143.7399999999998, 772.0799999999997, 772.0799999999997,
         ]
-        assert to_infix(res.best.ancestry.tree) == "((((x3 - x6) - x6) - x6) - x6)"
+        assert to_infix(res.ancestry.tree) == "((((x3 - x6) - x6) - x6) - x6)"
 
 
 def stgp_per_child(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int):
@@ -182,9 +183,9 @@ class TestStgpMatchesPerChild:
         history, best = stgp_per_child(cfg, train, test, seed)
         got = np.array([(row.train_fitness, row.test_fitness) for row in res.history])
         assert same_bits(got, np.array(history))
-        assert to_infix(res.best.ancestry.tree) == to_infix(best.ancestry.tree)
-        assert same_bits(res.best.semantics, best.semantics)
-        assert res.best.train_fitness == best.train_fitness
+        assert to_infix(res.ancestry.tree) == to_infix(best.ancestry.tree)
+        assert same_bits(res.semantics, best.semantics)
+        assert res.history[-1].train_fitness == best.train_fitness
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_matches_per_child_oracle(self, name, table1_split):
@@ -216,14 +217,14 @@ class TestStgpRun:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_depth_cap_holds(self, table1_split, seed):
         res = run(table1_split, seed, max_depth=5)
-        assert tree_depth(res.best.ancestry.tree) <= 5
+        assert tree_depth(res.ancestry.tree) <= 5
 
     def test_predictions_are_best_test_semantics(self, table1_split):
         train, test = table1_split
         res = run(table1_split, 4)
         with np.errstate(all="ignore"):
-            on_test = eval_matrix(res.best.ancestry.tree, test.features)
-        assert np.array_equal(res.best.semantics[len(train) :], on_test)
+            on_test = eval_matrix(res.ancestry.tree, test.features)
+        assert np.array_equal(res.semantics[len(train) :], on_test)
         assert len(res.history) == 6
 
 

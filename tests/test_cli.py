@@ -142,8 +142,8 @@ class TestFailedTrainWritesNothing:
 
         def constant_evolve(cfg, train, test, seed):
             res = real_evolve(cfg, train, test, seed)
-            sem = np.concatenate([res.best.semantics[: len(train)], np.full(len(test), 7.0)])
-            return replace(res, best=replace(res.best, semantics=sem))
+            sem = np.concatenate([res.semantics[: len(train)], np.full(len(test), 7.0)])
+            return replace(res, semantics=sem)
 
         monkeypatch.setattr(cli_module, "evolve", constant_evolve)
         cfg = tmp_path / "exp.ini"

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slumpgp.gsgp as gsgp_module
+from slumpgp.baselines import StgpConfig, stgp_run
 from slumpgp.dataset import Dataset, Sample, SplitSpec, builtin_table1, split
 from slumpgp.expr import (
     ExprTree,
@@ -37,7 +38,6 @@ from slumpgp.gsgp import (
     GsgpConfig,
     GsgpError,
     REPLAY_ROWS,
-    Individual,
     MutationOrigin,
     TreeOrigin,
     _post_order,
@@ -75,6 +75,16 @@ def tiny_dataset(targets=(2.0, 2.0)):
         for i, t in enumerate(targets)
     )
     return Dataset(samples)
+
+
+@dataclass(frozen=True, eq=False)
+class Individual:
+    """One row of a generation as the oracles here hold it: its vector,
+    train fitness and ancestry record."""
+
+    semantics: np.ndarray
+    train_fitness: float
+    ancestry: AncestryRecord
 
 
 def raw_individual(train_sem, test_sem, ds):
@@ -152,8 +162,8 @@ def eval_literal(e: ExprTree | Literal, X: np.ndarray) -> np.ndarray:
     return op(eval_literal(left, X), eval_literal(right, X))
 
 
-def reconstruct(ind: Individual, node_budget: int) -> ExprTree | Literal | BudgetExceeded:
-    """Oracle: expand the ancestry into one literal expression.
+def reconstruct(root: AncestryRecord, node_budget: int) -> ExprTree | Literal | BudgetExceeded:
+    """Oracle: expand the ancestry of the record root into one literal expression.
 
     Refuses with BudgetExceeded when the estimated node count is past
     node_budget; no command builds this expression, and `estimate_size`
@@ -165,12 +175,12 @@ def reconstruct(ind: Individual, node_budget: int) -> ExprTree | Literal | Budge
     """
     if node_budget < 1:
         raise GsgpError(f"node_budget must be >= 1, got {node_budget}")
-    est = estimate_size(ind)
+    est = estimate_size(root)
     if est > node_budget:
         return BudgetExceeded(estimate=est)
 
     tree: dict[AncestryRecord, ExprTree | Literal] = {}
-    for rec in _post_order(ind.ancestry):
+    for rec in _post_order(root):
         if isinstance(rec, TreeOrigin):
             tree[rec] = rec.tree
         elif isinstance(rec, CrossoverOrigin):
@@ -186,7 +196,7 @@ def reconstruct(ind: Individual, node_budget: int) -> ExprTree | Literal | Budge
             # p + ms·(σ(r1) − σ(r2)), as in MutationOrigin.apply.
             squashed = Literal("sub", (Literal("sigmoid", (rec.r1,)), Literal("sigmoid", (rec.r2,))))
             tree[rec] = Literal("add", (tree[rec.parent], Literal("mul", (const(rec.ms), squashed))))
-    return tree[ind.ancestry]
+    return tree[root]
 
 
 def count_nodes(t: ExprTree) -> int:
@@ -494,7 +504,7 @@ class TestEvolve:
         res = evolve(GsgpConfig(**kwargs), train, test, seed=seed)
         assert [st.train_fitness for st in res.history] == train_fits
         assert [st.test_fitness for st in res.history] == test_fits
-        payload = archive_individual(res.best)
+        payload = archive_individual(res.ancestry)
         assert len(payload["records"]) == records
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         assert digest == archive_sha256
@@ -508,15 +518,15 @@ class TestEvolve:
         train, test = table1_split
         res = evolve(GsgpConfig(population_size=10, generations=0), train, test, seed=3)
         assert len(res.history) == 1
-        assert res.history[0].train_fitness == res.best.train_fitness
-        assert res.history[0].test_fitness == fitness(res.best.semantics[len(train) :], test.targets)
+        assert res.history[0].train_fitness == fitness(res.semantics[: len(train)], train.targets)
+        assert res.history[0].test_fitness == fitness(res.semantics[len(train) :], test.targets)
 
     def test_same_seed_identical_results(self, table1_split):
         train, test = table1_split
         r1 = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         r2 = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
         assert r1.history == r2.history
-        assert np.array_equal(r1.best.semantics[len(train) :], r2.best.semantics[len(train) :])
+        assert np.array_equal(r1.semantics[len(train) :], r2.semantics[len(train) :])
 
     def test_best_train_fitness_non_increasing(self, table1_split):
         train, test = table1_split
@@ -527,8 +537,8 @@ class TestEvolve:
     def test_best_fitness_recomputation(self, table1_split):
         train, test = table1_split
         res = evolve(GsgpConfig(**self.small), train, test, seed=self.seed)
-        assert res.best.train_fitness == pytest.approx(
-            fitness(res.best.semantics[:28], train.targets), abs=1e-12
+        assert res.history[-1].train_fitness == pytest.approx(
+            fitness(res.semantics[:28], train.targets), abs=1e-12
         )
 
     def test_unlabeled_test_set_gives_nan_test_stats(self, table1_split):
@@ -536,7 +546,7 @@ class TestEvolve:
         plain = Dataset(builtin_table1().features[28:])
         res = evolve(GsgpConfig(population_size=8, generations=2), train, plain, seed=1)
         assert math.isnan(res.history[-1].test_fitness)
-        assert res.best.semantics[len(train) :].shape == (6,)
+        assert res.semantics[len(train) :].shape == (6,)
 
 
 def per_vector_individual(sem, targets, origin) -> Individual:
@@ -601,6 +611,28 @@ def evolve_per_child(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int):
     return history, best_ever
 
 
+class TestRunResult:
+    """A run returns its best individual's row and record. Elitism keeps the
+    best, so the train column of history never rises, and it ends at the
+    fitness of that row."""
+
+    ENGINES = {"gsgp": (evolve, GsgpConfig), "stgp": (stgp_run, StgpConfig)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("split_name", ["table1_split", "huge_split"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_history_ends_at_the_best(self, engine, split_name, seed, request):
+        run, config = self.ENGINES[engine]
+        train, test = request.getfixturevalue(split_name)
+        cfg = config(population_size=20, generations=6, p_crossover=0.6, elitism=1 + seed % 2)
+        res = run(cfg, train, test, seed)
+        column = [row.train_fitness for row in res.history]
+        assert all(a >= b for a, b in zip(column, column[1:]))
+        assert column[-1] == fitnesses(res.semantics[np.newaxis], train.targets)[0]
+        replayed = replay_semantics(archive_individual(res.ancestry), train)
+        assert same_bits(replayed, res.semantics[: len(train)])
+
+
 class TestBatchedGenerations:
     """evolve breeds each generation as one matrix; that changes no draw and no bit."""
 
@@ -625,9 +657,11 @@ class TestBatchedGenerations:
         history, best = evolve_per_child(cfg, train, test, seed)
         got = np.array([(row.train_fitness, row.test_fitness) for row in res.history])
         assert same_bits(got, np.array(history))
-        assert same_bits(res.best.semantics, best.semantics)
-        assert res.best.train_fitness == best.train_fitness
-        assert json.dumps(archive_individual(res.best)) == json.dumps(archive_individual(best))
+        assert same_bits(res.semantics, best.semantics)
+        assert res.history[-1].train_fitness == best.train_fitness
+        assert json.dumps(archive_individual(res.ancestry)) == json.dumps(
+            archive_individual(best.ancestry)
+        )
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_matches_per_child_oracle(self, name, table1_split):
@@ -666,14 +700,14 @@ def assert_generations_are_rows_of_one_array(monkeypatch, run):
         return fitnesses(sem, targets)
 
     monkeypatch.setattr(gsgp_module, "fitnesses", recorded)
-    best = run().best
+    semantics = run().semantics
     assert len(seen) == 5
     for sem in seen:
         assert sem.shape == (20, 34)
         assert sem.flags.owndata
     # Survivors are copied, not shared across generations.
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
-    assert any(best.semantics.base is sem for sem in seen)
+    assert any(semantics.base is sem for sem in seen)
 
 
 class TestOverflowWarnsNothing:
@@ -683,19 +717,16 @@ class TestOverflowWarnsNothing:
         train, test = huge_split
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            best = evolve(GsgpConfig(population_size=20, generations=3), train, test, seed=42).best
-            replayed = replay_semantics(archive_individual(best), test)
-        assert same_bits(replayed, best.semantics[len(train) :])
+            res = evolve(GsgpConfig(population_size=20, generations=3), train, test, seed=42)
+            replayed = replay_semantics(archive_individual(res.ancestry), test)
+        assert same_bits(replayed, res.semantics[len(train) :])
 
 
 class TestEstimateSize:
     def test_initial_individual_is_tree_size(self):
         t = binop("add", binop("add", variable(1), variable(2)), binop("add", variable(3), variable(4)))
         assert t.size == 7
-        ds = tiny_dataset()
-        sem = eval_matrix(t, ds.features)
-        ind = Individual(sem, fitness(sem, ds.targets), TreeOrigin(t))
-        assert estimate_size(ind) == 7
+        assert estimate_size(TreeOrigin(t)) == 7
 
     def test_crossover_of_two_leaves(self):
         ds = tiny_dataset()
@@ -703,7 +734,7 @@ class TestEstimateSize:
         p2 = raw_individual([2.0, 1.0], [2.0, 1.0], ds)
         child = geometric_crossover(p1, p2, FixedRandom(0.5), ds.targets)
         # (x1 * tr) + (comp * x1): two leaves, add, two mul, two constants
-        assert estimate_size(child) == 7
+        assert estimate_size(child.ancestry) == 7
 
     def test_mutation_of_leaf_with_leaf_perturbations(self, monkeypatch):
         monkeypatch.setattr(
@@ -714,20 +745,20 @@ class TestEstimateSize:
         child = geometric_mutation(p, 0.1, Random(0), stacked(ds, ds), ds.targets)
         # x1 + (ms * (sigmoid(x2) - sigmoid(x2))): three leaves, add, mul,
         # the ms constant, sub, two sigmoid
-        assert estimate_size(child) == 9
+        assert estimate_size(child.ancestry) == 9
 
     def test_monotone_along_lineage(self, table1_split):
         train, test = table1_split
         rng = Random(91)
         pop = [raw_individual(np.full(28, 130.0 + i), np.full(6, 130.0), train) for i in range(4)]
         ind = pop[0]
-        prev = estimate_size(ind)
+        prev = estimate_size(ind.ancestry)
         for _ in range(15):
             if rng.random() < 0.5:
                 ind = geometric_crossover(ind, pop[rng.randrange(4)], rng, train.targets)
             else:
                 ind = geometric_mutation(ind, 0.1, rng, stacked(train, test), train.targets)
-            cur = estimate_size(ind)
+            cur = estimate_size(ind.ancestry)
             assert cur > prev
             prev = cur
 
@@ -735,27 +766,24 @@ class TestEstimateSize:
 class TestReconstruct:
     def test_initial_returns_tree_verbatim(self):
         t = binop("mul", variable(1), variable(5))
-        ds = tiny_dataset()
-        sem = eval_matrix(t, ds.features)
-        ind = Individual(sem, fitness(sem, ds.targets), TreeOrigin(t))
-        assert reconstruct(ind, 100) == t
+        assert reconstruct(TreeOrigin(t), 100) == t
 
     def test_budget_exceeded_carries_estimate(self):
         ds = tiny_dataset()
         p1 = raw_individual([1.0, 2.0], [1.0, 2.0], ds)
         p2 = raw_individual([2.0, 1.0], [2.0, 1.0], ds)
         child = geometric_crossover(p1, p2, FixedRandom(0.5), ds.targets)
-        out = reconstruct(child, 1)
+        out = reconstruct(child.ancestry, 1)
         assert isinstance(out, BudgetExceeded)
-        assert out.estimate == estimate_size(child)
+        assert out.estimate == estimate_size(child.ancestry)
 
     def test_crossover_chain_reconstruction_is_bitwise(self, table1_split):
         train, test = table1_split
         rng = Random(97)
         res = evolve(GsgpConfig(population_size=10, generations=4), train, test, seed=17)
-        tree = reconstruct(res.best, 10**9)
+        tree = reconstruct(res.ancestry, 10**9)
         assert not isinstance(tree, BudgetExceeded)
-        assert np.array_equal(eval_literal(tree, stacked(train, test)), res.best.semantics)
+        assert np.array_equal(eval_literal(tree, stacked(train, test)), res.semantics)
 
     def test_reconstruction_equivalence_fuzz(self, table1_split):
         train, test = table1_split
@@ -767,9 +795,9 @@ class TestReconstruct:
                 tournament_size=2,
             )
             res = evolve(cfg, train, test, seed=rng.randrange(10**6))
-            tree = reconstruct(res.best, 10**9)
+            tree = reconstruct(res.ancestry, 10**9)
             assert not isinstance(tree, BudgetExceeded)
-            assert np.array_equal(eval_literal(tree, stacked(train, test)), res.best.semantics)
+            assert np.array_equal(eval_literal(tree, stacked(train, test)), res.semantics)
 
 
     @settings(max_examples=25, deadline=None)
@@ -778,10 +806,10 @@ class TestReconstruct:
         train, test = split(builtin_table1(), SplitSpec(28))
         cfg = GsgpConfig(population_size=pop_size, generations=generations)
         res = evolve(cfg, train, test, seed=seed)
-        tree = reconstruct(res.best, 10**6)
+        tree = reconstruct(res.ancestry, 10**6)
         assert not isinstance(tree, BudgetExceeded)
         assert tree.size == count_nodes(tree)
-        assert estimate_size(res.best) == tree.size
+        assert estimate_size(res.ancestry) == tree.size
 
 
 def flat_call(fn, *args):
@@ -801,7 +829,7 @@ class TestDeepAncestry:
 
     DEPTH = 5000
 
-    def deep_individual(self):
+    def deep_record(self):
         leaf = TreeOrigin(variable(1))
         rec = leaf
         for i in range(self.DEPTH):
@@ -809,24 +837,24 @@ class TestDeepAncestry:
                 rec = CrossoverOrigin(parent1=rec, parent2=leaf, tr=0.5)
             else:
                 rec = MutationOrigin(parent=rec, r1=variable(2), r2=variable(3), ms=0.1)
-        return Individual(np.zeros(1), 0.0, rec)
+        return rec
 
     def test_estimate_size_and_reconstruct(self):
-        ind = self.deep_individual()
+        rec = self.deep_record()
         half = self.DEPTH // 2
         # the leaf, 8 nodes per mutation, 6 per crossover (its leaf parent included)
-        assert flat_call(estimate_size, ind) == 1 + 8 * half + 6 * half
-        tree = flat_call(reconstruct, ind, 10**9)
+        assert flat_call(estimate_size, rec) == 1 + 8 * half + 6 * half
+        tree = flat_call(reconstruct, rec, 10**9)
         assert not isinstance(tree, BudgetExceeded)
-        assert tree.size == estimate_size(ind)
+        assert tree.size == estimate_size(rec)
 
     def test_repr_is_bounded(self):
         """Parents are left out of a record's repr, which would otherwise
         print the DAG as a tree."""
-        assert len(flat_call(repr, self.deep_individual())) < 1000
+        assert len(flat_call(repr, self.deep_record())) < 1000
 
     def test_archive_numbers_parents_first(self):
-        payload = flat_call(archive_individual, self.deep_individual())
+        payload = flat_call(archive_individual, self.deep_record())
         assert payload["trees"] == ["x1", "x2", "x3"]
         assert len(payload["records"]) == self.DEPTH + 1
         assert payload["records"][0] == {"op": "tree", "tree": 0}
@@ -953,16 +981,17 @@ MALFORMED_PAYLOADS = [
 
 
 class TestPersistence:
-    def round_trip(self, ind, train, test):
-        payload = archive_individual(ind)
-        assert np.array_equal(replay_semantics(payload, train), ind.semantics[: len(train)])
-        assert np.array_equal(replay_semantics(payload, test), ind.semantics[len(train) :])
+    def round_trip(self, root, sem, train, test):
+        """The archive of the record root, whose vector sem it replays on train and test."""
+        payload = archive_individual(root)
+        assert np.array_equal(replay_semantics(payload, train), sem[: len(train)])
+        assert np.array_equal(replay_semantics(payload, test), sem[len(train) :])
         return payload
 
     def test_round_trip_after_small_run(self, table1_split):
         train, test = table1_split
         res = evolve(GsgpConfig(population_size=10, generations=4), train, test, seed=23)
-        payload = self.round_trip(res.best, train, test)
+        payload = self.round_trip(res.ancestry, res.semantics, train, test)
         assert set(payload) == {"trees", "records", "root"}
         assert all(isinstance(t, str) for t in payload["trees"])
 
@@ -971,16 +1000,15 @@ class TestPersistence:
 
         train, test = table1_split
         res = evolve(GsgpConfig(population_size=8, generations=3), train, test, seed=29)
-        payload = archive_individual(res.best)
+        payload = archive_individual(res.ancestry)
         restored = json.loads(json.dumps(payload))
-        assert np.array_equal(replay_semantics(restored, train), res.best.semantics[:28])
+        assert np.array_equal(replay_semantics(restored, train), res.semantics[:28])
 
     def test_initial_individual_round_trip(self, table1_split):
         train, test = table1_split
         t = binop("div", variable(3), variable(8))
         sem = eval_matrix(t, stacked(train, test))
-        ind = Individual(sem, fitness(sem[:28], train.targets), TreeOrigin(t))
-        payload = self.round_trip(ind, train, test)
+        payload = self.round_trip(TreeOrigin(t), sem, train, test)
         assert payload["trees"] == [to_infix(t)]
 
     @settings(max_examples=25, deadline=None)
@@ -988,16 +1016,17 @@ class TestPersistence:
     def test_replay_equals_stored_semantics(self, seed, pop_size, generations):
         train, test = split(builtin_table1(), SplitSpec(28))
         cfg = GsgpConfig(population_size=pop_size, generations=generations)
-        self.round_trip(evolve(cfg, train, test, seed=seed).best, train, test)
+        res = evolve(cfg, train, test, seed=seed)
+        self.round_trip(res.ancestry, res.semantics, train, test)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.integers(4, 20), st.integers(0, 6))
     def test_load_ancestry_inverts_archive(self, seed, pop_size, generations):
         train, test = split(builtin_table1(), SplitSpec(28))
         cfg = GsgpConfig(population_size=pop_size, generations=generations)
-        payload = json.loads(json.dumps(archive_individual(evolve(cfg, train, test, seed=seed).best)))
-        loaded = Individual(np.empty(0), 0.0, load_ancestry(payload))
-        assert archive_individual(loaded) == payload
+        res = evolve(cfg, train, test, seed=seed)
+        payload = json.loads(json.dumps(archive_individual(res.ancestry)))
+        assert archive_individual(load_ancestry(payload)) == payload
 
     @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
     def test_malformed_payload_rejected(self, payload, table1_split, monkeypatch):
@@ -1186,7 +1215,7 @@ class TestReplayFreesVectors:
     def test_peak_memory_bounded_by_live_width(self, table1_split):
         train, test = table1_split
         res = evolve(GsgpConfig(population_size=100, generations=20), train, test, seed=1)
-        payload = archive_individual(res.best)
+        payload = archive_individual(res.ancestry)
         rng = Random(5)
         lo, hi = train.features.min(axis=0), train.features.max(axis=0)
         wide = Dataset(
@@ -1224,7 +1253,7 @@ def seed1_payload(table1_split):
     """The archived best of pop 100 x 20 generations at seed 1."""
     train, test = table1_split
     res = evolve(GsgpConfig(population_size=100, generations=20), train, test, seed=1)
-    return archive_individual(res.best)
+    return archive_individual(res.ancestry)
 
 
 # A malformed record after valid ones, so the first block replays some records

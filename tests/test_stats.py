@@ -1,6 +1,8 @@
 """Metrics and the rank-sum test, checked against brute-force arithmetic."""
 
 import math
+import struct
+from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 
 from slumpgp.stats import (
     BoxSummary,
-    PairedSeries,
     RankSumResult,
     StatsError,
     box_summary,
@@ -37,53 +38,171 @@ FROZEN_REL = (
 )
 
 
-def pairs(y, yp):
-    return PairedSeries(tuple(y), tuple(yp))
+METRICS = (pearson_r, rmse, relative_errors)
 
 
 class TestPairedSeries:
+    """Each metric checks its pair of series, as the `PairedSeries` wrapper did."""
+
     def test_length_mismatch_rejected(self):
-        with pytest.raises(StatsError):
-            PairedSeries((1.0, 2.0), (1.0,))
+        for metric in METRICS:
+            with pytest.raises(StatsError, match="series lengths differ: 2 vs 1"):
+                metric((1.0, 2.0), (1.0,))
 
     def test_empty_rejected(self):
-        with pytest.raises(StatsError):
-            PairedSeries((), ())
+        for metric in METRICS:
+            with pytest.raises(StatsError, match="series must be non-empty"):
+                metric((), ())
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(StatsError):
-            PairedSeries((1.0, math.nan), (1.0, 2.0))
+        # Only the correlation rejects it; see the module docstring of stats.
+        with pytest.raises(StatsError, match="series entries must be finite, got nan"):
+            pearson_r((1.0, math.nan), (1.0, 2.0))
+        assert rmse((1.0, math.nan), (1.0, 2.0)) == math.inf
+        first, second = relative_errors((1.0, math.nan), (1.0, 2.0))
+        assert first == 0.0 and math.isnan(second)
 
-    def test_len(self):
-        assert len(pairs(EXPERIMENT, COMPUTED)) == 6
+
+# The metrics before they took (y, y_hat): `PairedSeries` converted and
+# checked the pair, and cli._safe_rmse mapped a non-finite prediction to
+# +inf before it built one; predict wrote abs(p - y) / y as the relative
+# error. Kept here as the reference the metrics must match bit for bit.
+
+
+@dataclass(frozen=True)
+class PairedSeries:
+    experimental: tuple[float, ...]
+    computational: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "experimental", tuple(float(v) for v in self.experimental))
+        object.__setattr__(self, "computational", tuple(float(v) for v in self.computational))
+        if len(self.experimental) != len(self.computational):
+            raise StatsError(
+                f"series lengths differ: {len(self.experimental)} vs {len(self.computational)}"
+            )
+        if not self.experimental:
+            raise StatsError("series must be non-empty")
+        for v in self.experimental + self.computational:
+            if not math.isfinite(v):
+                raise StatsError(f"series entries must be finite, got {v!r}")
+
+
+def reference_pearson_r(y, y_hat) -> float:
+    s = PairedSeries(tuple(y), tuple(y_hat))
+    y, yp = s.experimental, s.computational
+    n = len(y)
+    if n < 2:
+        raise StatsError("correlation needs at least 2 pairs")
+    sy = sum(y)
+    syp = sum(yp)
+    syyp = sum(a * b for a, b in zip(y, yp))
+    syy = sum(a * a for a in y)
+    sypyp = sum(b * b for b in yp)
+    num = n * syyp - sy * syp
+    den_y = n * syy - sy * sy
+    den_yp = n * sypyp - syp * syp
+    if not (math.isfinite(num) and math.isfinite(den_y) and math.isfinite(den_yp)):
+        raise StatsError("correlation overflows on values this large")
+    if den_y <= 0 or den_yp <= 0:
+        raise StatsError("correlation undefined for a constant series")
+    return num / (math.sqrt(den_y) * math.sqrt(den_yp))
+
+
+def reference_rmse(actual, predicted) -> float:
+    if not np.isfinite(predicted).all():
+        return math.inf
+    s = PairedSeries(tuple(actual), tuple(predicted))
+    try:
+        sq = sum((a - b) ** 2 for a, b in zip(s.experimental, s.computational))
+    except OverflowError:
+        return math.inf
+    return math.sqrt(sq / len(s.experimental))
+
+
+def reference_relative_errors(targets, predictions) -> tuple[float, ...]:
+    return tuple(
+        abs(pred - actual) / actual
+        for actual, pred in zip(np.asarray(targets).tolist(), np.asarray(predictions).tolist())
+    )
+
+
+def outcome(metric, y, y_hat):
+    """metric's value as the bytes of its floats, or its StatsError as text."""
+    try:
+        value = metric(y, y_hat)
+    except StatsError as exc:
+        return f"StatsError: {exc}"
+    return b"".join(struct.pack("<d", v) for v in np.atleast_1d(value).tolist())
+
+
+# Outputs as an overflowed model gives them: finite, ±inf or NaN.
+OUTPUTS = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def paired(draw, measured, min_size=0):
+    """Measured values and outputs of one length, as numpy arrays or tuples."""
+    n = draw(st.integers(min_size, 8))
+    y = draw(st.lists(measured, min_size=n, max_size=n))
+    y_hat = draw(st.lists(OUTPUTS, min_size=n, max_size=n))
+    container = draw(st.sampled_from([np.array, tuple]))
+    return container(y), container(y_hat)
+
+
+class TestOneOracle:
+    """Every metric gives the reference's value bits, or its StatsError.
+
+    For `rmse` the measured values are finite, as a Dataset's targets are:
+    the reference rejected a non-finite one, and rmse is +inf there. For
+    the relative errors they are positive, as every slump is.
+    """
+
+    @given(paired(st.floats(allow_nan=False, allow_infinity=False)))
+    @example(((0.0, 1.0), (1e200, 1.0)))
+    @example(((1.0, 2.0), (math.inf, math.nan)))
+    def test_rmse(self, pair):
+        assert outcome(rmse, *pair) == outcome(reference_rmse, *pair)
+
+    @given(paired(OUTPUTS))
+    @example((np.array([1.0, 2.0, 3.0]), np.array([1e200, -3e200, 2e200])))
+    @example(((1.0, math.inf), (math.nan, 2.0)))
+    def test_pearson_r(self, pair):
+        assert outcome(pearson_r, *pair) == outcome(reference_pearson_r, *pair)
+
+    @given(paired(st.floats(min_value=5e-324, allow_infinity=False), min_size=1))
+    @example(((1.0, 2.0, 3.0), (math.nan, math.inf, -math.inf)))
+    @example(((5e-324,), (1e308,)))
+    def test_relative_errors(self, pair):
+        assert outcome(relative_errors, *pair) == outcome(reference_relative_errors, *pair)
 
 
 class TestPearson:
     def test_perfect_correlation(self):
-        assert pearson_r(pairs((1, 2, 3), (1, 2, 3))) == pytest.approx(1.0, abs=1e-12)
+        assert pearson_r((1, 2, 3), (1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_anticorrelation(self):
-        assert pearson_r(pairs((1, 2, 3), (-1, -2, -3))) == pytest.approx(-1.0, abs=1e-12)
+        assert pearson_r((1, 2, 3), (-1, -2, -3)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_frozen_table_value(self):
-        assert pearson_r(pairs(EXPERIMENT, COMPUTED)) == pytest.approx(FROZEN_R, abs=1e-12)
+        assert pearson_r(EXPERIMENT, COMPUTED) == pytest.approx(FROZEN_R, abs=1e-12)
 
     def test_constant_series_rejected(self):
         with pytest.raises(StatsError):
-            pearson_r(pairs((2, 2, 2), (1, 2, 3)))
+            pearson_r((2, 2, 2), (1, 2, 3))
         with pytest.raises(StatsError):
-            pearson_r(pairs((1, 2, 3), (5, 5, 5)))
+            pearson_r((1, 2, 3), (5, 5, 5))
 
     def test_single_point_rejected(self):
         with pytest.raises(StatsError):
-            pearson_r(pairs((1,), (2,)))
+            pearson_r((1,), (2,))
 
     def test_overflowing_sums_rejected(self):
         # Each square overflows to inf, so a denominator is inf − inf = NaN.
         with pytest.raises(StatsError, match="overflows"):
-            pearson_r(pairs((1, 2, 3), (1e200, -3e200, 2e200)))
+            pearson_r((1, 2, 3), (1e200, -3e200, 2e200))
         with pytest.raises(StatsError, match="overflows"):
-            pearson_r(pairs((1e200, -3e200, 2e200), (1, 2, 3)))
+            pearson_r((1e200, -3e200, 2e200), (1, 2, 3))
 
     def test_affine_invariance_fuzz(self):
         rng = Random(101)
@@ -91,10 +210,10 @@ class TestPearson:
             n = rng.randrange(3, 12)
             y = [rng.gauss(0, 10) for _ in range(n)]
             yp = [v + rng.gauss(0, 5) for v in y]
-            base = pearson_r(pairs(y, yp))
+            base = pearson_r(y, yp)
             a, b = rng.uniform(0.1, 5), rng.uniform(-20, 20)
-            assert pearson_r(pairs([a * v + b for v in y], yp)) == pytest.approx(base, abs=1e-10)
-            assert pearson_r(pairs([-a * v + b for v in y], yp)) == pytest.approx(-base, abs=1e-10)
+            assert pearson_r([a * v + b for v in y], yp) == pytest.approx(base, abs=1e-10)
+            assert pearson_r([-a * v + b for v in y], yp) == pytest.approx(-base, abs=1e-10)
 
     def test_matches_scipy_fuzz(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -104,7 +223,7 @@ class TestPearson:
             y = [rng.gauss(50, 10) for _ in range(n)]
             yp = [rng.gauss(50, 10) for _ in range(n)]
             expected = scipy_stats.pearsonr(y, yp).statistic
-            assert pearson_r(pairs(y, yp)) == pytest.approx(expected, abs=1e-10)
+            assert pearson_r(y, yp) == pytest.approx(expected, abs=1e-10)
 
     def test_bounded(self):
         rng = Random(107)
@@ -114,18 +233,18 @@ class TestPearson:
             yp = [rng.random() for _ in range(n)]
             if len(set(y)) == 1 or len(set(yp)) == 1:
                 continue
-            assert -1.0 - 1e-12 <= pearson_r(pairs(y, yp)) <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= pearson_r(y, yp) <= 1.0 + 1e-12
 
 
 class TestRmse:
     def test_zero_on_identity(self):
-        assert rmse(pairs((1, 2, 3), (1, 2, 3))) == 0.0
+        assert rmse((1, 2, 3), (1, 2, 3)) == 0.0
 
     def test_forced_arithmetic(self):
-        assert rmse(pairs((0, 0), (3, 4))) == pytest.approx(math.sqrt(12.5), abs=1e-15)
+        assert rmse((0, 0), (3, 4)) == pytest.approx(math.sqrt(12.5), abs=1e-15)
 
     def test_frozen_table_value(self):
-        assert rmse(pairs(EXPERIMENT, COMPUTED)) == pytest.approx(FROZEN_RMSE, abs=1e-12)
+        assert rmse(EXPERIMENT, COMPUTED) == pytest.approx(FROZEN_RMSE, abs=1e-12)
 
     def test_symmetry_and_zero_iff_equal(self):
         rng = Random(109)
@@ -133,31 +252,31 @@ class TestRmse:
             n = rng.randrange(1, 10)
             y = [rng.random() for _ in range(n)]
             yp = [rng.random() for _ in range(n)]
-            assert rmse(pairs(y, yp)) == rmse(pairs(yp, y))
-            assert (rmse(pairs(y, yp)) == 0.0) == (y == yp)
+            assert rmse(y, yp) == rmse(yp, y)
+            assert (rmse(y, yp) == 0.0) == (y == yp)
 
     def test_single_pair(self):
-        assert rmse(pairs((5,), (7,))) == pytest.approx(2.0, abs=1e-15)
+        assert rmse((5,), (7,)) == pytest.approx(2.0, abs=1e-15)
 
     def test_overflowing_square_is_inf(self):
         # float ** raises OverflowError where float * would give inf.
-        assert rmse(pairs((0.0, 1.0), (1e200, 1.0))) == math.inf
-        assert rmse(pairs((-1e308,), (1e308,))) == math.inf
+        assert rmse((0.0, 1.0), (1e200, 1.0)) == math.inf
+        assert rmse((-1e308,), (1e308,)) == math.inf
 
 
 class TestRelativeErrors:
     def test_zero_on_identity(self):
-        assert relative_errors(pairs((1, 2), (1, 2))) == (0.0, 0.0)
+        assert relative_errors((1, 2), (1, 2)) == (0.0, 0.0)
 
     def test_frozen_values(self):
-        got = relative_errors(pairs(EXPERIMENT, COMPUTED))
+        got = relative_errors(EXPERIMENT, COMPUTED)
         assert got == pytest.approx(FROZEN_REL, abs=1e-12)
         assert got[0] == pytest.approx(0.01473, abs=5e-6)
         assert max(got) < 0.05
 
     def test_zero_experimental_rejected(self):
         with pytest.raises(StatsError):
-            relative_errors(PairedSeries((0.0, 1.0), (1.0, 1.0)))
+            relative_errors((0.0, 1.0), (1.0, 1.0))
 
 
 class TestBoxSummary:
