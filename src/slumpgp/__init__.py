@@ -1,15 +1,6 @@
 """Geometric-semantic GP for concrete slump regression, with reference baselines."""
 
-from .baselines import (
-    LinearModel,
-    LssvmModel,
-    StgpConfig,
-    lssvm_fit,
-    lssvm_predict,
-    ols_fit,
-    ols_predict,
-    stgp_run,
-)
+from .baselines import StgpConfig, lssvm_outputs, ols_outputs, stgp_run
 from .dataset import Dataset, Sample, SplitSpec, builtin_table1, load_csv, save_csv, split
 from .gsgp import (
     GsgpConfig,
@@ -33,8 +24,6 @@ __all__ = [
     "BoxSummary",
     "Dataset",
     "GsgpConfig",
-    "LinearModel",
-    "LssvmModel",
     "RankSumResult",
     "RunResult",
     "Sample",
@@ -45,10 +34,8 @@ __all__ = [
     "estimate_size",
     "evolve",
     "load_csv",
-    "lssvm_fit",
-    "lssvm_predict",
-    "ols_fit",
-    "ols_predict",
+    "lssvm_outputs",
+    "ols_outputs",
     "pearson_r",
     "relative_errors",
     "rmse",

@@ -4,6 +4,11 @@ All three consume the same Dataset type as the semantic engine. Tree GP
 works on raw features. OLS centres and scales each column internally, so
 its fit does not depend on the features' units, and the LS-SVM scales
 features to [0, 1] per column because the RBF kernel is scale-sensitive.
+OLS and the LS-SVM keep no fitted model: `ols_outputs` and `lssvm_outputs`
+fit on the training set and return the fit's outputs on the rows asked for.
+Each output is its own `np.dot` over one row, so it does not depend on the
+other rows asked for; a matrix product over all rows differs in the last
+bits.
 
 Tree GP evaluates through `expr.eval_memo` (Keijzer, "Alternatives in
 Subtree Caching for Genetic Programming", EuroGP 2004), which keeps each
@@ -21,7 +26,7 @@ from random import Random
 
 import numpy as np
 
-from .dataset import Dataset, ScaleParams, scale_minmax
+from .dataset import Dataset
 from .expr import (
     ExprTree,
     eval_memo,
@@ -45,27 +50,21 @@ class BaselineError(ValueError):
     """Invalid input or unsolvable system in a baseline model."""
 
 
+def _check_finite(values) -> None:
+    """Raise for the first fitted parameter that is not finite."""
+    for v in values:
+        if not math.isfinite(v):
+            raise BaselineError(f"model parameters must be finite, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # Multiple linear regression
-
-@dataclass(frozen=True)
-class LinearModel:
-    intercept: float
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != 8:
-            raise BaselineError(f"expected 8 coefficients, got {len(self.coefficients)}")
-        for v in (self.intercept, *self.coefficients):
-            if not math.isfinite(v):
-                raise BaselineError(f"model parameters must be finite, got {v!r}")
-
 
 RIDGE_JITTER = 1e-8
 
 
-def ols_fit(train: Dataset) -> LinearModel:
-    """Least-squares fit of slump ~ intercept + features.
+def _ols_coefficients(train: Dataset) -> tuple[float, np.ndarray]:
+    """(intercept, coefficients) of the least-squares fit of slump ~ features.
 
     Each column is centred on its training mean and divided by its range
     (1 if constant), so the fit does not depend on the features' units;
@@ -91,16 +90,20 @@ def ols_fit(train: Dataset) -> LinearModel:
     if rank < 9:
         raise BaselineError("design matrix is singular even after ridge jitter")
     coefficients = beta[1:] / spread
-    intercept = beta[0] - float(np.dot(coefficients, mean))
-    return LinearModel(intercept=float(intercept), coefficients=tuple(coefficients.tolist()))
+    intercept = float(beta[0] - float(np.dot(coefficients, mean)))
+    _check_finite([intercept, *coefficients.tolist()])
+    return intercept, coefficients
 
 
-def ols_predict(m: LinearModel, x) -> float:
-    """Affine forward pass on one 8-feature row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (8,):
-        raise BaselineError(f"expected an 8-feature row, got shape {x.shape}")
-    return float(m.intercept + np.dot(np.asarray(m.coefficients), x))
+def ols_outputs(train: Dataset, rows: np.ndarray) -> np.ndarray:
+    """The OLS fit on train (see `_ols_coefficients`) applied to each of rows.
+
+    Slumps so large that the fit overflows fail its finiteness check alone,
+    with no numpy warning before it.
+    """
+    with np.errstate(all="ignore"):
+        intercept, coefficients = _ols_coefficients(train)
+        return np.array([intercept + np.dot(coefficients, x) for x in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +228,18 @@ LSSVM_GAMMA = 100.0
 LSSVM_SIGMA_SQ = 8.0
 
 
-@dataclass(frozen=True)
-class LssvmModel:
-    """RBF-kernel LS-SVM: ŷ(x) = Σ_i α_i·K(x_i, x) + b on scaled features."""
+def _minmax(fit: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows under the per-column min-max map that takes fit's columns onto [0, 1].
 
-    alphas: tuple[float, ...]
-    bias: float
-    gamma: float
-    sigma_sq: float
-    scale: ScaleParams
-    train_features: np.ndarray  # scaled, one row per training sample
-
-    def __post_init__(self):
-        if len(self.alphas) != len(self.train_features):
-            raise BaselineError("one support value per training row required")
-        for v in (*self.alphas, self.bias):
-            if not math.isfinite(v):
-                raise BaselineError(f"model parameters must be finite, got {v!r}")
+    Other rows may land outside that range. A constant column of fit
+    (span 0) maps every row to 0.
+    """
+    lo = fit.min(axis=0)
+    span = fit.max(axis=0) - lo
+    constant = span == 0
+    out = (rows - lo) / np.where(constant, 1.0, span)
+    out[:, constant] = 0.0
+    return out
 
 
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, sigma_sq: float) -> np.ndarray:
@@ -263,40 +261,25 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, gamma: float) -> tuple[float, np.n
     return float(sol[0]), sol[1:]
 
 
-def lssvm_fit(
-    train: Dataset, gamma: float = LSSVM_GAMMA, sigma_sq: float = LSSVM_SIGMA_SQ
-) -> LssvmModel:
-    """Fit the LS-SVM dual system [[0, 1ᵀ], [1, K + I/γ]]·[b; α] = [0; y].
+def lssvm_outputs(
+    train: Dataset, rows: np.ndarray, gamma: float, sigma_sq: float
+) -> np.ndarray:
+    """The LS-SVM fitted on train, ŷ(x) = Σ_i α_i·K(x_i, x) + b, at each of rows.
 
-    K is the RBF kernel exp(−‖x_i−x_j‖²/σ²) over min-max-scaled features;
-    the scaling parameters are fitted here and stored on the model.
+    b and α solve the dual system [[0, 1ᵀ], [1, K + I/γ]]·[b; α] = [0; y],
+    where K is the RBF kernel exp(−‖x_i−x_j‖²/σ²) over features min-max
+    scaled on train (`_minmax`); rows are scaled by the same map.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
     if not gamma > 0 or not sigma_sq > 0:
         raise BaselineError(f"gamma and sigma_sq must be > 0, got {gamma}, {sigma_sq}")
-    params = scale_minmax(train)
-    scaled = params.transform(train.features)
-    K = _rbf_kernel(scaled, scaled, sigma_sq)
-    bias, alphas = _solve_dual(K, train.targets, gamma)
-    return LssvmModel(
-        alphas=tuple(float(a) for a in alphas),
-        bias=bias,
-        gamma=gamma,
-        sigma_sq=sigma_sq,
-        scale=params,
-        train_features=scaled,
-    )
-
-
-def lssvm_predict(m: LssvmModel, x) -> float:
-    """Kernel expansion ŷ = Σ_i α_i·K(x_i, x) + b for one raw feature row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (8,):
-        raise BaselineError(f"expected an 8-feature row, got shape {x.shape}")
-    scaled = m.scale.transform(x[None, :])
-    k = _rbf_kernel(m.train_features, scaled, m.sigma_sq)[:, 0]
-    return float(np.dot(np.asarray(m.alphas), k) + m.bias)
+    scaled = _minmax(train.features, train.features)
+    bias, alphas = _solve_dual(_rbf_kernel(scaled, scaled, sigma_sq), train.targets, gamma)
+    _check_finite([*alphas.tolist(), bias])
+    # One row of kernel values per output row, each row contiguous.
+    K = _rbf_kernel(_minmax(train.features, rows), scaled, sigma_sq)
+    return np.array([np.dot(alphas, k) + bias for k in K])
 
 
 LSSVM_GAMMA_GRID = (1.0, 10.0, 100.0, 1000.0)
@@ -316,8 +299,7 @@ def lssvm_grid_search(train: Dataset) -> tuple[float, float, float]:
     n = len(train)
     if n < 2:
         raise BaselineError("leave-one-out needs at least 2 training rows")
-    params = scale_minmax(train)
-    scaled = params.transform(train.features)
+    scaled = _minmax(train.features, train.features)
     y = train.targets
     best: tuple[float, float, float] | None = None
     for gamma in LSSVM_GAMMA_GRID:

@@ -152,27 +152,32 @@ def _parse_config_file(path: str) -> dict[str, dict]:
     return values
 
 
+# Config keys and flags whose ExperimentConfig field has another name.
+_FIELD_NAMES = {
+    "seed": "master_seed",
+    "gamma": "lssvm_gamma",
+    "sigma_sq": "lssvm_sigma_sq",
+    "grid_search": "lssvm_grid_search",
+}
+
+
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     file_vals = _parse_config_file(args.config) if args.config else {}
     exp = file_vals.get("experiment", {})
-    ls = file_vals.get("lssvm", {})
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return exp.get(key, default)
-
+    flags = {
+        "dataset": args.dataset,
+        "train_size": args.train_size,
+        "runs": getattr(args, "runs", None),
+        "seed": args.seed,
+    }
+    given = {**exp, **file_vals.get("lssvm", {})}
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    given.pop("out", None)
     return ExperimentConfig(
-        dataset=pick(args.dataset, "dataset", "builtin"),
-        train_size=pick(args.train_size, "train_size", 28),
-        runs=pick(getattr(args, "runs", None), "runs", 50),
-        master_seed=pick(args.seed, "seed", 42),
         out_dir=args.out or exp.get("out") or os.environ.get(OUT_DIR_ENV) or ".",
         gsgp=GsgpConfig(**file_vals.get("gsgp", {})),
         stgp=StgpConfig(**file_vals.get("stgp", {})),
-        lssvm_gamma=ls.get("gamma", LSSVM_GAMMA),
-        lssvm_sigma_sq=ls.get("sigma_sq", LSSVM_SIGMA_SQ),
-        lssvm_grid_search=ls.get("grid_search", False),
+        **{_FIELD_NAMES.get(key, key): value for key, value in given.items()},
     )
 
 

@@ -1,4 +1,4 @@
-"""Recycled-concrete slump data: loading, validation, splitting, scaling.
+"""Recycled-concrete slump data: loading, validation and splitting.
 
 A dataset is n concrete mixes held as two arrays: `features`, eight mass
 quantities (kg/m^3) per row in FEATURE_NAMES order, and `targets`, the
@@ -180,28 +180,6 @@ class SplitSpec:
     n_train: int
 
 
-@dataclass(frozen=True)
-class ScaleParams:
-    """Per-feature min-max parameters fitted on a training set.
-
-    A degenerate (constant) training column maps to 0.0 everywhere and is
-    flagged so callers can tell scaled zeros from true minima.
-    """
-
-    mins: tuple[float, ...]
-    maxs: tuple[float, ...]
-    degenerate: tuple[bool, ...]
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        """Apply the training-set affine map; outputs may leave [0, 1]."""
-        lo = np.array(self.mins)
-        span = np.array(self.maxs) - lo
-        safe = np.where(span == 0.0, 1.0, span)
-        out = (np.asarray(features, dtype=float) - lo) / safe
-        out[:, np.array(self.degenerate)] = 0.0
-        return out
-
-
 # Laboratory mix table: cement, fly ash, water, sand, stone, water reducer,
 # recycled aggregate, total mass, slump. One row per mix, in test order.
 _TABLE1 = (
@@ -376,15 +354,3 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         Dataset(ds.features[:n], None if targets is None else targets[:n]),
         Dataset(ds.features[n:], None if targets is None else targets[n:]),
     )
-
-
-def scale_minmax(train: Dataset) -> ScaleParams:
-    """Fit a per-feature min-max map on the training features.
-
-    `transform` maps the training columns onto [0, 1]; other rows get the
-    same affine map and may land outside that range.
-    """
-    cols = train.features
-    mins = tuple(float(v) for v in cols.min(axis=0))
-    maxs = tuple(float(v) for v in cols.max(axis=0))
-    return ScaleParams(mins, maxs, tuple(a == b for a, b in zip(mins, maxs)))

@@ -370,40 +370,41 @@ def run_generations(
 
     sem and records are generation 0 (see `Generation`); the engines keep
     no other reference to them, so a generation's matrix is freed once the
-    loop moves on, unless the best so far is a row of it. targets are the
-    training rows' targets. cfg supplies population_size, generations,
-    p_crossover, p_mutation, tournament_size and elitism; GsgpConfig and
-    StgpConfig both do. History row g holds the best-of-generation-g
-    fitness pair; when the test set has no targets the test column is NaN.
-    The last len(test) entries of a semantics vector are its test rows.
+    loop moves on. targets are the training rows' targets. cfg supplies
+    population_size, generations, p_crossover, p_mutation, tournament_size
+    and elitism; GsgpConfig and StgpConfig both do. History row g holds
+    the best-of-generation-g fitness pair; when the test set has no
+    targets the test column is NaN. The last len(test) entries of a
+    semantics vector are its test rows.
 
     Each generation is scored by `fitnesses` and sorted once by (fitness,
     index), which gives its best row and the elitism rows the next
-    generation keeps; the best so far is kept as its fitness, row and
-    record. The other slots (see `Slot`) are made in two phases. The draw
-    phase fills them in order, each with its operator draw, its tournaments
-    over the fitnesses, then crossover(rec1, rec2, rng) or mutation(rec,
-    rng) on the parents' records, or a reproduction. The evaluate phase,
-    evaluate(sem, records, slots), then returns the next matrix and
-    records, row j from slot j. Tournaments read only the previous
-    generation, and no draw reads a child, so the draws are the same as if
-    each child were computed as soon as it is drawn.
+    generation keeps. The result is the last generation's best row and
+    record, which is the best of the run: elitism copies each generation's
+    best row, bit for bit, into row 0 of the next, where it keeps its
+    fitness and ranks first among equal fitnesses. So a generation's best
+    is its predecessor's unless some row is strictly fitter. The other
+    slots (see `Slot`) are made in two phases. The draw phase fills them in
+    order, each with its operator draw, its tournaments over the fitnesses,
+    then crossover(rec1, rec2, rng) or mutation(rec, rng) on the parents'
+    records, or a reproduction. The evaluate phase, evaluate(sem, records,
+    slots), then returns the next matrix and records, row j from slot j.
+    Tournaments read only the previous generation, and no draw reads a
+    child, so the draws are the same as if each child were computed as
+    soon as it is drawn.
     """
 
     k = cfg.tournament_size
     history: list[GenerationStats] = []
-    best = None  # (train fitness, row, record)
     while True:
         fits = fitnesses(sem, targets)
         # fitnesses holds no NaN and the sort is stable, so ties keep index order.
         order = sorted(range(len(fits)), key=fits.__getitem__)
         b = order[0]
-        if best is None or fits[b] < best[0]:
-            best = fits[b], sem[b], records[b]
         test_fit = math.nan if test.targets is None else fitness(sem[b, -len(test) :], test.targets)
         history.append(GenerationStats(train_fitness=fits[b], test_fitness=test_fit))
         if len(history) > cfg.generations:
-            return RunResult(tuple(history), *best[1:])
+            return RunResult(tuple(history), sem[b], records[b])
 
         slots: list[Slot] = [((i,), None) for i in order[: cfg.elitism]]
         while len(slots) < cfg.population_size:

@@ -6,9 +6,11 @@ and test sets it is fitted on. `run_job` is a pure function of the job, and
 the same for any worker count. `run_jobs` runs one worker per usable CPU, at
 most one per job; the worker count describes the machine, not the jobs.
 
-A job's result is only its model's outputs on the train, then test rows, never
-a GP run's ancestry record: after a long GSGP run that is a DAG thousands of
-records deep, and pickling it back from a worker would be large and recursive.
+A job's result is only its method's outputs on the train, then test rows.
+OLS and the LS-SVM make nothing else (see `baselines.ols_outputs`). A GP run
+also makes an ancestry record, which stays in the worker: after a long GSGP
+run it is a DAG thousands of records deep, and pickling it back would be
+large and recursive.
 
 A caller may hand `run_jobs` engines other than `ENGINES`: a test double, or
 a profiler's wrapper that counts and times the engine's calls. Those run in
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import StgpConfig, lssvm_fit, lssvm_predict, ols_fit, ols_predict, stgp_run
+from .baselines import StgpConfig, lssvm_outputs, ols_outputs, stgp_run
 from .dataset import Dataset
 from .gsgp import GsgpConfig, RunResult, Semantics, evolve
 
@@ -61,17 +63,12 @@ class Job:
     test: Dataset
 
 
-def _outputs(predict, model, train: Dataset, test: Dataset) -> Semantics:
-    # One row at a time: a matrix product over all rows differs in the last bits.
-    return np.array([predict(model, x) for x in np.vstack([train.features, test.features])])
-
-
 def _ols(config: tuple, train: Dataset, test: Dataset, seed: int) -> Semantics:
-    return _outputs(ols_predict, ols_fit(train), train, test)
+    return ols_outputs(train, np.vstack([train.features, test.features]))
 
 
 def _lssvm(config: tuple[float, float], train: Dataset, test: Dataset, seed: int) -> Semantics:
-    return _outputs(lssvm_predict, lssvm_fit(train, *config), train, test)
+    return lssvm_outputs(train, np.vstack([train.features, test.features]), *config)
 
 
 # Each method's engine: (config, train, test, seed) -> a `RunResult` or its outputs.

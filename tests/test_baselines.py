@@ -1,11 +1,12 @@
 """Baselines: pinned tree-GP runs, the depth cap, the node memos tree GP
-evaluates through, and the OLS and LS-SVM solves against independent
-solvers."""
+evaluates through, the OLS and LS-SVM solves against independent solvers,
+and the LS-SVM's min-max scaling."""
 
 import math
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -19,14 +20,15 @@ from slumpgp.baselines import (
     STGP_MUTATION_DEPTH,
     BaselineError,
     StgpConfig,
+    _minmax,
     _node_at,
+    _ols_coefficients,
     _replace_at,
     _solve_dual,
-    ols_fit,
-    ols_predict,
+    ols_outputs,
     stgp_run,
 )
-from slumpgp.dataset import Dataset, builtin_table1
+from slumpgp.dataset import FEATURE_NAMES, Dataset, builtin_table1
 from slumpgp.expr import (
     binop,
     eval_matrix,
@@ -45,6 +47,7 @@ from slumpgp.gsgp import (
     run_generations,
     tournament_select,
 )
+from test_dataset import make_sample
 from test_expr import same_bits, tree_depth
 from test_gsgp import assert_generations_are_rows_of_one_array, per_vector_individual
 
@@ -391,9 +394,9 @@ class TestStgpMemory:
 
 
 def ols_scaled_system(features):
-    """The design ols_fit solves on: a ones column, then each feature column
-    centred on its mean and divided by its range (1 for a constant column).
-    Returns (design, mean, range)."""
+    """The design `_ols_coefficients` solves on: a ones column, then each
+    feature column centred on its mean and divided by its range (1 for a
+    constant column). Returns (design, mean, range)."""
     mean = features.mean(axis=0)
     spread = np.ptp(features, axis=0)
     spread = np.where(spread > 0, spread, 1.0)
@@ -404,11 +407,10 @@ class TestOlsFit:
     @pytest.mark.parametrize("n", [10, 20, 28, 34])
     def test_matches_lstsq_on_augmented_system(self, table1, n):
         train = Dataset(table1.features[:n], table1.targets[:n])
-        m = ols_fit(train)
+        intercept, coefficients = _ols_coefficients(train)
         design, mean, spread = ols_scaled_system(train.features)
-        # The model's coefficients in the scaled units the system is solved in.
-        got = np.array([m.intercept + np.dot(m.coefficients, mean),
-                        *(np.array(m.coefficients) * spread)])
+        # The fit's coefficients in the scaled units the system is solved in.
+        got = np.array([intercept + np.dot(coefficients, mean), *(coefficients * spread)])
         A = np.vstack([design, math.sqrt(RIDGE_JITTER) * np.eye(9)])
         rhs = np.concatenate([train.targets, np.zeros(9)])
         want = np.linalg.lstsq(A, rhs, rcond=None)[0]
@@ -429,15 +431,42 @@ class TestOlsFit:
         factors = 10.0 ** np.array(exponents)
         train = Dataset(table1.features[:28], table1.targets[:28])
         rescaled = Dataset(train.features * factors, train.targets)
-        want = [ols_predict(ols_fit(train), x) for x in table1.features]
-        got = [ols_predict(ols_fit(rescaled), x) for x in table1.features * factors]
+        want = ols_outputs(train, table1.features)
+        got = ols_outputs(rescaled, table1.features * factors)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     def test_constant_column_gets_no_weight(self, table1):
         features = table1.features[:28].copy()
         features[:, 6] = 535.0
-        m = ols_fit(Dataset(features, table1.targets[:28]))
-        assert m.coefficients[6] == 0.0
+        _, coefficients = _ols_coefficients(Dataset(features, table1.targets[:28]))
+        assert coefficients[6] == 0.0
+
+
+class TestScaleMinmax:
+    """`_minmax`, the scaling the LS-SVM fits and predicts on."""
+
+    def three_water_rows(self, waters):
+        base = make_sample()
+        return Dataset(tuple(replace(base, water=w) for w in waters)).features
+
+    def test_affine_map(self):
+        rows = self.three_water_rows([180.0, 185.0, 190.0])
+        water = _minmax(rows, rows)[:, FEATURE_NAMES.index("water")]
+        assert water.tolist() == [0.0, 0.5, 1.0]
+
+    def test_constant_column_maps_every_row_to_zero(self):
+        train = self.three_water_rows([185.0, 185.0])
+        i = FEATURE_NAMES.index("total_mass")
+        assert _minmax(train, train)[:, i].tolist() == [0.0, 0.0]
+        others = train.copy()
+        others[:, i] = [0.0, 2500.0]
+        assert _minmax(train, others)[:, i].tolist() == [0.0, 0.0]
+
+    def test_params_applied_to_others(self):
+        train = self.three_water_rows([180.0, 190.0])
+        other = self.three_water_rows([185.0, 195.0])
+        water = _minmax(train, other)[:, FEATURE_NAMES.index("water")]
+        assert water.tolist() == [0.5, 1.5]  # outside train range may leave [0,1]
 
 
 class TestSolveDual:

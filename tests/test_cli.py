@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import slumpgp.cli as cli_module
 import slumpgp.jobs as jobs_module
-from slumpgp.baselines import BaselineError, ols_fit, ols_predict
+from slumpgp.baselines import BaselineError, ols_outputs
 from slumpgp.cli import main
 from slumpgp.dataset import Dataset, SplitSpec, builtin_table1, save_csv, split
 from slumpgp.expr import MAX_PARSE_DEPTH
@@ -241,6 +242,26 @@ class TestOverflowingFeatures:
             assert actual == f"{y:.6g}"
             if pred in ("nan", "inf", "-inf"):
                 assert rel == ("nan" if pred == "nan" else "inf")
+
+
+class TestOverflowingSlumps:
+    """Table 1 with slumps × 1e306: the OLS and LS-SVM fits overflow. Each
+    command that fits one fails in one line, with no numpy warning before
+    it, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["ols-baseline", "compare"])
+    def test_one_line_error(self, tmp_path, capsys, command):
+        t = builtin_table1()
+        save_csv(Dataset(t.features, t.targets * 1e306), tmp_path / "big.csv")
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--dataset", str(tmp_path / "big.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_error(code, err)
+        assert "model parameters must be finite" in err
+        assert not (tmp_path / "o").exists()
 
 
 def finite_or_none(value):
@@ -652,7 +673,7 @@ class TestDeeplyNestedModel:
 
 
 class TestOlsBaseline:
-    """ols-baseline's table: its GSGP column is train's, its OLS column is ols_fit's."""
+    """ols-baseline's table: its GSGP column is train's, its OLS column is ols_outputs'."""
 
     def test_columns_match_train_and_ols_fit(self, tmp_path, table1_split):
         cfg = tmp_path / "small.ini"
@@ -671,10 +692,8 @@ class TestOlsBaseline:
         assert [row[:3] for row in rows] == [row[:3] for row in train_rows]
 
         train, test = table1_split
-        model = ols_fit(train)
-        assert [row[3] for row in rows] == [
-            cli_module._fmt(ols_predict(model, features)) for features in test.features
-        ]
+        ols = ols_outputs(train, test.features)
+        assert [row[3] for row in rows] == [cli_module._fmt(v) for v in ols]
 
 
 class TestPredictInputLayout:

@@ -1,9 +1,8 @@
-"""Dataset loading, validation, splitting, and scaling."""
+"""Dataset loading, validation and splitting."""
 
 import csv
 import math
 import pickle
-from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -22,7 +21,6 @@ from slumpgp.dataset import (
     builtin_table1,
     load_csv,
     save_csv,
-    scale_minmax,
     split,
     read_csv,
     validate_header,
@@ -388,33 +386,6 @@ class TestCsv:
         assert validate_header([" cement ", *CSV_HEADER[1:]]) is True
         with pytest.raises(DatasetError, match="trailing"):
             validate_header(CSV_HEADER + ("extra",))
-
-
-class TestScaleMinmax:
-    def three_water_rows(self, waters):
-        base = make_sample()
-        return Dataset(tuple(replace(base, water=w) for w in waters))
-
-    def test_affine_map(self):
-        ds = self.three_water_rows([180.0, 185.0, 190.0])
-        params = scale_minmax(ds)
-        water = params.transform(ds.features)[:, FEATURE_NAMES.index("water")]
-        assert water.tolist() == [0.0, 0.5, 1.0]
-        assert not params.degenerate[FEATURE_NAMES.index("water")]
-
-    def test_constant_column_degenerate(self):
-        ds = self.three_water_rows([185.0, 185.0])
-        params = scale_minmax(ds)
-        i = FEATURE_NAMES.index("total_mass")
-        assert params.degenerate[i]
-        assert params.transform(ds.features)[:, i].tolist() == [0.0, 0.0]
-
-    def test_params_applied_to_others(self):
-        train = self.three_water_rows([180.0, 190.0])
-        other = self.three_water_rows([185.0, 195.0])
-        params = scale_minmax(train)
-        water = params.transform(other.features)[:, FEATURE_NAMES.index("water")]
-        assert water.tolist() == [0.5, 1.5]  # outside train range may leave [0,1]
 
 
 def oracle_read_csv(path):

@@ -8,22 +8,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slumpgp.jobs as jobs_module
-from slumpgp.baselines import (
-    LSSVM_GAMMA,
-    LSSVM_SIGMA_SQ,
-    StgpConfig,
-    lssvm_fit,
-    lssvm_predict,
-    ols_fit,
-    ols_predict,
-)
+from slumpgp.baselines import LSSVM_GAMMA, LSSVM_SIGMA_SQ, StgpConfig, lssvm_outputs, ols_outputs
 from slumpgp.dataset import SplitSpec, builtin_table1, split
 from slumpgp.gsgp import GsgpConfig, GsgpError
 from slumpgp.jobs import ENGINES, Job, WorkerError, run_job, run_jobs
 
-TRAIN, TEST = split(builtin_table1(), SplitSpec(28))
+TABLE1 = builtin_table1()
+TRAIN, TEST = split(TABLE1, SplitSpec(28))
 TINY = {"population_size": 20, "generations": 3}
 
 # A test that replaces run_job relies on forked workers inheriting the replacement.
@@ -80,17 +75,19 @@ class TestEngines:
         assert pools == [2]
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize(
-        "method, fit, predict",
-        [("ols", ols_fit, ols_predict), ("lssvm", lssvm_fit, lssvm_predict)],
-    )
-    def test_fitted_outputs_are_per_row_predictions(self, method, fit, predict):
+    @pytest.mark.parametrize("method, outputs", [("ols", ols_outputs), ("lssvm", lssvm_outputs)])
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(TABLE1) - 1), min_size=1, unique=True))
+    def test_fitted_outputs_do_not_depend_on_the_other_rows(self, method, outputs, picks):
+        """For any subset of table 1's rows, in any order, a fit's outputs are
+        bit for bit the entries of one call on all the rows, which run_job
+        returns."""
         job = make_job(method, 0)
-        model = fit(TRAIN, *job.config)
-        out = run_job(job)
-        for rows, part in ((TRAIN.features, out[: len(TRAIN)]), (TEST.features, out[len(TRAIN) :])):
-            assert part.tobytes() == np.array([predict(model, x) for x in rows]).tobytes()
-        assert out.shape == (len(TRAIN) + len(TEST),)
+        everything = outputs(TRAIN, TABLE1.features, *job.config)
+        got = outputs(TRAIN, TABLE1.features[picks], *job.config)
+        assert got.tobytes() == everything[picks].tobytes()
+        assert run_job(job).tobytes() == everything.tobytes()
+        assert everything.shape == (len(TABLE1),)
 
 
 class TestRunJobs:
