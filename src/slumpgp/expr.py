@@ -48,11 +48,11 @@ class ExprTree:
     size: int = field(init=False, compare=False, repr=False)
     memo: tuple | None = field(init=False, compare=False, repr=False)
 
-    # Written by hand, not generated: one call that checks the node, sums its
-    # size and sets the five slots takes about 13% less time than the
-    # generated __init__ plus a __post_init__ (0.92 against 1.06 us for a
-    # binary node, CPython 3.11 on an Intel Xeon), and every random tree,
-    # STGP graft and parsed model builds its nodes here.
+    # Written by hand, not generated: one call checks the node, sums its size
+    # and sets the five slots through the slots' own descriptors. A binary
+    # node takes 0.55 us, against 0.76 us through object.__setattr__ (CPython
+    # 3.11.7 on an Intel Xeon), and every random tree, STGP graft and parsed
+    # model builds its nodes here.
     def __init__(self, kind: str, index: int = 0, children: tuple["ExprTree", ...] = ()):
         if kind in FUNCTIONS:
             if len(children) != 2:
@@ -66,14 +66,18 @@ class ExprTree:
             size = 1
         else:
             raise ValueError(f"unknown node kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "index", index)
-        _set(self, "children", children)
-        _set(self, "size", size)
-        _set(self, "memo", None)
+        _set_kind(self, kind)
+        _set_index(self, index)
+        _set_children(self, children)
+        _set_size(self, size)
+        _set_memo(self, None)
 
 
-_set = object.__setattr__  # a frozen dataclass's own __setattr__ always raises
+# A slot's own descriptor sets it past the frozen dataclass's __setattr__,
+# which always raises.
+_set_kind, _set_index, _set_children, _set_size, _set_memo = (
+    ExprTree.__dict__[name].__set__ for name in ("kind", "index", "children", "size", "memo")
+)
 
 
 def variable(i: int) -> ExprTree:
@@ -132,12 +136,14 @@ def eval_node(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def eval_memo(t: ExprTree, X: np.ndarray) -> tuple[np.ndarray, int]:
     """t's values on every row of X, equal bit for bit to eval_matrix(t, X), and its depth.
 
-    Every node of t but a `var` leaf keeps (X, values, depth) in its memo,
-    and a memo is read only while its X is this X, the same object. So a
-    tree that shares subtrees with trees already evaluated on X costs one
-    `eval_node` call per node that has no memo for X yet. Trees are
-    immutable and X must not change in place, so a memo never goes stale;
-    it dies with its node. No other code reads or writes the memo slot.
+    Every node of t but a `var` leaf keeps (X, values, depth) in its memo;
+    a leaf carries none, which is why `random_tree` may share one leaf per
+    variable among all its trees. A memo is read only while its X is this
+    X, the same object. So a tree that shares subtrees with trees already
+    evaluated on X costs one `eval_node` call per node that has no memo for
+    X yet. Trees are immutable and X must not change in place, so a memo
+    never goes stale; it dies with its node. No other code reads or writes
+    the memo slot.
     """
     if t.kind == "var":
         return X[:, t.index - 1], 1
@@ -149,7 +155,7 @@ def eval_memo(t: ExprTree, X: np.ndarray) -> tuple[np.ndarray, int]:
     b, right_depth = eval_memo(right, X)
     values = eval_node(t.kind, a, b)
     depth = 1 + max(left_depth, right_depth)
-    _set(t, "memo", (X, values, depth))
+    _set_memo(t, (X, values, depth))
     return values, depth
 
 
@@ -207,6 +213,7 @@ def randbelow(rng: Random, n: int) -> int:
     n.bit_length() bits per draw (not (n - 1).bit_length()) and draws again
     while the value is >= n. It skips `randrange`'s argument checks and
     its call into `_randbelow`, which cost more than the draw itself.
+    `random_tree` inlines the same rule for its fixed sizes instead.
     """
     if n < 1:
         raise ValueError(f"empty range for randbelow: n = {n}")
@@ -232,41 +239,58 @@ def random_tree(
     offset.
 
     Draw contract: each node takes the same values as `rng.randrange` would
-    give, through `randbelow`, so a seed builds the same trees as it always
-    has; the oracle tests in tests/test_expr.py pin this.
+    give, drawn straight from `rng.getrandbits` by randbelow's rule, so a
+    seed builds the same trees as it always has; a randrange oracle in
+    tests/test_expr.py pins this. Every `var` leaf drawn is one of the
+    module's shared leaves, one per variable, never a new node.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    getrandbits = rng.getrandbits
     if max_depth == 1:
-        return _leaf(rng)
+        return _leaf(getrandbits)
     if full or force_root_function:
-        return _branch(rng, max_depth, full)
-    return _node(rng, max_depth, full)
+        return _branch(getrandbits, max_depth, full)
+    return _node(getrandbits, max_depth, full)
 
 
-# random_tree's recursion. Module-level functions that take rng and full as
-# arguments, not closures that call each other: those refer to one another
-# through their cells, which makes every call leave cyclic garbage behind.
-def _leaf(rng: Random) -> ExprTree:
-    return ExprTree("var", randbelow(rng, N_VARS) + 1)
+# random_tree's recursion. Module-level functions that take getrandbits and
+# full as arguments, not closures that call each other: those refer to one
+# another through their cells, which makes every call leave cyclic garbage
+# behind. Each draw inlines randbelow's rule for its fixed n.
+_N_OPS = len(FUNCTIONS)
+_N_PICKS = _N_OPS + N_VARS
+_VAR_BITS, _OP_BITS, _PICK_BITS = N_VARS.bit_length(), _N_OPS.bit_length(), _N_PICKS.bit_length()
+_LEAVES = tuple(ExprTree("var", i) for i in range(1, N_VARS + 1))
 
 
-def _branch(rng: Random, depth_left: int, full: bool) -> ExprTree:
-    op = FUNCTIONS[randbelow(rng, len(FUNCTIONS))]
-    kids = (_node(rng, depth_left - 1, full), _node(rng, depth_left - 1, full))
-    return ExprTree(op, children=kids)
+def _leaf(getrandbits) -> ExprTree:
+    r = getrandbits(_VAR_BITS)
+    while r >= N_VARS:
+        r = getrandbits(_VAR_BITS)
+    return _LEAVES[r]
 
 
-def _node(rng: Random, depth_left: int, full: bool) -> ExprTree:
+def _branch(getrandbits, depth_left: int, full: bool) -> ExprTree:
+    r = getrandbits(_OP_BITS)
+    while r >= _N_OPS:
+        r = getrandbits(_OP_BITS)
+    kids = (_node(getrandbits, depth_left - 1, full), _node(getrandbits, depth_left - 1, full))
+    return ExprTree(FUNCTIONS[r], 0, kids)
+
+
+def _node(getrandbits, depth_left: int, full: bool) -> ExprTree:
     if depth_left == 1:
-        return _leaf(rng)
+        return _leaf(getrandbits)
     if full:
-        return _branch(rng, depth_left, full)
-    pick = randbelow(rng, len(FUNCTIONS) + N_VARS)
-    if pick < len(FUNCTIONS):
-        kids = (_node(rng, depth_left - 1, full), _node(rng, depth_left - 1, full))
-        return ExprTree(FUNCTIONS[pick], children=kids)
-    return ExprTree("var", pick - len(FUNCTIONS) + 1)
+        return _branch(getrandbits, depth_left, full)
+    r = getrandbits(_PICK_BITS)
+    while r >= _N_PICKS:
+        r = getrandbits(_PICK_BITS)
+    if r < _N_OPS:
+        kids = (_node(getrandbits, depth_left - 1, full), _node(getrandbits, depth_left - 1, full))
+        return ExprTree(FUNCTIONS[r], 0, kids)
+    return _LEAVES[r - _N_OPS]
 
 
 def ramped_half_and_half(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slumpgp.expr as expr_module
 from slumpgp.dataset import builtin_table1
 from slumpgp.expr import (
     DIV_EPS,
@@ -97,6 +98,34 @@ def leaf_depths(t: ExprTree, d=1):
         yield d
     for c in t.children:
         yield from leaf_depths(c, d + 1)
+
+
+def randrange_tree(rng: Random, max_depth: int, full=False, force_root_function=False):
+    """Oracle: random_tree's recursion as first written, one rng.randrange per
+    node and a new node for every leaf."""
+
+    def leaf():
+        return ExprTree("var", rng.randrange(N_VARS) + 1)
+
+    def branch(depth_left):
+        op = FUNCTIONS[rng.randrange(len(FUNCTIONS))]
+        return ExprTree(op, children=(node(depth_left - 1), node(depth_left - 1)))
+
+    def node(depth_left):
+        if depth_left == 1:
+            return leaf()
+        if full:
+            return branch(depth_left)
+        pick = rng.randrange(len(FUNCTIONS) + N_VARS)
+        if pick < len(FUNCTIONS):
+            return ExprTree(FUNCTIONS[pick], children=(node(depth_left - 1), node(depth_left - 1)))
+        return ExprTree("var", pick - len(FUNCTIONS) + 1)
+
+    if max_depth == 1:
+        return leaf()
+    if full or force_root_function:
+        return branch(max_depth)
+    return node(max_depth)
 
 
 # --- independent infix evaluation, deliberately sharing no code with the
@@ -408,6 +437,69 @@ class TestRandomTree:
         for full in (True, False):
             with pytest.raises(ValueError, match=r"^max_depth must be >= 1, got 0$"):
                 random_tree(Random(0), 0, full=full)
+
+
+class TestDrawContract:
+    """random_tree draws what rng.randrange would, draw for draw, so a seed
+    builds the same trees and leaves its generator in the same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(1, 7), st.booleans(), st.booleans())
+    def test_random_tree_matches_randrange_oracle(self, seed, depth, full, force_root):
+        mine, oracle = Random(seed), Random(seed)
+        drawn = [random_tree(mine, depth, full=full, force_root_function=force_root) for _ in range(3)]
+        expected = [randrange_tree(oracle, depth, full, force_root) for _ in range(3)]
+        assert drawn == expected
+        assert mine.getstate() == oracle.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(0, 30), st.integers(1, 4), st.integers(0, 3))
+    def test_ramped_half_and_half_matches_randrange_oracle(self, seed, count, lo, extra):
+        hi = lo + extra
+        mine, oracle = Random(seed), Random(seed)
+        schedule = [(d, full) for d in range(lo, hi + 1) for full in (True, False)]
+        expected = [randrange_tree(oracle, *schedule[i % len(schedule)]) for i in range(count)]
+        assert ramped_half_and_half(mine, count, lo, hi) == expected
+        assert mine.getstate() == oracle.getstate()
+
+
+def nodes(t: ExprTree):
+    yield t
+    for c in t.children:
+        yield from nodes(c)
+
+
+class TestSharedLeaves:
+    """A drawn tree's `var` nodes are the module's shared leaves, which no
+    evaluation gives a memo; variable and parse_infix still build new ones."""
+
+    def test_drawn_var_nodes_are_shared_leaves(self):
+        rng = Random(31)
+        drawn = ramped_half_and_half(rng, 60) + [
+            random_tree(rng, d, full=full, force_root_function=force)
+            for d in (1, 2, 4, 7)
+            for full in (True, False)
+            for force in (True, False)
+        ]
+        shared = {id(leaf) for leaf in expr_module._LEAVES}
+        assert [leaf.index for leaf in expr_module._LEAVES] == list(range(1, N_VARS + 1))
+        assert all(id(leaf) in shared for t in drawn for leaf in leaves(t))
+
+    def test_eval_memo_gives_shared_leaves_no_memo(self):
+        rng = Random(37)
+        X = builtin_table1().features
+        for t in ramped_half_and_half(rng, 40):
+            values, _ = eval_memo(t, X)
+            assert same_bits(values, eval_matrix(t, X))
+            assert all(n.memo is not None for n in nodes(t) if n.children)
+        assert all(leaf.memo is None for leaf in expr_module._LEAVES)
+
+    def test_variable_and_parse_infix_build_new_leaves(self):
+        for i, leaf in enumerate(expr_module._LEAVES, start=1):
+            fresh = variable(i)
+            assert fresh == leaf and fresh is not leaf
+            parsed = parse_infix(f"(x{i} + x{i})")
+            assert all(c == leaf and c is not leaf for c in parsed.children)
 
 
 class TestRampedHalfAndHalf:

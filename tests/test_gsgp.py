@@ -1,5 +1,6 @@
 """Semantic engine: operators, evolution loop, lineage, persistence."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slumpgp.expr as expr_module
 import slumpgp.gsgp as gsgp_module
 from slumpgp.baselines import StgpConfig, stgp_run
 from slumpgp.dataset import Dataset, Sample, SplitSpec, builtin_table1, split
@@ -54,7 +56,7 @@ from slumpgp.gsgp import (
     replay_semantics,
     tournament_select,
 )
-from test_expr import masked_sigmoid, same_bits
+from test_expr import leaves, masked_sigmoid, same_bits
 
 FROZEN_TABLE_PAIR_FITNESS = 21.299999999999997  # sum |computed - measured| over 6 rows
 
@@ -720,6 +722,38 @@ class TestOverflowWarnsNothing:
             res = evolve(GsgpConfig(population_size=20, generations=3), train, test, seed=42)
             replayed = replay_semantics(archive_individual(res.ancestry), test)
         assert same_bits(replayed, res.semantics[len(train) :])
+
+
+class TestEnginesShareLeaves:
+    """Both engines build their trees on the shared `var` leaves of
+    `random_tree`, give those leaves no memo, and leave no cyclic garbage,
+    so the cyclic collector finds nothing to free."""
+
+    def runs(self, train, test):
+        yield evolve(GsgpConfig(population_size=50, generations=5), train, test, seed=42)
+        yield stgp_run(StgpConfig(population_size=50, generations=5), train, test, seed=42)
+
+    def test_var_nodes_are_shared_and_bare(self, table1_split):
+        gsgp, stgp = self.runs(*table1_split)
+        trees = [stgp.ancestry.tree]
+        for rec in _post_order(gsgp.ancestry):
+            if isinstance(rec, TreeOrigin):
+                trees.append(rec.tree)
+            elif isinstance(rec, MutationOrigin):
+                trees += [rec.r1, rec.r2]
+        shared = {id(leaf) for leaf in expr_module._LEAVES}
+        assert all(id(leaf) in shared for t in trees for leaf in leaves(t))
+        assert all(leaf.memo is None for leaf in expr_module._LEAVES)
+
+    def test_no_cyclic_garbage(self, table1_split):
+        gc.collect()
+        gc.disable()
+        try:
+            for res in self.runs(*table1_split):
+                assert len(res.history) == 6
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEstimateSize:
