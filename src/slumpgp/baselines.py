@@ -12,10 +12,11 @@ bits.
 
 Tree GP evaluates through `expr.eval_memo` (Keijzer, "Alternatives in
 Subtree Caching for Genetic Programming", EuroGP 2004), which keeps each
-node's stacked train+test values and depth on the node. A child that
-`_replace_at` builds shares every subtree off the grafted path with a tree
-already evaluated, so evaluating it and checking its depth cost one
-`eval_node` call per node on that path, not one per node of the tree.
+node's stacked train+test values on the node. A child that `_replace_at`
+builds shares every subtree off the grafted path with a tree already
+evaluated, so evaluating it costs one `eval_node` call per node on that
+path, not one per node of the tree. A child too deep to keep is rejected
+by the depth its root stores, before any of it is evaluated.
 """
 
 from __future__ import annotations
@@ -27,20 +28,13 @@ from random import Random
 import numpy as np
 
 from .dataset import Dataset
-from .expr import (
-    ExprTree,
-    eval_memo,
-    ramped_half_and_half,
-    random_tree,
-    randbelow,
-)
+from .expr import ExprTree, eval_memo, ramped_half_and_half, random_tree
 from .gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
     Generation,
     RunResult,
     Slot,
-    TreeOrigin,
     check_loop_fields,
     run_generations,
 )
@@ -130,28 +124,23 @@ class StgpConfig:
 
 def _node_at(t: ExprTree, idx: int) -> ExprTree:
     """Node at preorder position idx (root is 0)."""
-    if idx == 0:
-        return t
-    pos = 1
-    for c in t.children:
-        if idx < pos + c.size:
-            return _node_at(c, idx - pos)
-        pos += c.size
-    raise IndexError(idx)
+    while idx:
+        left, right = t.children
+        if idx <= left.size:
+            t, idx = left, idx - 1
+        else:
+            t, idx = right, idx - 1 - left.size
+    return t
 
 
 def _replace_at(t: ExprTree, idx: int, sub: ExprTree) -> ExprTree:
     """Copy of t with the subtree at preorder position idx swapped for sub."""
     if idx == 0:
         return sub
-    pos = 1
-    children = list(t.children)
-    for ci, c in enumerate(children):
-        if idx < pos + c.size:
-            children[ci] = _replace_at(c, idx - pos, sub)
-            return ExprTree(t.kind, t.index, tuple(children))
-        pos += c.size
-    raise IndexError(idx)
+    left, right = t.children
+    if idx <= left.size:
+        return ExprTree(t.kind, t.index, (_replace_at(left, idx - 1, sub), right))
+    return ExprTree(t.kind, t.index, (left, _replace_at(right, idx - 1 - left.size, sub)))
 
 
 def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:
@@ -160,47 +149,37 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
     Deterministic for a fixed config, data and seed: every stochastic draw
     comes from one generator seeded with seed.
 
-    Runs on GSGP's loop, `gsgp.run_generations`, with the literal tree as
-    each individual's ancestry (TreeOrigin), so selection, elitism, fitness
-    and history rows match the semantic engine's. Crossover picks one node
-    uniformly in each parent and grafts the second parent's subtree into
-    the first; mutation grafts a fresh grow tree at a uniform node.
-
-    The operators only graft. The evaluate phase gives each offspring's
-    values on the stacked train+test rows and its depth by `eval_memo`. An
-    offspring deeper than max_depth is rejected in favour of the first
-    parent, whose row and record it takes, as elites and reproductions do.
-    An offspring shares all but its grafted path with trees already
-    evaluated, so only that path is evaluated, rejected offspring included.
-    The rows make one matrix, an individual per row.
+    Runs on GSGP's loop, `gsgp.run_generations`, with each individual's
+    tree as its record, so selection, elitism, fitness and history rows
+    match the semantic engine's, and the result's ancestry is the best
+    tree. Crossover picks one node uniformly in each parent and grafts the
+    second parent's subtree into the first; mutation grafts a fresh grow
+    tree at a uniform node. An offspring deeper than max_depth is rejected
+    as it is drawn, so its slot copies the first parent's row and tree, as
+    elites and reproductions do. The evaluate phase gives each kept
+    offspring's values on the stacked train+test rows by `eval_memo`, one
+    matrix with an individual per row.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
     rng = Random(seed)
     X = np.vstack([train.features, test.features])
 
-    def crossover(rec1: TreeOrigin, rec2: TreeOrigin, rng: Random) -> ExprTree:
-        t1, t2 = rec1.tree, rec2.tree
-        i1 = randbelow(rng, t1.size)
-        i2 = randbelow(rng, t2.size)
-        return _replace_at(t1, i1, _node_at(t2, i2))
+    def capped(child: ExprTree) -> ExprTree | None:
+        return None if child.depth > cfg.max_depth else child
 
-    def mutation(rec: TreeOrigin, rng: Random) -> ExprTree:
-        i = randbelow(rng, rec.tree.size)
-        return _replace_at(rec.tree, i, random_tree(rng, STGP_MUTATION_DEPTH))
+    def crossover(t1: ExprTree, t2: ExprTree, rng: Random) -> ExprTree | None:
+        i1 = rng.randrange(t1.size)
+        i2 = rng.randrange(t2.size)
+        return capped(_replace_at(t1, i1, _node_at(t2, i2)))
 
-    def evaluate(sem: np.ndarray, records: list[TreeOrigin], slots: list[Slot]) -> Generation:
-        rows, kept = [], []
-        for parents, child in slots:
-            if isinstance(child, ExprTree):
-                values, depth = eval_memo(child, X)
-                if depth <= cfg.max_depth:
-                    rows.append(values)
-                    kept.append(TreeOrigin(child))
-                    continue
-            rows.append(sem[parents[0]])
-            kept.append(records[parents[0]])
-        return np.stack(rows), kept
+    def mutation(t: ExprTree, rng: Random) -> ExprTree | None:
+        i = rng.randrange(t.size)
+        return capped(_replace_at(t, i, random_tree(rng, STGP_MUTATION_DEPTH)))
+
+    def evaluate(sem: np.ndarray, trees: list[ExprTree], slots: list[Slot]) -> Generation:
+        rows = [sem[p[0]] if child is None else eval_memo(child, X) for p, child in slots]
+        return np.stack(rows), [trees[p[0]] if child is None else child for p, child in slots]
 
     init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
     init_lo = min(INIT_MIN_DEPTH, init_hi)
@@ -210,8 +189,8 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
         first = [ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)]
         return run_generations(
             cfg,
-            np.stack([eval_memo(t, X)[0] for t in first[0]]),
-            [TreeOrigin(t) for t in first.pop()],
+            np.stack([eval_memo(t, X) for t in first[0]]),
+            first.pop(),
             train.targets,
             rng,
             test,

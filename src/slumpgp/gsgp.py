@@ -20,9 +20,10 @@ No draw reads a child, and each step is element-wise IEEE arithmetic, so
 the draws and every child's vector are, bit for bit, those of computing
 each child alone as it is drawn. A run's result is its history and the
 best individual's row and record. Standard tree GP (`baselines.stgp_run`)
-runs on the same loop: its operators only graft, and its evaluate phase
-reads each offspring's values from the memos its nodes keep
-(`expr.eval_memo`).
+runs on the same loop with each individual's tree as its record: its
+operators graft and reject a too-deep offspring as they draw it, and its
+evaluate phase reads each kept offspring's values from the memos its nodes
+keep (`expr.eval_memo`).
 
 `archive_individual` writes an ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
@@ -175,15 +176,16 @@ class GenerationStats:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's history and its best individual's semantics and ancestry record.
+    """A run's history and its best individual's semantics and record.
 
+    The record is an ancestry record for GSGP, the tree itself for tree GP.
     Elitism keeps the best, so history's train column never rises, and its
     last entry is the train fitness of semantics.
     """
 
     history: tuple[GenerationStats, ...]
     semantics: Semantics
-    ancestry: AncestryRecord
+    ancestry: AncestryRecord | ExprTree
 
 
 def fitness(s: Semantics, targets: np.ndarray):
@@ -252,8 +254,8 @@ def draw_mutation(
 
 # A slot of the next generation, as the draw phase of `run_generations` fills
 # it: the indices of its parents in the current generation, and its child.
-# A reproduced or elite child is None, a copy of its parent's row and
-# record; an operator's child is whatever the operator returned.
+# A reproduced, elite or rejected child is None, a copy of its first parent's
+# row and record; an operator's other children are whatever it returned.
 Slot = tuple[tuple[int, ...], object]
 Generation = tuple[np.ndarray, list[AncestryRecord]]  # an individual per row, and their records
 
@@ -368,9 +370,10 @@ def run_generations(
 ) -> RunResult:
     """The elitist generational loop that GSGP and standard tree GP share.
 
-    sem and records are generation 0 (see `Generation`); the engines keep
-    no other reference to them, so a generation's matrix is freed once the
-    loop moves on. targets are the training rows' targets. cfg supplies
+    sem and records are generation 0 (see `Generation`): ancestry records
+    for GSGP, the trees themselves for tree GP. The engines keep no other
+    reference to them, so a generation's matrix is freed once the loop
+    moves on. targets are the training rows' targets. cfg supplies
     population_size, generations, p_crossover, p_mutation, tournament_size
     and elitism; GsgpConfig and StgpConfig both do. History row g holds
     the best-of-generation-g fitness pair; when the test set has no
@@ -387,11 +390,11 @@ def run_generations(
     slots (see `Slot`) are made in two phases. The draw phase fills them in
     order, each with its operator draw, its tournaments over the fitnesses,
     then crossover(rec1, rec2, rng) or mutation(rec, rng) on the parents'
-    records, or a reproduction. The evaluate phase, evaluate(sem, records,
-    slots), then returns the next matrix and records, row j from slot j.
-    Tournaments read only the previous generation, and no draw reads a
-    child, so the draws are the same as if each child were computed as
-    soon as it is drawn.
+    records, or a reproduction; an operator returns None to reject its
+    child. The evaluate phase, evaluate(sem, records, slots), then returns
+    the next matrix and records, row j from slot j. Tournaments read only
+    the previous generation, and no draw reads a child, so the draws are
+    the same as if each child were computed as soon as it is drawn.
     """
 
     k = cfg.tournament_size

@@ -3,6 +3,7 @@ evaluates through, the OLS and LS-SVM solves against independent solvers,
 and the LS-SVM's min-max scaling."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -30,19 +31,18 @@ from slumpgp.baselines import (
 )
 from slumpgp.dataset import FEATURE_NAMES, Dataset, builtin_table1
 from slumpgp.expr import (
+    ExprTree,
     binop,
     eval_matrix,
     eval_memo,
     ramped_half_and_half,
     random_tree,
-    randbelow,
     to_infix,
     variable,
 )
 from slumpgp.gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
-    TreeOrigin,
     fitness,
     run_generations,
     tournament_select,
@@ -89,8 +89,8 @@ class TestStgpPinned:
         res = run(table1_split, seed)
         assert [st.train_fitness for st in res.history] == train_fits
         assert [st.test_fitness for st in res.history] == test_fits
-        assert isinstance(res.ancestry, TreeOrigin)
-        assert to_infix(res.ancestry.tree) == best
+        assert isinstance(res.ancestry, ExprTree)
+        assert to_infix(res.ancestry) == best
         train = table1_split[0]
         assert fitness(res.semantics[: len(train)], train.targets) == train_fits[-1]
 
@@ -100,7 +100,7 @@ class TestStgpPinned:
             1350.3699999999994, 1350.3699999999994, 1350.3699999999994,
             1143.7399999999998, 772.0799999999997, 772.0799999999997,
         ]
-        assert to_infix(res.ancestry.tree) == "((((x3 - x6) - x6) - x6) - x6)"
+        assert to_infix(res.ancestry) == "((((x3 - x6) - x6) - x6) - x6)"
 
 
 def stgp_per_child(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int):
@@ -115,7 +115,7 @@ def stgp_per_child(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int):
     k = cfg.tournament_size
 
     def individual(tree):
-        return per_vector_individual(eval_matrix(tree, X), train.targets, TreeOrigin(tree))
+        return per_vector_individual(eval_matrix(tree, X), train.targets, tree)
 
     def capped(tree, fallback):
         return fallback if tree_depth(tree) > cfg.max_depth else individual(tree)
@@ -144,15 +144,15 @@ def stgp_per_child(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int):
                 if draw < cfg.p_crossover:
                     p1 = pop[tournament_select(fits, k, rng)]
                     p2 = pop[tournament_select(fits, k, rng)]
-                    t1, t2 = p1.ancestry.tree, p2.ancestry.tree
-                    i1 = randbelow(rng, t1.size)
-                    i2 = randbelow(rng, t2.size)
+                    t1, t2 = p1.ancestry, p2.ancestry
+                    i1 = rng.randrange(t1.size)
+                    i2 = rng.randrange(t2.size)
                     next_pop.append(capped(_replace_at(t1, i1, _node_at(t2, i2)), p1))
                 elif draw < cfg.p_crossover + cfg.p_mutation:
                     p = pop[tournament_select(fits, k, rng)]
-                    i = randbelow(rng, p.ancestry.tree.size)
+                    i = rng.randrange(p.ancestry.size)
                     graft = random_tree(rng, STGP_MUTATION_DEPTH)
-                    next_pop.append(capped(_replace_at(p.ancestry.tree, i, graft), p))
+                    next_pop.append(capped(_replace_at(p.ancestry, i, graft), p))
                 else:
                     next_pop.append(pop[tournament_select(fits, k, rng)])
             pop = next_pop
@@ -170,6 +170,8 @@ class TestStgpMatchesPerChild:
     CONFIGS = {
         "pop200x30": ({"population_size": 200, "generations": 30}, 3),
         "max-depth5": ({"population_size": 60, "generations": 10, "max_depth": 5}, 5),
+        # Seed 5 above rejects no offspring; seed 2 rejects 119 of 590.
+        "max-depth5-rejects": ({"population_size": 60, "generations": 10, "max_depth": 5}, 2),
         "elitism3-reproduction": (
             {"population_size": 60, "generations": 12, "p_crossover": 0.5,
              "p_mutation": 0.3, "elitism": 3},
@@ -186,7 +188,7 @@ class TestStgpMatchesPerChild:
         history, best = stgp_per_child(cfg, train, test, seed)
         got = np.array([(row.train_fitness, row.test_fitness) for row in res.history])
         assert same_bits(got, np.array(history))
-        assert to_infix(res.ancestry.tree) == to_infix(best.ancestry.tree)
+        assert to_infix(res.ancestry) == to_infix(best.ancestry)
         assert same_bits(res.semantics, best.semantics)
         assert res.history[-1].train_fitness == best.train_fitness
 
@@ -220,13 +222,46 @@ class TestStgpRun:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_depth_cap_holds(self, table1_split, seed):
         res = run(table1_split, seed, max_depth=5)
-        assert tree_depth(res.ancestry.tree) <= 5
+        assert tree_depth(res.ancestry) <= 5
+
+    def test_too_deep_offspring_is_never_evaluated(self, table1_split, monkeypatch):
+        """The depth cap rejects an offspring as it is drawn: its operator
+        returns None, and eval_memo never sees a tree deeper than max_depth."""
+        depths, children = [], []
+
+        def recorded_eval_memo(t, X):
+            depths.append(tree_depth(t))
+            return eval_memo(t, X)
+
+        def counted(operator):
+            def drawn(*args):
+                children.append(operator(*args))
+                return children[-1]
+
+            return drawn
+
+        def loop(cfg, sem, trees, targets, rng, test, crossover, mutation, evaluate):
+            crossover, mutation = counted(crossover), counted(mutation)
+            return run_generations(
+                cfg, sem, trees, targets, rng, test, crossover, mutation, evaluate
+            )
+
+        monkeypatch.setattr(baselines_module, "eval_memo", recorded_eval_memo)
+        monkeypatch.setattr(baselines_module, "run_generations", loop)
+        train, test = table1_split
+        cfg = StgpConfig(population_size=60, generations=10, max_depth=5)
+        res = stgp_run(cfg, train, test, seed=2)
+        assert max(depths) <= 5
+        assert children.count(None) >= 1
+        # Generation 0 and every offspring kept are evaluated, nothing else.
+        assert len(depths) == 60 + len(children) - children.count(None)
+        assert tree_depth(res.ancestry) <= 5
 
     def test_predictions_are_best_test_semantics(self, table1_split):
         train, test = table1_split
         res = run(table1_split, 4)
         with np.errstate(all="ignore"):
-            on_test = eval_matrix(res.ancestry.tree, test.features)
+            on_test = eval_matrix(res.ancestry, test.features)
         assert np.array_equal(res.semantics[len(train) :], on_test)
         assert len(res.history) == 6
 
@@ -273,15 +308,16 @@ def memo_owners(trees) -> set[int]:
 
 
 class TestEvalMemo:
-    """eval_memo's values and depths equal eval_matrix and tree_depth on chains
-    of grafts built the way stgp_run builds them, on one matrix or several."""
+    """eval_memo's values equal eval_matrix, and stored depths tree_depth, on
+    chains of grafts built the way stgp_run builds them, on one matrix or
+    several."""
 
     def check(self, t, X):
         with np.errstate(all="ignore"):
-            values, depth = eval_memo(t, X)
+            values = eval_memo(t, X)
             want = eval_matrix(t, X)
         assert bitwise_equal(values, want)
-        assert depth == tree_depth(t)
+        assert t.depth == tree_depth(t)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -343,11 +379,11 @@ class TestEvalMemo:
         X1 = np.arange(16, dtype=float).reshape(2, 8)
         X2 = X1 + 1.0
         assert t.memo is None
-        assert eval_memo(t, X1)[0].tolist() == [3.0, 187.0]
+        assert eval_memo(t, X1).tolist() == [3.0, 187.0]
         assert t.memo[0] is X1 and t.children[0].memo[0] is X1
-        assert eval_memo(t, X2)[0].tolist() == [12.0, 228.0]
+        assert eval_memo(t, X2).tolist() == [12.0, 228.0]
         assert t.memo[0] is X2 and t.children[0].memo[0] is X2
-        assert eval_memo(t, X1.copy())[0].tolist() == [3.0, 187.0]
+        assert eval_memo(t, X1.copy()).tolist() == [3.0, 187.0]
 
 
 class TestStgpMemory:
@@ -370,13 +406,14 @@ class TestStgpMemory:
         assert peak < 5_000_000
 
     def test_first_generation_is_handed_over(self, table1_split, monkeypatch):
-        """stgp_run keeps no reference to generation 0's list of trees, so the
-        trees and their memos die once no individual holds them."""
+        """stgp_run hands generation 0's list of trees to the loop as its
+        records and keeps no reference of its own, so the trees and their
+        memos die once no individual holds them."""
 
         class Trees(list):  # a list that a weak reference can watch
             pass
 
-        made, dropped = [], []
+        made, handed_over = [], []
 
         def ramped(*args):
             trees = Trees(ramped_half_and_half(*args))
@@ -384,13 +421,14 @@ class TestStgpMemory:
             return trees
 
         def loop(*args):
-            dropped.append(made[0]() is None)
+            # The two references are this call's arguments and getrefcount's.
+            handed_over.append(args[2] is made[0]() and sys.getrefcount(args[2]) == 2)
             return run_generations(*args)
 
         monkeypatch.setattr(baselines_module, "ramped_half_and_half", ramped)
         monkeypatch.setattr(baselines_module, "run_generations", loop)
         run(table1_split, seed=42)
-        assert dropped == [True]
+        assert handed_over == [True]
 
 
 def ols_scaled_system(features):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slumpgp.expr as expr_module
+from slumpgp.baselines import _node_at, _replace_at
 from slumpgp.dataset import builtin_table1
 from slumpgp.expr import (
     DIV_EPS,
@@ -27,7 +28,6 @@ from slumpgp.expr import (
     parse_infix,
     ramped_half_and_half,
     random_tree,
-    randbelow,
     sigmoid,
     to_infix,
     variable,
@@ -230,7 +230,7 @@ class TestExprTreeContract:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
-    @pytest.mark.parametrize("name", ["kind", "index", "children", "size", "memo"])
+    @pytest.mark.parametrize("name", ["kind", "index", "children", "size", "depth", "memo"])
     def test_assignment_raises(self, name):
         t = binop("add", variable(1), variable(2))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -242,6 +242,7 @@ class TestExprTreeContract:
         assert (leaf.kind, leaf.index, leaf.children, leaf.size) == ("var", 3, (), 1)
         assert (t.kind, t.index, t.children, t.size) == ("sub", 0, (leaf, variable(5)), 3)
         assert binop("mul", t, leaf).size == 5
+        assert (leaf.depth, t.depth, binop("mul", leaf, t).depth) == (1, 2, 3)
         assert repr(leaf) == "ExprTree(kind='var', index=3, children=())"
         assert leaf.memo is None and t.memo is None
 
@@ -252,32 +253,14 @@ class TestExprTreeContract:
         assert t.memo is not None and twin.memo is None
         assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
 
-
-class TestRandbelow:
-    """Draw contract: randbelow(rng, n) is rng.randrange(n), draw for draw."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(
-            st.just(1),
-            st.integers(0, 70).map(lambda e: 2**e),
-            st.integers(1, 2**70),
-            st.integers(1, 20),
-        ),
-        st.integers(0, 2**64),
-    )
-    def test_same_values_and_state_as_randrange(self, n, seed):
-        mine, oracle = Random(seed), Random(seed)
-        assert [randbelow(mine, n) for _ in range(30)] == [oracle.randrange(n) for _ in range(30)]
-        assert mine.getstate() == oracle.getstate()
-
-    @pytest.mark.parametrize("n", [0, -1, -8])
-    def test_empty_range_raises(self, n):
-        rng = Random(0)
-        state = rng.getstate()
-        with pytest.raises(ValueError):
-            randbelow(rng, n)
-        assert rng.getstate() == state
+    def test_derived_fields_take_no_part_in_equality_hash_or_repr(self):
+        """size, depth and memo follow from kind, index and children. Equal
+        trees always agree on size and depth, so only the field flags show
+        that equality, hashing (which reads the compared fields) and repr
+        skip them."""
+        skipped = [f.name for f in dataclasses.fields(ExprTree) if not (f.compare or f.repr)]
+        assert skipped == ["size", "depth", "memo"]
+        assert all(f.hash is None for f in dataclasses.fields(ExprTree))
 
 
 class TestEvalTree:
@@ -489,7 +472,7 @@ class TestSharedLeaves:
         rng = Random(37)
         X = builtin_table1().features
         for t in ramped_half_and_half(rng, 40):
-            values, _ = eval_memo(t, X)
+            values = eval_memo(t, X)
             assert same_bits(values, eval_matrix(t, X))
             assert all(n.memo is not None for n in nodes(t) if n.children)
         assert all(leaf.memo is None for leaf in expr_module._LEAVES)
@@ -562,6 +545,33 @@ class TestSizeDepth:
         assert parsed.size == count_nodes(parsed) == t.size
 
     @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**64),
+        st.integers(1, 7),
+        st.booleans(),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=20),
+    )
+    def test_stored_depth_and_size_are_the_recursive_counts(
+        self, seed, depth, full, force_root, grafts
+    ):
+        """At every node of a drawn tree, of its parsed text, and of each tree
+        along a chain of STGP grafts (a node of an earlier tree, or a fresh
+        grow tree, put in at any position), depth and size equal counts
+        taken by recursion."""
+        rng = Random(seed)
+        t = random_tree(rng, depth, full=full, force_root_function=force_root)
+        checked = [t, parse_infix(to_infix(t))]
+        for at, pick in grafts:
+            donor = checked[pick % len(checked)]
+            sub = random_tree(rng, 1 + pick % 4) if pick % 2 else _node_at(donor, pick % donor.size)
+            t = _replace_at(t, at % t.size, sub)
+            checked += [t, parse_infix(to_infix(t))]
+        for u in checked:
+            for n in nodes(u):
+                assert (n.depth, n.size) == (tree_depth(n), count_nodes(n))
+
+    @settings(max_examples=200, deadline=None)
     @given(trees)
     def test_size_ignored_by_equality_and_hash(self, t):
         """A tree rebuilt by another path equals and hashes like the original."""
@@ -570,7 +580,7 @@ class TestSizeDepth:
         assert rebuilt == t and hash(rebuilt) == hash(t)
         copied = ExprTree(t.kind, t.index, t.children)
         assert copied == t and hash(copied) == hash(t)
-        assert "size" not in repr(t)
+        assert "size" not in repr(t) and "depth" not in repr(t)
 
 
 class TestStackedRows:

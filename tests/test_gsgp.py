@@ -316,6 +316,22 @@ class TestGeometricCrossover:
         if u >= 0.5:
             assert tr == u
 
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(*[st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)] * 3)
+        ),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_child_is_no_worse_than_its_worse_parent(self, vectors, u):
+        """The L1 fitness is convex and a child lies between its parents, so
+        it is at most as far from any targets as the farther parent, up to
+        the rounding of its blend and of the sums."""
+        a, b, y = (np.array(v) for v in vectors)
+        child = CrossoverOrigin.apply(_snap_weight(u), a, b)
+        tol = 8 * len(y) * np.finfo(float).eps * (np.abs(a) + np.abs(b) + np.abs(y)).sum()
+        assert fitness(child, y) <= max(fitness(a, y), fitness(b, y)) + tol
+
 
 class TestGeometricMutation:
     def test_displacement_formula(self):
@@ -631,7 +647,9 @@ class TestRunResult:
         column = [row.train_fitness for row in res.history]
         assert all(a >= b for a, b in zip(column, column[1:]))
         assert column[-1] == fitnesses(res.semantics[np.newaxis], train.targets)[0]
-        replayed = replay_semantics(archive_individual(res.ancestry), train)
+        # A tree GP individual is its tree: archived as an initial tree.
+        ancestry = TreeOrigin(res.ancestry) if engine == "stgp" else res.ancestry
+        replayed = replay_semantics(archive_individual(ancestry), train)
         assert same_bits(replayed, res.semantics[: len(train)])
 
 
@@ -735,7 +753,7 @@ class TestEnginesShareLeaves:
 
     def test_var_nodes_are_shared_and_bare(self, table1_split):
         gsgp, stgp = self.runs(*table1_split)
-        trees = [stgp.ancestry.tree]
+        trees = [stgp.ancestry]
         for rec in _post_order(gsgp.ancestry):
             if isinstance(rec, TreeOrigin):
                 trees.append(rec.tree)
