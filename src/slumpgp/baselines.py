@@ -32,7 +32,6 @@ from .expr import ExprTree, eval_memo, ramped_half_and_half, random_tree
 from .gsgp import (
     INIT_MAX_DEPTH,
     INIT_MIN_DEPTH,
-    Generation,
     RunResult,
     Slot,
     check_loop_fields,
@@ -146,24 +145,26 @@ def _replace_at(t: ExprTree, idx: int, sub: ExprTree) -> ExprTree:
 def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:
     """Koza-style tree GP with subtree crossover/mutation and a depth cap.
 
-    Deterministic for a fixed config, data and seed: every stochastic draw
-    comes from one generator seeded with seed.
-
-    Runs on GSGP's loop, `gsgp.run_generations`, with each individual's
-    tree as its record, so selection, elitism, fitness and history rows
-    match the semantic engine's, and the result's ancestry is the best
-    tree. Crossover picks one node uniformly in each parent and grafts the
-    second parent's subtree into the first; mutation grafts a fresh grow
-    tree at a uniform node. An offspring deeper than max_depth is rejected
-    as it is drawn, so its slot copies the first parent's row and tree, as
-    elites and reproductions do. The evaluate phase gives each kept
-    offspring's values on the stacked train+test rows by `eval_memo`, one
-    matrix with an individual per row.
+    Runs on GSGP's loop, `gsgp.run_generations`, which makes every draw
+    from seed, with each individual's tree as its record, so selection,
+    elitism, fitness and history rows match the semantic engine's, and the
+    result's ancestry is the best tree. Generation 0 is ramped half-and-half
+    trees no deeper than max_depth. Crossover picks one node uniformly in
+    each parent and grafts the second parent's subtree into the first;
+    mutation grafts a fresh grow tree at a uniform node. An offspring deeper
+    than max_depth is rejected as it is drawn, so the loop copies the first
+    parent's row and tree into its slot, as for elites and reproductions.
+    The evaluate phase writes each kept offspring's values on the stacked
+    train+test rows, by `eval_memo`.
     """
     if not train.has_targets:
         raise BaselineError("training dataset must carry slump targets")
-    rng = Random(seed)
-    X = np.vstack([train.features, test.features])
+    init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
+    init_lo = min(INIT_MIN_DEPTH, init_hi)
+
+    def first(rng: Random, X: np.ndarray):
+        trees = ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)
+        return np.stack([eval_memo(t, X) for t in trees]), trees
 
     def capped(child: ExprTree) -> ExprTree | None:
         return None if child.depth > cfg.max_depth else child
@@ -177,27 +178,12 @@ def stgp_run(cfg: StgpConfig, train: Dataset, test: Dataset, seed: int) -> RunRe
         i = rng.randrange(t.size)
         return capped(_replace_at(t, i, random_tree(rng, STGP_MUTATION_DEPTH)))
 
-    def evaluate(sem: np.ndarray, trees: list[ExprTree], slots: list[Slot]) -> Generation:
-        rows = [sem[p[0]] if child is None else eval_memo(child, X) for p, child in slots]
-        return np.stack(rows), [trees[p[0]] if child is None else child for p, child in slots]
+    def evaluate(out: np.ndarray, sem: np.ndarray, slots: list[Slot], X: np.ndarray) -> None:
+        for row, (_, child) in enumerate(slots):
+            if child is not None:
+                out[row] = eval_memo(child, X)
 
-    init_hi = min(INIT_MAX_DEPTH, cfg.max_depth)
-    init_lo = min(INIT_MIN_DEPTH, init_hi)
-    with np.errstate(all="ignore"):  # as in gsgp.evolve: an overflow is a value
-        # Generation 0's trees are handed to the loop, not kept in a local
-        # here, which would keep their memos alive for the whole run.
-        first = [ramped_half_and_half(rng, cfg.population_size, init_lo, init_hi)]
-        return run_generations(
-            cfg,
-            np.stack([eval_memo(t, X) for t in first[0]]),
-            first.pop(),
-            train.targets,
-            rng,
-            test,
-            crossover,
-            mutation,
-            evaluate,
-        )
+    return run_generations(cfg, train, test, seed, first, crossover, mutation, evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,20 @@ Trees are evaluated once on the stacked train+test features; `eval_matrix`,
 value.
 
 A generation is a matrix with an individual per row, their fitnesses and
-their ancestry records, made in two phases by `run_generations`. The draw
-phase makes every draw; the operators only build the children's records.
-The evaluate phase, `breed`, then computes the whole next matrix in a few
-numpy calls, and `fitnesses` scores its rows with one row-sum `fitness`.
-No draw reads a child, and each step is element-wise IEEE arithmetic, so
-the draws and every child's vector are, bit for bit, those of computing
-each child alone as it is drawn. A run's result is its history and the
-best individual's row and record. Standard tree GP (`baselines.stgp_run`)
-runs on the same loop with each individual's tree as its record: its
-operators graft and reject a too-deep offspring as they draw it, and its
-evaluate phase reads each kept offspring's values from the memos its nodes
-keep (`expr.eval_memo`).
+their ancestry records, made in two phases by `run_generations`, which runs
+a whole run from its seed. The draw phase makes every draw; the operators
+only build the children's records. The loop copies each elite, reproduced
+or rejected slot's row and record from its first parent; the evaluate
+phase, `breed`, then computes the children's rows in a few numpy calls,
+and `fitnesses` scores the rows with one row-sum `fitness`. No draw reads
+a child, and each step is element-wise IEEE arithmetic, so the draws and
+every child's vector are, bit for bit, those of computing each child alone
+as it is drawn. A run's result is its history and the best individual's
+row and record. Standard tree GP (`baselines.stgp_run`) runs on the same
+loop with each individual's tree as its record: its operators graft and
+reject a too-deep offspring as they draw it, and its evaluate phase reads
+each kept offspring's values from the memos its nodes keep
+(`expr.eval_memo`).
 
 `archive_individual` writes an ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
@@ -35,8 +37,8 @@ Each operator is defined once, by its record type's `apply`, which
 `breed` calls over a batch and replay over one record, so replay
 reproduces the stored semantics bit for bit.
 
-numpy's floating-point warnings are off in `evolve`, `replay_semantics`
-and `baselines.stgp_run`: an overflow is a value, inf or NaN, and a NaN
+numpy's floating-point warnings are off in `run_generations` and
+`replay_semantics`: an overflow is a value, inf or NaN, and a NaN
 fitness ranks last, as +inf.
 """
 
@@ -254,57 +256,43 @@ def draw_mutation(
 
 # A slot of the next generation, as the draw phase of `run_generations` fills
 # it: the indices of its parents in the current generation, and its child.
-# A reproduced, elite or rejected child is None, a copy of its first parent's
-# row and record; an operator's other children are whatever it returned.
+# A reproduced, elite or rejected child is None, and the loop copies its
+# first parent's row and record; the evaluate phase writes only the rows of
+# an operator's other children, which are whatever it returned.
 Slot = tuple[tuple[int, ...], object]
-Generation = tuple[np.ndarray, list[AncestryRecord]]  # an individual per row, and their records
 
 
-def breed(
-    sem: np.ndarray, records: list[AncestryRecord], slots: list[Slot], features: np.ndarray
-) -> Generation:
-    """GSGP's evaluate phase: the next generation's matrix and records, row j from slot j.
+def breed(out: np.ndarray, sem: np.ndarray, slots: list[Slot], features: np.ndarray) -> None:
+    """GSGP's evaluate phase: write each child's row of out, row j from slot j.
 
-    sem and records hold the current generation, a row each; features holds
-    the rows of a semantics vector. A slot's child is None (a copy of its
-    parent's row and record), a CrossoverOrigin or a MutationOrigin. Each
-    kind is computed for all its slots at once: one gather for the copies,
-    one `CrossoverOrigin.apply` and one `MutationOrigin.apply` over stacked
-    parents with a column of weights, and one `eval_trees` and one `sigmoid`
-    over every perturbation tree, r1s then r2s.
+    sem holds the current generation, a row each; out holds, in row j, the
+    row of slot j's first parent, and features the rows of a semantics
+    vector. A slot's child is None (out's row is already its copy), a
+    CrossoverOrigin or a MutationOrigin. Each kind is computed for all its
+    slots at once: one `CrossoverOrigin.apply` and one `MutationOrigin.apply`
+    over stacked parents with a column of weights, and one `eval_trees` and
+    one `sigmoid` over every perturbation tree, r1s then r2s.
     """
-    copies, copied = [], []
-    crossed, parents1, parents2, trs = [], [], [], []
-    mutated, mutants, steps, r1s, r2s = [], [], [], [], []
-    children = []
+    crossed, parents2, trs = [], [], []
+    mutated, steps, r1s, r2s = [], [], [], []
     for row, (parents, child) in enumerate(slots):
         if isinstance(child, CrossoverOrigin):
             crossed.append(row)
-            parents1.append(parents[0])
             parents2.append(parents[1])
             trs.append(child.tr)
         elif isinstance(child, MutationOrigin):
             mutated.append(row)
-            mutants.append(parents[0])
             steps.append(child.ms)
             r1s.append(child.r1)
             r2s.append(child.r2)
-        else:
-            copies.append(row)
-            copied.append(parents[0])
-            child = records[parents[0]]
-        children.append(child)
-    out = np.empty((len(slots), sem.shape[1]))
-    out[copies] = sem[copied]
     if crossed:
         tr = np.array(trs)[:, np.newaxis]
-        out[crossed] = CrossoverOrigin.apply(tr, sem[parents1], sem[parents2])
+        out[crossed] = CrossoverOrigin.apply(tr, out[crossed], sem[parents2])
     if mutated:
         squashed = sigmoid(eval_trees(r1s + r2s, features))
         ms = np.array(steps)[:, np.newaxis]
         s1, s2 = squashed[: len(mutated)], squashed[len(mutated) :]
-        out[mutated] = MutationOrigin.apply(ms, sem[mutants], s1, s2)
-    return out, children
+        out[mutated] = MutationOrigin.apply(ms, out[mutated], s1, s2)
 
 
 def tournament_select(fits: list[float], k: int, rng: Random) -> int:
@@ -357,28 +345,29 @@ def tournament_select(fits: list[float], k: int, rng: Random) -> int:
     return best_i
 
 
+@np.errstate(all="ignore")
 def run_generations(
     cfg,
-    sem: np.ndarray,
-    records: list[AncestryRecord],
-    targets: np.ndarray,
-    rng: Random,
+    train: Dataset,
     test: Dataset,
+    seed: int,
+    first: Callable[[Random, np.ndarray], tuple[np.ndarray, list]],
     crossover: Callable[[AncestryRecord, AncestryRecord, Random], object],
     mutation: Callable[[AncestryRecord, Random], object],
-    evaluate: Callable[[np.ndarray, list[AncestryRecord], list[Slot]], Generation],
+    evaluate: Callable[[np.ndarray, np.ndarray, list[Slot], np.ndarray], None],
 ) -> RunResult:
-    """The elitist generational loop that GSGP and standard tree GP share.
+    """The elitist generational run that GSGP and standard tree GP share.
 
-    sem and records are generation 0 (see `Generation`): ancestry records
-    for GSGP, the trees themselves for tree GP. The engines keep no other
-    reference to them, so a generation's matrix is freed once the loop
-    moves on. targets are the training rows' targets. cfg supplies
-    population_size, generations, p_crossover, p_mutation, tournament_size
-    and elitism; GsgpConfig and StgpConfig both do. History row g holds
-    the best-of-generation-g fitness pair; when the test set has no
-    targets the test column is NaN. The last len(test) entries of a
-    semantics vector are its test rows.
+    Deterministic for a fixed config, data and seed: every draw comes from
+    one generator seeded with seed, and numpy's floating-point warnings are
+    off. X stacks train's feature rows, then test's, so the last len(test)
+    entries of a semantics vector are its test rows. first(rng, X) makes
+    generation 0's matrix and records: ancestry records for GSGP, the trees
+    themselves for tree GP. Only the loop holds a generation, so it is freed
+    once the loop moves on. cfg supplies population_size, generations,
+    p_crossover, p_mutation, tournament_size and elitism; GsgpConfig and
+    StgpConfig both do. History row g holds the best-of-generation-g fitness
+    pair; when the test set has no targets the test column is NaN.
 
     Each generation is scored by `fitnesses` and sorted once by (fitness,
     index), which gives its best row and the elitism rows the next
@@ -391,16 +380,19 @@ def run_generations(
     order, each with its operator draw, its tournaments over the fitnesses,
     then crossover(rec1, rec2, rng) or mutation(rec, rng) on the parents'
     records, or a reproduction; an operator returns None to reject its
-    child. The evaluate phase, evaluate(sem, records, slots), then returns
-    the next matrix and records, row j from slot j. Tournaments read only
-    the previous generation, and no draw reads a child, so the draws are
-    the same as if each child were computed as soon as it is drawn.
+    child. Each slot then starts as a copy of its first parent's row, and a
+    None child as its record too; the evaluate phase, evaluate(out, sem,
+    slots, X), writes the other children's rows of out. Tournaments read
+    only the previous generation, and no draw reads a child, so the draws
+    are the same as if each child were computed as soon as it is drawn.
     """
-
     k = cfg.tournament_size
+    rng = Random(seed)
+    X = np.vstack([train.features, test.features])
+    sem, records = first(rng, X)
     history: list[GenerationStats] = []
     while True:
-        fits = fitnesses(sem, targets)
+        fits = fitnesses(sem, train.targets)
         # fitnesses holds no NaN and the sort is stable, so ties keep index order.
         order = sorted(range(len(fits)), key=fits.__getitem__)
         b = order[0]
@@ -421,35 +413,32 @@ def run_generations(
                 slots.append(((i,), mutation(records[i], rng)))
             else:
                 slots.append(((tournament_select(fits, k, rng),), None))
-        sem, records = evaluate(sem, records, slots)
+        firsts = [parents[0] for parents, _ in slots]
+        records = [records[i] if c is None else c for i, (_, c) in zip(firsts, slots)]
+        out = sem[firsts]
+        evaluate(out, sem, slots, X)
+        sem = out
 
 
 def evolve(cfg: GsgpConfig, train: Dataset, test: Dataset, seed: int) -> RunResult:
     """Run GSGP; deterministic for a fixed config, data and seed.
 
-    All stochastic draws come from one generator seeded with seed:
-    the ramped half-and-half initial trees first, then `run_generations`
-    with `draw_crossover` and `draw_mutation` as its operators and `breed`
-    as its evaluate phase. The initial trees are evaluated one at a time
-    and stacked into generation 0's matrix.
+    `run_generations` makes every draw: the ramped half-and-half initial
+    trees first, each evaluated alone and stacked into generation 0's
+    matrix, then the loop with `draw_crossover` and `draw_mutation` as its
+    operators and `breed` as its evaluate phase.
     """
     if not train.has_targets:
         raise GsgpError("training dataset must carry slump targets")
-    rng = Random(seed)
-    stacked = np.vstack([train.features, test.features])
-    trees = ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
-    with np.errstate(all="ignore"):
-        return run_generations(
-            cfg,
-            np.stack([eval_matrix(t, stacked) for t in trees]),
-            [TreeOrigin(t) for t in trees],
-            train.targets,
-            rng,
-            test,
-            crossover=draw_crossover,
-            mutation=lambda p, rng: draw_mutation(p, cfg.mutation_step, rng, cfg.random_tree_depth),
-            evaluate=lambda sem, records, slots: breed(sem, records, slots, stacked),
-        )
+
+    def first(rng: Random, X: np.ndarray):
+        trees = ramped_half_and_half(rng, cfg.population_size, INIT_MIN_DEPTH, INIT_MAX_DEPTH)
+        return np.stack([eval_matrix(t, X) for t in trees]), [TreeOrigin(t) for t in trees]
+
+    def mutation(rec: AncestryRecord, rng: Random) -> MutationOrigin:
+        return draw_mutation(rec, cfg.mutation_step, rng, cfg.random_tree_depth)
+
+    return run_generations(cfg, train, test, seed, first, draw_crossover, mutation, breed)
 
 
 def _post_order(root: AncestryRecord) -> list[AncestryRecord]:

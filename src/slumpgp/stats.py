@@ -183,7 +183,9 @@ def wilcoxon_rank_sum(
     With method=None the exact distribution is enumerated when the
     combined sample is small (≤ 12) and tie-free, otherwise the normal
     approximation with tie correction and continuity correction is used.
-    Pass 'exact' or 'normal-approximation' to force a route.
+    Pass 'exact' or 'normal-approximation' to force a route. 'exact' enumerates
+    every C(n, n_a) split of the ranks, so it raises StatsError for a combined
+    size above 12: 20 + 20 values would take C(40, 20) ≈ 1.4 × 10¹¹ subsets.
     """
     if not a or not b:
         raise StatsError("both samples must be non-empty")
@@ -191,6 +193,8 @@ def wilcoxon_rank_sum(
         raise StatsError(f"unknown method {method!r}")
     combined = [float(v) for v in a] + [float(v) for v in b]
     n_a, n = len(a), len(combined)
+    if method == "exact" and n > _EXACT_LIMIT:
+        raise StatsError(f"exact method needs a combined size <= {_EXACT_LIMIT}, got {n}")
     n_b = n - n_a
     ranks = _midranks(combined)
     w = sum(ranks[:n_a])

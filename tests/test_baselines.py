@@ -3,7 +3,6 @@ evaluates through, the OLS and LS-SVM solves against independent solvers,
 and the LS-SVM's min-max scaling."""
 
 import math
-import sys
 import tracemalloc
 import warnings
 import weakref
@@ -240,10 +239,10 @@ class TestStgpRun:
 
             return drawn
 
-        def loop(cfg, sem, trees, targets, rng, test, crossover, mutation, evaluate):
+        def loop(cfg, train, test, seed, first, crossover, mutation, evaluate):
             crossover, mutation = counted(crossover), counted(mutation)
             return run_generations(
-                cfg, sem, trees, targets, rng, test, crossover, mutation, evaluate
+                cfg, train, test, seed, first, crossover, mutation, evaluate
             )
 
         monkeypatch.setattr(baselines_module, "eval_memo", recorded_eval_memo)
@@ -407,28 +406,32 @@ class TestStgpMemory:
 
     def test_first_generation_is_handed_over(self, table1_split, monkeypatch):
         """stgp_run hands generation 0's list of trees to the loop as its
-        records and keeps no reference of its own, so the trees and their
-        memos die once no individual holds them."""
+        records and keeps no reference of its own, so the list, and the trees
+        and memos that no individual of the next generation holds, are freed
+        before the next generation is evaluated."""
 
         class Trees(list):  # a list that a weak reference can watch
             pass
 
-        made, handed_over = [], []
+        made, alive = [], []
 
         def ramped(*args):
             trees = Trees(ramped_half_and_half(*args))
             made.append(weakref.ref(trees))
             return trees
 
-        def loop(*args):
-            # The two references are this call's arguments and getrefcount's.
-            handed_over.append(args[2] is made[0]() and sys.getrefcount(args[2]) == 2)
-            return run_generations(*args)
+        def loop(cfg, train, test, seed, first, crossover, mutation, evaluate):
+            def watched(*args):
+                alive.append(made[0]() is not None)
+                return evaluate(*args)
+
+            return run_generations(cfg, train, test, seed, first, crossover, mutation, watched)
 
         monkeypatch.setattr(baselines_module, "ramped_half_and_half", ramped)
         monkeypatch.setattr(baselines_module, "run_generations", loop)
         run(table1_split, seed=42)
-        assert handed_over == [True]
+        assert len(made) == 1
+        assert alive == [False] * 5
 
 
 def ols_scaled_system(features):

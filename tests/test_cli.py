@@ -39,6 +39,25 @@ population_size = 20
 generations = 3
 """
 
+# Reproductions, several elites and (in STGP) depth rejects: every slot the
+# loop copies from its first parent instead of computing a child.
+MIXED_CONFIG = """\
+[gsgp]
+population_size = 20
+generations = 3
+p_crossover = 0.5
+p_mutation = 0.3
+elitism = 3
+
+[stgp]
+population_size = 20
+generations = 3
+p_crossover = 0.5
+p_mutation = 0.2
+elitism = 2
+max_depth = 4
+"""
+
 NOT_UTF8 = b"\xff\xfe\x00bad \x80\x81 bytes\n"
 
 
@@ -339,8 +358,9 @@ class TestDeterministicArtifacts:
 
 
 class TestPinnedArtifacts:
-    """Exact artifacts of the small config at master seed 42. Any change to
-    the engines, the RNG draw order or the writers moves them."""
+    """Exact artifacts at master seed 42, of the small config and of a mixed
+    one. Any change to the engines, the RNG draw order or the writers moves
+    them."""
 
     # numpy's exp, summation order and linalg.solve move the last bits of
     # these values; CI installs this version (.github/constraints.txt).
@@ -354,24 +374,36 @@ class TestPinnedArtifacts:
         "predictions.csv": "4855958ec1424b5b29e06eb7fcaefa8c5a7fa5b6eadd9500fc3656bd9c3e8531",
         "fitness_curve.csv": "f971adf0cbc4fae17f9db3b7db970a9e7bd36c8f5c885eb1e9ef78198411d3a7",
     }
+    MIXED_TRAIN_SHA256 = {
+        "model.json": "695b6a3262f84fce07331d79b076a8f956726b6ba11911554fe09bbe01f3ef6c",
+        "predictions.csv": "d5944469206f4b70fd05da79b6498b40b6094e161aab4e74ee66e0342ff29e43",
+        "fitness_curve.csv": "6ce41d137d22b391764ddabb6c9ad95233c9af322a70cbcbf099fb8696f5c7e3",
+    }
 
-    def test_train_artifacts(self, tmp_path):
-        cfg = tmp_path / "small.ini"
-        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+    def train_digests(self, tmp_path, ini):
+        cfg = tmp_path / "pinned.ini"
+        cfg.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        digests = {
+        return {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in self.TRAIN_SHA256
         }
-        assert digests == self.TRAIN_SHA256, self.NUMPY_NOTE
+
+    def compare_report(self, tmp_path, ini, *flags):
+        # report.json holds out_dir, so only its RMSE lists are pinned.
+        cfg = tmp_path / "pinned.ini"
+        cfg.write_text(ini, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["compare", "--runs", "2", *flags, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+    def test_train_artifacts(self, tmp_path):
+        assert self.train_digests(tmp_path, SMALL_CONFIG) == self.TRAIN_SHA256, self.NUMPY_NOTE
 
     def test_compare_rmse_lists(self, tmp_path):
-        cfg = tmp_path / "small.ini"
-        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["compare", "--runs", "2", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        report = self.compare_report(tmp_path, SMALL_CONFIG)
         assert report["test_rmse"] == {
             "gsgp": [22.328276771357036, 9.473329242685619],
             "stgp": [39.79457310173926, 39.79457310173926],
@@ -380,6 +412,24 @@ class TestPinnedArtifacts:
         assert report["train_rmse"] == {
             "gsgp": [18.34200195084797, 15.315693303268354],
             "stgp": [36.1985882004014, 36.1985882004014],
+            "lssvm": [4.311211521358119, 4.311211521358119],
+        }, self.NUMPY_NOTE
+
+    def test_mixed_train_artifacts(self, tmp_path):
+        digests = self.train_digests(tmp_path, MIXED_CONFIG)
+        assert digests == self.MIXED_TRAIN_SHA256, self.NUMPY_NOTE
+
+    def test_mixed_compare_rmse_lists(self, tmp_path):
+        # Seed 40's STGP run rejects 2 offspring for depth; seeds 42-44 reject none.
+        report = self.compare_report(tmp_path, MIXED_CONFIG, "--seed", "40")
+        assert report["test_rmse"] == {
+            "gsgp": [27.171247846396167, 11.14687839474592],
+            "stgp": [39.035866738473686, 56.73476300587968],
+            "lssvm": [3.1966061581548804, 3.1966061581548804],
+        }, self.NUMPY_NOTE
+        assert report["train_rmse"] == {
+            "gsgp": [38.610286093653066, 13.271731689052627],
+            "stgp": [35.647792784733994, 57.83690122108153],
             "lssvm": [4.311211521358119, 4.311211521358119],
         }, self.NUMPY_NOTE
 

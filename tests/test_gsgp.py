@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slumpgp.baselines as baselines_module
 import slumpgp.expr as expr_module
 import slumpgp.gsgp as gsgp_module
 from slumpgp.baselines import StgpConfig, stgp_run
@@ -107,9 +108,9 @@ def stacked(train, test):
 def bred(parents, child, features, targets) -> Individual:
     """The batch of one: `breed`'s child of a single slot over the parents' stacked rows."""
     sem = np.stack([p.semantics for p in parents])
-    records = [p.ancestry for p in parents]
-    rows, kids = breed(sem, records, [(tuple(range(len(parents))), child)], features)
-    return Individual(rows[0], fitnesses(rows, targets)[0], kids[0])
+    rows = sem[[0]]
+    breed(rows, sem, [(tuple(range(len(parents))), child)], features)
+    return Individual(rows[0], fitnesses(rows, targets)[0], child)
 
 
 def geometric_crossover(p1, p2, rng, targets) -> Individual:
@@ -728,6 +729,58 @@ def assert_generations_are_rows_of_one_array(monkeypatch, run):
     # Survivors are copied, not shared across generations.
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
     assert any(semantics.base is sem for sem in seen)
+
+
+class TestCopiedSlots:
+    """The loop copies an elite, reproduced or rejected slot's row from its
+    first parent, bit for bit, and the evaluate phase leaves that row alone.
+    The configs are test_cli's mixed one: reproductions in both engines, and
+    depth rejects in tree GP, whose run at seed 40 rejects 2 offspring."""
+
+    ENGINES = {
+        "gsgp": (
+            gsgp_module, evolve,
+            GsgpConfig(population_size=20, generations=3, p_crossover=0.5,
+                       p_mutation=0.3, elitism=3),
+        ),
+        "stgp": (
+            baselines_module, stgp_run,
+            StgpConfig(population_size=20, generations=3, p_crossover=0.5,
+                       p_mutation=0.2, elitism=2, max_depth=4),
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_none_slot_rows_are_first_parent_rows(self, engine, table1_split, monkeypatch):
+        module, run, cfg = self.ENGINES[engine]
+        run_generations = gsgp_module.run_generations
+        children, copied = [], []
+
+        def counted(operator):
+            def drawn(*args):
+                children.append(operator(*args))
+                return children[-1]
+
+            return drawn
+
+        def loop(cfg, train, test, seed, first, crossover, mutation, evaluate):
+            def checked(out, sem, slots, X):
+                evaluate(out, sem, slots, X)
+                for row, (parents, child) in enumerate(slots):
+                    if child is None:
+                        assert same_bits(out[row], sem[parents[0]])
+                        copied.append(row >= cfg.elitism)
+
+            return run_generations(
+                cfg, train, test, seed, first, counted(crossover), counted(mutation), checked
+            )
+
+        monkeypatch.setattr(module, "run_generations", loop)
+        run(cfg, *table1_split, seed=40)
+        rejects = children.count(None)
+        assert copied.count(False) == 3 * cfg.elitism
+        assert copied.count(True) - rejects >= 1  # reproductions
+        assert rejects >= (1 if engine == "stgp" else 0)
 
 
 class TestOverflowWarnsNothing:

@@ -459,6 +459,15 @@ class TestWilcoxon:
         with pytest.raises(StatsError):
             wilcoxon_rank_sum((1, 2), (3, 4), method="bogus")
 
+    def test_forced_exact_refuses_past_its_limit(self):
+        # The limit is the default route's, one past it is refused; larger
+        # sizes are not run, since their enumeration would not end.
+        a, b = list(range(6)), list(range(100, 107))
+        with pytest.raises(StatsError, match="exact method needs a combined size <= 12, got 13"):
+            wilcoxon_rank_sum(a, b, method="exact")
+        assert wilcoxon_rank_sum(a, b).method == "normal-approximation"
+        assert wilcoxon_rank_sum(a[:5], b, method="exact").method == "exact"
+
 
 class TestResultTypes:
     def test_box_summary_validation(self):
