@@ -29,12 +29,14 @@ each kept offspring's values from the memos its nodes keep
 
 `archive_individual` writes an ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
-records; no other code knows that format. `replay_semantics` replays the
-loaded records on new rows in bounded memory. Every walk over an ancestry
-(sizing, archiving, replay) is a fold over `_post_order`.
+records; no other code knows that format. `replay_semantics` compiles the
+loaded records once into a list of steps over integer slots
+(`_replay_program`), then runs it on new rows, block by block, in bounded
+memory. Every walk over an ancestry (sizing, archiving, compiling a
+replay) is a fold over `_post_order`.
 
 Each operator is defined once, by its record type's `apply`, which
-`breed` calls over a batch and replay over one record, so replay
+`breed` calls over a batch and a replay step over one record, so replay
 reproduces the stored semantics bit for bit.
 
 numpy's floating-point warnings are off in `run_generations` and
@@ -595,6 +597,72 @@ def load_ancestry(payload: dict) -> AncestryRecord:
     return built[root]
 
 
+# The kinds of replay step; see `_replay_program`.
+_TREE, _SIGMOID, _CROSSOVER, _MUTATION = range(4)
+
+
+def _replay_program(root: AncestryRecord) -> tuple[list[tuple], int]:
+    """Compile root's ancestry into replay steps: the steps, and the slot of root's vector.
+
+    Step i computes slot i of a block's list of vectors from the earlier
+    slots a, b and c. Each step is a tuple (kind, arg, a, b, c, frees), with
+    None for a slot it does not read:
+
+    - (_TREE, tree, ...): the tree's values, by `eval_matrix`;
+    - (_SIGMOID, None, values, ...): a perturbation tree's sigmoid;
+    - (_CROSSOVER, tr, parent1, parent2, ...) and
+      (_MUTATION, ms, parent, sigmoid1, sigmoid2, ...): the record's `apply`.
+
+    frees holds the slots that this step reads last, to be dropped after
+    it; most steps share the empty tuple. A tree record's vector is its
+    tree's slot, so it costs no step. Each tree is evaluated, and each
+    perturbation tree squashed, once, where `_post_order` first reads it.
+    """
+    steps: list[tuple] = []
+    values: dict[int, int] = {}  # id(tree) -> slot of its values
+    squashed: dict[int, int] = {}  # id(tree) -> slot of its sigmoid
+    vectors: dict[AncestryRecord, int] = {}  # record -> slot of its vector
+
+    def step(kind: int, arg, a=None, b=None, c=None) -> int:
+        steps.append((kind, arg, a, b, c))
+        return len(steps) - 1
+
+    def values_of(t: ExprTree) -> int:
+        if id(t) not in values:
+            values[id(t)] = step(_TREE, t)
+        return values[id(t)]
+
+    def sigmoid_of(t: ExprTree) -> int:
+        if id(t) not in squashed:
+            squashed[id(t)] = step(_SIGMOID, None, values_of(t))
+        return squashed[id(t)]
+
+    for rec in _post_order(root):
+        if isinstance(rec, TreeOrigin):
+            vectors[rec] = values_of(rec.tree)
+        elif isinstance(rec, CrossoverOrigin):
+            parents = vectors[rec.parent1], vectors[rec.parent2]
+            vectors[rec] = step(_CROSSOVER, rec.tr, *parents)
+        else:
+            reads = vectors[rec.parent], sigmoid_of(rec.r1), sigmoid_of(rec.r2)
+            vectors[rec] = step(_MUTATION, rec.ms, *reads)
+    root_slot = vectors[root]
+    # The maps are dropped first, so that their memory and the walk's do
+    # not add up.
+    values.clear()
+    squashed.clear()
+    vectors.clear()
+    # Walking back, a step reads a slot last when no later step reads it.
+    # None, which marks a slot not read, is never freed, nor is root's slot,
+    # which no step reads.
+    read_later = {None}
+    for pos in range(len(steps) - 1, -1, -1):
+        kind, arg, a, b, c = steps[pos]
+        steps[pos] = (kind, arg, a, b, c, tuple({a, b, c}.difference(read_later)))
+        read_later.update((a, b, c))
+    return steps, root_slot
+
+
 def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
     """Re-derive an archived individual's semantics on an arbitrary dataset.
 
@@ -604,57 +672,32 @@ def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
     data the result is bitwise identical to those rows of the stored
     semantics.
 
-    The records are replayed once per block of at most REPLAY_ROWS rows,
-    into one output array; every operation acts on each row alone, so
-    blocking changes no value. Within a block, each record's vector and
-    each tree's values and sigmoid are dropped right after the last record
-    that reads them. Memory is thus bounded by the ancestry DAG's live
-    width × REPLAY_ROWS rows, plus the output, not by the DAG's size or
-    the number of rows.
+    The records are compiled once into a list of steps over integer slots
+    (`_replay_program`), which then runs once per block of at most
+    REPLAY_ROWS rows, into one output array; every operation acts on each
+    row alone, so blocking changes no value. Trees are evaluated by
+    `eval_matrix` and squashed by `sigmoid`. Within a block, each slot is
+    dropped right after the step that reads it last. Memory is thus bounded
+    by the ancestry DAG's live width × REPLAY_ROWS rows, plus the output,
+    not by the DAG's size or the number of rows.
     """
-    order = _post_order(load_ancestry(payload))
-    reads = [
-        (rec.tree,) if isinstance(rec, TreeOrigin)
-        else (rec.parent1, rec.parent2) if isinstance(rec, CrossoverOrigin)
-        else (rec.parent, rec.r1, rec.r2)
-        for rec in order
-    ]
-    # The position of the last record that reads each record and tree, by id.
-    last_reader = {id(read): pos for pos, inputs in enumerate(reads) for read in inputs}
-
-    def replay_block(X: np.ndarray) -> Semantics:
-        live: dict[int, Semantics] = {}  # record vectors and tree values, by id
-        sig: dict[int, Semantics] = {}  # tree sigmoids, by id
-
-        def values(t: ExprTree) -> Semantics:
-            if id(t) not in live:
-                live[id(t)] = eval_matrix(t, X)
-            return live[id(t)]
-
-        def sigmoid_of(t: ExprTree) -> Semantics:
-            if id(t) not in sig:
-                sig[id(t)] = sigmoid(values(t))
-            return sig[id(t)]
-
-        for pos, rec in enumerate(order):
-            if isinstance(rec, TreeOrigin):
-                sem = values(rec.tree)
-            elif isinstance(rec, CrossoverOrigin):
-                sem = rec.apply(rec.tr, live[id(rec.parent1)], live[id(rec.parent2)])
-            else:
-                sem = rec.apply(
-                    rec.ms, live[id(rec.parent)], sigmoid_of(rec.r1), sigmoid_of(rec.r2)
-                )
-            live[id(rec)] = sem
-            for read in reads[pos]:
-                if last_reader[id(read)] == pos:
-                    live.pop(id(read), None)
-                    sig.pop(id(read), None)
-        return live[id(order[-1])]
-
+    program, root_slot = _replay_program(load_ancestry(payload))
     X = ds.features
     out = np.empty(len(X))
     with np.errstate(all="ignore"):
         for start in range(0, len(X), REPLAY_ROWS):
-            out[start : start + REPLAY_ROWS] = replay_block(X[start : start + REPLAY_ROWS])
+            block = X[start : start + REPLAY_ROWS]
+            slots: list = [None] * len(program)
+            for pos, (kind, arg, a, b, c, frees) in enumerate(program):
+                if kind == _TREE:
+                    slots[pos] = eval_matrix(arg, block)
+                elif kind == _SIGMOID:
+                    slots[pos] = sigmoid(slots[a])
+                elif kind == _CROSSOVER:
+                    slots[pos] = CrossoverOrigin.apply(arg, slots[a], slots[b])
+                else:
+                    slots[pos] = MutationOrigin.apply(arg, slots[a], slots[b], slots[c])
+                for slot in frees:
+                    slots[slot] = None
+            out[start : start + REPLAY_ROWS] = slots[root_slot]
     return out

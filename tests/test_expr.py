@@ -4,11 +4,12 @@ import dataclasses
 import gc
 import math
 import re
+import warnings
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import slumpgp.expr as expr_module
@@ -24,6 +25,7 @@ from slumpgp.expr import (
     binop,
     eval_matrix,
     eval_memo,
+    eval_node,
     eval_trees,
     parse_infix,
     ramped_half_and_half,
@@ -322,10 +324,15 @@ class TestEvalTree:
 
 
 # Signed zeros, infinities, NaN, subnormals, and |v| past where e^|v|
-# overflows (709.8) or e^-|v| underflows to 0 (745.2).
+# overflows (709.8) or e^-|v| underflows to 0 (745.2). Then sigmoid's own
+# edges: its exp clamp at -700 and the zero below -746, each with its
+# neighbours, and arguments where numpy's exp leaves its fast path (-707.9),
+# gives subnormals (-708.4) and gives the least subnormal (-745.13).
 SPECIAL_FLOATS = (
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
     36.7, -36.7, 709.8, -709.8, 710.0, -710.0, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308,
+    700.0, -700.0, math.nextafter(-700.0, -math.inf), math.nextafter(-700.0, math.inf),
+    -707.9, -708.4, -745.13, math.nextafter(-746.0, 0.0),
 )
 
 
@@ -350,6 +357,44 @@ class TestSigmoidFormula:
         v = np.array(values, dtype=float)[offset::step]  # a strided view when step != 1
         with np.errstate(all="ignore"):
             assert same_bits(sigmoid(v), masked_sigmoid(v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_matrices_match_masked_formula_bitwise(self, mutations, n_rows, data):
+        """A matrix as `breed` squashes it (r1s then r2s, a row each), and its
+        transposed view, element by element."""
+        shape = (2 * mutations, n_rows)
+        values = data.draw(
+            st.lists(
+                st.sampled_from(SPECIAL_FLOATS) | st.floats(-800.0, 800.0),
+                min_size=shape[0] * shape[1],
+                max_size=shape[0] * shape[1],
+            )
+        )
+        m = np.array(values).reshape(shape)
+        with np.errstate(all="ignore"):
+            for v in (m, m.T):
+                got = sigmoid(v)
+                assert got.shape == v.shape
+                assert same_bits(got, masked_sigmoid(v))
+
+    def test_zero_dimensional_input(self):
+        with np.errstate(all="ignore"):
+            for x in SPECIAL_FLOATS:
+                assert same_bits(np.atleast_1d(sigmoid(x)), masked_sigmoid(np.array([x])))
+
+    def test_lanes_past_the_clamp_same_in_wide_and_narrow_calls(self):
+        """Across [-746, -700], one 4,096-lane call and 3-lane calls give the
+        same bits: exp of a few gathered lanes is exp of them within a whole
+        array."""
+        v = np.linspace(-746.0, -700.0, 4096)
+        with np.errstate(all="ignore"):
+            wide = sigmoid(v)
+            narrow = np.concatenate([sigmoid(v[i : i + 3]) for i in range(0, len(v), 3)])
+            assert same_bits(wide, masked_sigmoid(v))
+            assert same_bits(narrow, wide)
+            gathered = np.concatenate([np.exp(v[i : i + 3]) for i in range(0, len(v), 3)])
+            assert same_bits(gathered, np.exp(v))
 
 
 class TestRandomTree:
@@ -670,6 +715,56 @@ class TestEvalTrees:
 
     def test_empty_batch(self):
         assert eval_trees([], builtin_table1().features).shape == (0, 34)
+
+
+# Denominators that divide, and those that give 1.0.
+SAFE_DENOMINATORS = st.sampled_from(
+    (DIV_EPS, -DIV_EPS, math.inf, -math.inf, 1.0, -3.5, 1e308, -1e308)
+) | st.floats(DIV_EPS, 1e300) | st.floats(-1e300, -DIV_EPS)
+UNSAFE_DENOMINATORS = st.sampled_from(
+    (0.0, -0.0, BELOW_EPS, -BELOW_EPS, math.nan, 5e-324, -5e-324)
+) | st.floats(-BELOW_EPS, BELOW_EPS)
+NUMERATORS = st.sampled_from(EVAL_FLOATS + (math.inf, -math.inf, math.nan)) | st.floats()
+
+
+class TestProtectedDivision:
+    """eval_node's protected division equals eval_tree's scalar rule, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(7,), (1,), (3, 4), (4, 3)]),
+        st.sampled_from(["safe", "unsafe", "mixed"]),
+        st.data(),
+    )
+    def test_matches_scalar_rule(self, shape, case, data):
+        size = math.prod(shape)
+        if case == "safe":
+            b = data.draw(st.lists(SAFE_DENOMINATORS, min_size=size, max_size=size))
+        elif case == "unsafe":
+            b = data.draw(st.lists(UNSAFE_DENOMINATORS, min_size=size, max_size=size))
+        else:
+            assume(size >= 2)
+            either = SAFE_DENOMINATORS | UNSAFE_DENOMINATORS
+            rest = st.lists(either, min_size=size - 2, max_size=size - 2)
+            b = [data.draw(SAFE_DENOMINATORS), data.draw(UNSAFE_DENOMINATORS)] + data.draw(rest)
+            b = data.draw(st.permutations(b))
+        a = data.draw(st.lists(NUMERATORS, min_size=size, max_size=size))
+        with np.errstate(all="ignore"):
+            got = eval_node("div", np.array(a).reshape(shape), np.array(b).reshape(shape))
+        div = binop("div", variable(1), variable(2))
+        want = np.array([eval_tree(div, (x, y)) for x, y in zip(a, b)]).reshape(shape)
+        assert got.shape == shape
+        assert same_bits(got, want)
+
+    def test_zero_denominator_warns_nothing(self):
+        a = np.array([[1.0, -2.0, 0.0], [3.0, math.inf, 4.0]])
+        b = np.array([[0.0, -0.0, 0.0], [2.0, 0.0, BELOW_EPS]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eval_node("div", a, b)
+            flat = eval_node("div", a[0], b[0])
+        assert got.tolist() == [[1.0, 1.0, 1.0], [1.5, 1.0, 1.0]]
+        assert flat.tolist() == [1.0, 1.0, 1.0]
 
 
 class TestInfix:

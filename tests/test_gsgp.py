@@ -8,6 +8,7 @@ import math
 import operator
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
@@ -1394,6 +1395,35 @@ class TestBlockedReplay:
         assert replay_outcome(replay_semantics, payload, uniform_rows(2 * REPLAY_ROWS + 1, 7)) == (
             one_block
         )
+
+    def test_each_tree_evaluated_and_squashed_once_per_block(self, seed1_payload, monkeypatch):
+        """The program is built once: each block evaluates every reached tree
+        once, and squashes every perturbation tree once."""
+        evaluated, squashed = Counter(), Counter()
+        text_of = {}  # id of a tree's values -> the tree's text; values kept alive
+
+        def counted_eval(t, X):
+            values = eval_matrix(t, X)
+            text_of[id(values)] = (to_infix(t), values)
+            evaluated[to_infix(t)] += 1
+            return values
+
+        def counted_sigmoid(v):
+            squashed[text_of[id(v)][0]] += 1
+            return sigmoid(v)
+
+        monkeypatch.setattr(gsgp_module, "eval_matrix", counted_eval)
+        monkeypatch.setattr(gsgp_module, "sigmoid", counted_sigmoid)
+        replay_semantics(seed1_payload, uniform_rows(2 * REPLAY_ROWS + 1, 11))
+        reached, perturbations = set(), set()
+        for rec in _post_order(load_ancestry(seed1_payload)):
+            if isinstance(rec, TreeOrigin):
+                reached.add(to_infix(rec.tree))
+            elif isinstance(rec, MutationOrigin):
+                perturbations |= {to_infix(rec.r1), to_infix(rec.r2)}
+        assert perturbations
+        assert evaluated == {text: 3 for text in reached | perturbations}
+        assert squashed == {text: 3 for text in perturbations}
 
     def test_peak_memory_does_not_grow_with_rows(self, seed1_payload):
         def peak_beyond_output(n_rows: int) -> int:
