@@ -29,15 +29,15 @@ each kept offspring's values from the memos its nodes keep
 
 `archive_individual` writes an ancestry as JSON-able data, and
 `load_ancestry`, its inverse, checks such a payload and rebuilds the
-records; no other code knows that format. `replay_semantics` compiles the
-loaded records once into a list of steps over integer slots
-(`_replay_program`), then runs it on new rows, block by block, in bounded
-memory. Every walk over an ancestry (sizing, archiving, compiling a
-replay) is a fold over `_post_order`.
+records; no other code knows that format. Every walk over an ancestry
+(sizing, archiving, folding) is a fold over `_post_order`.
 
-Each operator is defined once, by its record type's `apply`, which
-`breed` calls over a batch and a replay step over one record, so replay
-reproduces the stored semantics bit for bit.
+Each operator's arithmetic is its record type's `apply`, which `breed`
+calls over a batch. The operators only take convex combinations and add
+ms·(σ(r1) − σ(r2)), so an ancestry is a weighted sum of trees and of
+sigmoids of trees, its `linear_form`. `replay_semantics` evaluates that
+sum on new rows, one tree at a time. It computes the same sum in another
+order, so it gives the stored semantics up to rounding, not bit for bit.
 
 numpy's floating-point warnings are off in `run_generations` and
 `replay_semantics`: an overflow is a value, inf or NaN, and a NaN
@@ -47,6 +47,7 @@ fitness ranks last, as +inf.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Union
@@ -72,7 +73,6 @@ Semantics = np.ndarray
 
 INIT_MIN_DEPTH = 2
 INIT_MAX_DEPTH = 6
-REPLAY_ROWS = 4096  # rows per block of `replay_semantics`
 
 
 class GsgpError(ValueError):
@@ -225,9 +225,10 @@ def _snap_weight(u: float) -> float:
     """Snap u in [0, 1) to a weight tr whose complement 1 − tr is exact.
 
     1 − x is exact in float arithmetic when x ≥ 0.5, so below 0.5 tr is
-    taken as 1 − (1 − u). Then tr + (1 − tr) == 1, and 1 − tr, which
-    `CrossoverOrigin.apply` computes and the record's literal expression
-    (see `estimate_size`) holds as a constant, is the one complement of tr.
+    taken as 1 − (1 − u). Then tr + (1 − tr) == 1, and 1 − tr is the one
+    complement of tr: `CrossoverOrigin.apply` and `linear_form` compute it,
+    and the record's literal expression (see `estimate_size`) holds it as
+    a constant.
     """
     return 1.0 - (1.0 - u) if u < 0.5 else u
 
@@ -597,107 +598,70 @@ def load_ancestry(payload: dict) -> AncestryRecord:
     return built[root]
 
 
-# The kinds of replay step; see `_replay_program`.
-_TREE, _SIGMOID, _CROSSOVER, _MUTATION = range(4)
+def linear_form(root: AncestryRecord) -> list[tuple[ExprTree, float | None, float | None]]:
+    """root's model as Σ wᵢ·Tᵢ(x) + Σ cⱼ·σ(Rⱼ(x)): a term (tree, w, c) per tree it reaches.
 
-
-def _replay_program(root: AncestryRecord) -> tuple[list[tuple], int]:
-    """Compile root's ancestry into replay steps: the steps, and the slot of root's vector.
-
-    Step i computes slot i of a block's list of vectors from the earlier
-    slots a, b and c. Each step is a tuple (kind, arg, a, b, c, frees), with
-    None for a slot it does not read:
-
-    - (_TREE, tree, ...): the tree's values, by `eval_matrix`;
-    - (_SIGMOID, None, values, ...): a perturbation tree's sigmoid;
-    - (_CROSSOVER, tr, parent1, parent2, ...) and
-      (_MUTATION, ms, parent, sigmoid1, sigmoid2, ...): the record's `apply`.
-
-    frees holds the slots that this step reads last, to be dropped after
-    it; most steps share the empty tuple. A tree record's vector is its
-    tree's slot, so it costs no step. Each tree is evaluated, and each
-    perturbation tree squashed, once, where `_post_order` first reads it.
+    Crossover is a convex combination and mutation adds ms·(σ(r1) − σ(r2)),
+    so every ancestry is this sum over its initial trees Tᵢ and perturbation
+    trees Rⱼ (Moraglio, Krawiec & Johnson, PPSN 2012). The fold walks
+    `_post_order` backwards, so each record is met after every record that
+    reads it, starting with weight 1 at root. A crossover passes w·tr to
+    parent1 and w·(1 − tr) to parent2; a mutation passes w to its parent and
+    adds w·ms to r1's sigmoid coefficient and −w·ms to r2's; an initial tree
+    adds w to its tree's weight. A tree read in several places, as an initial
+    tree and a perturbation tree too, is one term, with None for a way it is
+    not read. Trees are told apart by object, as `load_ancestry` shares them,
+    and the terms come in the order the walk first reaches their trees, so
+    no id or hash order reaches a prediction.
     """
-    steps: list[tuple] = []
-    values: dict[int, int] = {}  # id(tree) -> slot of its values
-    squashed: dict[int, int] = {}  # id(tree) -> slot of its sigmoid
-    vectors: dict[AncestryRecord, int] = {}  # record -> slot of its vector
+    weight: defaultdict[AncestryRecord, float] = defaultdict(float, {root: 1.0})
+    terms: dict[int, list] = {}  # id(tree) -> [tree, w, c]
 
-    def step(kind: int, arg, a=None, b=None, c=None) -> int:
-        steps.append((kind, arg, a, b, c))
-        return len(steps) - 1
+    def add(t: ExprTree, slot: int, value: float) -> None:
+        term = terms.setdefault(id(t), [t, None, None])
+        term[slot] = value if term[slot] is None else term[slot] + value
 
-    def values_of(t: ExprTree) -> int:
-        if id(t) not in values:
-            values[id(t)] = step(_TREE, t)
-        return values[id(t)]
-
-    def sigmoid_of(t: ExprTree) -> int:
-        if id(t) not in squashed:
-            squashed[id(t)] = step(_SIGMOID, None, values_of(t))
-        return squashed[id(t)]
-
-    for rec in _post_order(root):
+    for rec in reversed(_post_order(root)):
+        w = weight.pop(rec)
         if isinstance(rec, TreeOrigin):
-            vectors[rec] = values_of(rec.tree)
+            add(rec.tree, 1, w)
         elif isinstance(rec, CrossoverOrigin):
-            parents = vectors[rec.parent1], vectors[rec.parent2]
-            vectors[rec] = step(_CROSSOVER, rec.tr, *parents)
+            weight[rec.parent1] += w * rec.tr
+            weight[rec.parent2] += w * (1.0 - rec.tr)
         else:
-            reads = vectors[rec.parent], sigmoid_of(rec.r1), sigmoid_of(rec.r2)
-            vectors[rec] = step(_MUTATION, rec.ms, *reads)
-    root_slot = vectors[root]
-    # The maps are dropped first, so that their memory and the walk's do
-    # not add up.
-    values.clear()
-    squashed.clear()
-    vectors.clear()
-    # Walking back, a step reads a slot last when no later step reads it.
-    # None, which marks a slot not read, is never freed, nor is root's slot,
-    # which no step reads.
-    read_later = {None}
-    for pos in range(len(steps) - 1, -1, -1):
-        kind, arg, a, b, c = steps[pos]
-        steps[pos] = (kind, arg, a, b, c, tuple({a, b, c}.difference(read_later)))
-        read_later.update((a, b, c))
-    return steps, root_slot
+            weight[rec.parent] += w
+            add(rec.r1, 2, w * rec.ms)
+            add(rec.r2, 2, -w * rec.ms)
+    return [tuple(term) for term in terms.values()]
 
 
 def replay_semantics(payload: dict, ds: Dataset) -> Semantics:
-    """Re-derive an archived individual's semantics on an arbitrary dataset.
+    """An archived individual's semantics on an arbitrary dataset, from its linear form.
 
     Loads the payload with `load_ancestry`, so a malformed one fails before
-    any row is evaluated, then replays the root's records with the engine's
-    own arithmetic, each record's `apply`: on the original training or test
-    data the result is bitwise identical to those rows of the stored
-    semantics.
+    any row is evaluated, folds the records with `linear_form`, then
+    evaluates each term's tree once, by `eval_matrix` over all rows, and
+    adds w·T(x) and c·σ(T(x)) into one output vector. Memory is that vector
+    plus one term's temporaries, whatever the size of the ancestry.
 
-    The records are compiled once into a list of steps over integer slots
-    (`_replay_program`), which then runs once per block of at most
-    REPLAY_ROWS rows, into one output array; every operation acts on each
-    row alone, so blocking changes no value. Trees are evaluated by
-    `eval_matrix` and squashed by `sigmoid`. Within a block, each slot is
-    dropped right after the step that reads it last. Memory is thus bounded
-    by the ancestry DAG's live width × REPLAY_ROWS rows, plus the output,
-    not by the DAG's size or the number of rows.
+    The sum is the ancestry's, taken in another order, so on the original
+    rows it equals the stored semantics up to rounding: each finite row
+    within 1e-12 · Σ (|w·T(x)| + |c·σ(T(x))|), and the same rows are not
+    finite. A row may read ±inf where the ancestry gives NaN, or the other
+    way round, only where the ancestry multiplies an infinity by a weight of
+    0: an archived tr of 0 or 1, or weights whose product underflows
+    (`draw_crossover` draws tr = 0 with probability 2^-53). Every operation
+    acts on each row alone, so a row's value does not depend on which other
+    rows are replayed with it.
     """
-    program, root_slot = _replay_program(load_ancestry(payload))
+    terms = linear_form(load_ancestry(payload))
     X = ds.features
-    out = np.empty(len(X))
+    out = np.zeros(len(X))
     with np.errstate(all="ignore"):
-        for start in range(0, len(X), REPLAY_ROWS):
-            block = X[start : start + REPLAY_ROWS]
-            slots: list = [None] * len(program)
-            for pos, (kind, arg, a, b, c, frees) in enumerate(program):
-                if kind == _TREE:
-                    slots[pos] = eval_matrix(arg, block)
-                elif kind == _SIGMOID:
-                    slots[pos] = sigmoid(slots[a])
-                elif kind == _CROSSOVER:
-                    slots[pos] = CrossoverOrigin.apply(arg, slots[a], slots[b])
-                else:
-                    slots[pos] = MutationOrigin.apply(arg, slots[a], slots[b], slots[c])
-                for slot in frees:
-                    slots[slot] = None
-            out[start : start + REPLAY_ROWS] = slots[root_slot]
+        for tree, w, c in terms:
+            values = eval_matrix(tree, X)
+            if w is not None:
+                out += w * values
+            if c is not None:
+                out += c * sigmoid(values)
     return out

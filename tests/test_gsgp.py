@@ -41,7 +41,6 @@ from slumpgp.gsgp import (
     CrossoverOrigin,
     GsgpConfig,
     GsgpError,
-    REPLAY_ROWS,
     MutationOrigin,
     TreeOrigin,
     _post_order,
@@ -54,6 +53,7 @@ from slumpgp.gsgp import (
     evolve,
     fitness,
     fitnesses,
+    linear_form,
     load_ancestry,
     replay_semantics,
     tournament_select,
@@ -651,8 +651,7 @@ class TestRunResult:
         assert column[-1] == fitnesses(res.semantics[np.newaxis], train.targets)[0]
         # A tree GP individual is its tree: archived as an initial tree.
         ancestry = TreeOrigin(res.ancestry) if engine == "stgp" else res.ancestry
-        replayed = replay_semantics(archive_individual(ancestry), train)
-        assert same_bits(replayed, res.semantics[: len(train)])
+        assert_replays(archive_individual(ancestry), train, res.semantics[: len(train)])
 
 
 class TestBatchedGenerations:
@@ -792,8 +791,9 @@ class TestOverflowWarnsNothing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = evolve(GsgpConfig(population_size=20, generations=3), train, test, seed=42)
-            replayed = replay_semantics(archive_individual(res.ancestry), test)
-        assert same_bits(replayed, res.semantics[len(train) :])
+            payload = archive_individual(res.ancestry)
+            replay_semantics(payload, test)
+        assert_replays(payload, test, res.semantics[len(train) :])
 
 
 class TestEnginesShareLeaves:
@@ -1090,8 +1090,8 @@ class TestPersistence:
     def round_trip(self, root, sem, train, test):
         """The archive of the record root, whose vector sem it replays on train and test."""
         payload = archive_individual(root)
-        assert np.array_equal(replay_semantics(payload, train), sem[: len(train)])
-        assert np.array_equal(replay_semantics(payload, test), sem[len(train) :])
+        assert_replays(payload, train, sem[: len(train)])
+        assert_replays(payload, test, sem[len(train) :])
         return payload
 
     def test_round_trip_after_small_run(self, table1_split):
@@ -1108,7 +1108,7 @@ class TestPersistence:
         res = evolve(GsgpConfig(population_size=8, generations=3), train, test, seed=29)
         payload = archive_individual(res.ancestry)
         restored = json.loads(json.dumps(payload))
-        assert np.array_equal(replay_semantics(restored, train), res.semantics[:28])
+        assert_replays(restored, train, res.semantics[:28])
 
     def test_initial_individual_round_trip(self, table1_split):
         train, test = table1_split
@@ -1163,7 +1163,10 @@ class TestPersistence:
 
 
 def replay_keep_all(payload: dict, ds: Dataset) -> np.ndarray:
-    """Oracle: the replay loop that keeps every vector until it returns."""
+    """Oracle: the ancestry replayed record by record, keeping every vector
+    until it returns. Its arithmetic is that of each record's `apply`, so
+    on the rows a model evolved on it gives the stored semantics bit for
+    bit."""
     try:
         trees = [parse_infix(text) for text in payload["trees"]]
         records = payload["records"]
@@ -1281,20 +1284,92 @@ SHARED_PAYLOAD = {
 }
 
 
+def term_scale(payload: dict, ds: Dataset) -> np.ndarray:
+    """Each row's Σ |w·T(x)| + |c·σ(T(x))| over the terms of payload's linear form."""
+    scale = np.zeros(len(ds))
+    with np.errstate(all="ignore"):
+        for tree, w, c in linear_form(load_ancestry(payload)):
+            values = eval_matrix(tree, ds.features)
+            if w is not None:
+                scale += np.abs(w * values)
+            if c is not None:
+                scale += np.abs(c * sigmoid(values))
+    return scale
+
+
+def assert_near_ancestry(got, payload, ds, same_non_finite=True):
+    """got is the ancestry's replay on ds up to rounding: the same finite rows,
+    each within 1e-12 · `term_scale`, and, with same_non_finite, the same NaN
+    and ±inf rows."""
+    with np.errstate(all="ignore"):
+        want = replay_keep_all(payload, ds)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    if same_non_finite:
+        assert same_bits(got[~finite], want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * term_scale(payload, ds)[finite])
+
+
+def assert_replays(payload, ds, stored):
+    """The archive replays to the stored semantics on ds: the ancestry oracle
+    bit for bit, and replay_semantics up to rounding."""
+    with np.errstate(all="ignore"):
+        assert same_bits(replay_keep_all(payload, ds), stored)
+    assert_near_ancestry(replay_semantics(payload, ds), payload, ds)
+
+
+def drawable_weights(payload: dict) -> bool:
+    """Every crossover weight lies in [2^-53, 1 − 2^-53], as every tr that
+    `draw_crossover` draws does but 0 (probability 2^-53)."""
+    return all(
+        2.0**-53 <= rec["tr"] <= 1.0 - 2.0**-53
+        for rec in payload["records"]
+        if rec["op"] == "crossover"
+    )
+
+
 class TestReplayFreesVectors:
-    """replay_semantics drops vectors after their last use; that changes no
-    value and no error of the keep-everything replay."""
+    """replay_semantics keeps no record's vector: it sums one term per tree.
+    That gives the keep-everything replay's values up to rounding, and its
+    errors exactly."""
 
     @settings(max_examples=200, deadline=None)
     @given(valid_payloads())
     def test_matches_keep_all_oracle(self, payload):
-        ds = builtin_table1()
-        assert np.array_equal(replay_semantics(payload, ds), replay_keep_all(payload, ds))
+        """On table 1 and on table 1 × 1e200. A crossover weight of 0 or 1,
+        or weights whose product underflows to 0, can turn the ancestry's
+        0·∞ = NaN into ±∞ or back (see `test_zero_weight_can_turn_nan_into_inf`),
+        so the NaN and ±inf rows are compared only for drawable weights."""
+        table = builtin_table1()
+        for ds in (table, Dataset(table.features * 1e200)):
+            got = replay_semantics(payload, ds)
+            assert_near_ancestry(got, payload, ds, same_non_finite=drawable_weights(payload))
+
+    def test_zero_weight_can_turn_nan_into_inf(self, huge_split):
+        """tr = 0 with both parents one record: the ancestry computes
+        0·∞ + 1·∞ = NaN, the linear form (0 + 1)·∞ = ∞."""
+        train, _ = huge_split
+        payload = {
+            "trees": ["(x2 * x3)"],
+            "records": [
+                {"op": "tree", "tree": 0},
+                {"op": "crossover", "parent1": 0, "parent2": 0, "tr": 0.0},
+            ],
+            "root": 1,
+        }
+        with np.errstate(all="ignore"):
+            want = replay_keep_all(payload, train)
+            overflowed = np.isinf(eval_matrix(parse_infix("(x2 * x3)"), train.features))
+        got = replay_semantics(payload, train)
+        assert overflowed.any()
+        assert np.isnan(want[overflowed]).all()
+        assert same_bits(got[overflowed], np.full(overflowed.sum(), np.inf))
+        assert_near_ancestry(got, payload, train, same_non_finite=False)
 
     @pytest.mark.parametrize("root", range(len(SHARED_PAYLOAD["records"])))
     def test_shared_reads_match_oracle_at_every_root(self, root, table1):
         payload = {**SHARED_PAYLOAD, "root": root}
-        assert np.array_equal(replay_semantics(payload, table1), replay_keep_all(payload, table1))
+        assert_near_ancestry(replay_semantics(payload, table1), payload, table1)
 
     @pytest.mark.parametrize(
         "payload", [p for p in MALFORMED_PAYLOADS if isinstance(p.get("records"), list)]
@@ -1340,6 +1415,43 @@ class TestReplayFreesVectors:
         assert peak < 0.25 * keep_all
 
 
+class TestLinearForm:
+    def test_shared_payload_terms(self):
+        """SHARED_PAYLOAD's root: r8 = 0.25·r7 + 0.75·r1, r7 = r5 + 0.05·(σ(t2) − σ(t0)),
+        r5 = 0.6·r3 + 0.4·r1, r3 = 0.3·r2 + 0.7·r2 and r2 = r0 + 0.1·(σ(t0) − σ(t2)).
+        So record 1 is reached twice, and tree 0 both as an initial tree and as
+        a perturbation tree. The terms come in the order the walk first
+        reaches their trees."""
+        terms = linear_form(load_ancestry(SHARED_PAYLOAD))
+        assert [to_infix(t) for t, _, _ in terms] == ["(x4 - x5)", "x1", "(x2 * x3)"]
+        w0 = 0.25 * 0.6 * (0.3 + 0.7)
+        want = [
+            (None, 0.25 * 0.05 - w0 * 0.1),
+            (w0, w0 * 0.1 - 0.25 * 0.05),
+            (0.75 + 0.25 * 0.4, None),
+        ]
+        for got, expected in zip([term[1:] for term in terms], want):
+            for value, want_value in zip(got, expected):
+                if want_value is None:
+                    assert value is None
+                else:
+                    assert value == pytest.approx(want_value, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 20), st.integers(0, 6))
+    def test_weights_of_an_evolved_model_sum_to_one(self, seed, pop_size, generations):
+        """Crossovers are convex, so the initial trees' weights sum to 1, and
+        each mutation moves Σ c by +w·ms − w·ms = 0."""
+        train, test = split(builtin_table1(), SplitSpec(28))
+        cfg = GsgpConfig(population_size=pop_size, generations=generations)
+        terms = linear_form(evolve(cfg, train, test, seed).ancestry)
+        weights = [w for _, w, _ in terms if w is not None]
+        coefficients = [c for _, _, c in terms if c is not None]
+        assert all(w >= 0 for w in weights)
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
+        assert abs(math.fsum(coefficients)) <= 1e-12
+
+
 def uniform_rows(n: int, seed: int) -> Dataset:
     """n unlabeled rows drawn uniformly within the built-in table's feature ranges."""
     cols = builtin_table1().features
@@ -1362,8 +1474,13 @@ def seed1_payload(table1_split):
     return archive_individual(res.ancestry)
 
 
-# A malformed record after valid ones, so the first block replays some records
-# before it fails.
+@pytest.fixture(scope="module")
+def wide_rows():
+    return uniform_rows(8193, seed=0)
+
+
+# A malformed record after valid ones, so load_ancestry has built some
+# records when it fails.
 LATE_FAULT_PAYLOAD = {
     **SHARED_PAYLOAD,
     "records": SHARED_PAYLOAD["records"][:6] + [{"op": "mutation", "parent": 5, "r1": 9}],
@@ -1372,33 +1489,46 @@ LATE_FAULT_PAYLOAD = {
 
 
 class TestBlockedReplay:
-    """replay_semantics replays REPLAY_ROWS rows at a time; that changes no
-    value and no error of the one-block, keep-everything replay."""
+    """Replay acts on each row alone: a block of rows, any rows in any order,
+    replays bit for bit as those rows of one replay of all of them, and a
+    malformed payload fails with the same message whatever the rows."""
 
-    @pytest.mark.parametrize(
-        "n_rows", [1, REPLAY_ROWS - 1, REPLAY_ROWS, REPLAY_ROWS + 1, 2 * REPLAY_ROWS + 1]
-    )
-    def test_matches_single_block_oracle(self, n_rows, seed1_payload):
-        ds = uniform_rows(n_rows, seed=n_rows)
+    @pytest.mark.parametrize("n_rows", [1, 4095, 4096, 4097, 8193])
+    def test_matches_single_block_oracle(self, n_rows, seed1_payload, wide_rows):
+        rows = Random(n_rows).sample(range(len(wide_rows)), n_rows)
+        block = Dataset(wide_rows.features[rows])
         for payload in (seed1_payload, SHARED_PAYLOAD):
-            got = replay_semantics(payload, ds)
-            assert same_bits(got, replay_keep_all(payload, ds))
+            whole = replay_semantics(payload, wide_rows)
+            assert same_bits(replay_semantics(payload, block), whole[rows])
+            assert_near_ancestry(whole, payload, wide_rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.integers(0, 67), min_size=1, max_size=80))
+    def test_any_rows_replay_as_within_all_rows(self, rows, seed1_payload):
+        """Rows repeated or in any order; table 1's rows, then its rows × 1e200,
+        whose values overflow."""
+        table = builtin_table1().features
+        every = Dataset(np.vstack([table, table * 1e200]))
+        for payload in (seed1_payload, SHARED_PAYLOAD):
+            got = replay_semantics(payload, Dataset(every.features[rows]))
+            assert same_bits(got, replay_semantics(payload, every)[rows])
 
     @pytest.mark.parametrize(
         "payload",
         [p for p in MALFORMED_PAYLOADS if isinstance(p.get("records"), list)]
         + [LATE_FAULT_PAYLOAD],
     )
-    def test_malformed_message_same_on_many_blocks(self, payload, table1):
+    def test_malformed_message_same_on_many_blocks(self, payload, table1, wide_rows):
         one_block = replay_outcome(replay_semantics, payload, table1)
         assert isinstance(one_block, str)
-        assert replay_outcome(replay_semantics, payload, uniform_rows(2 * REPLAY_ROWS + 1, 7)) == (
-            one_block
-        )
+        assert replay_outcome(replay_semantics, payload, wide_rows) == one_block
 
-    def test_each_tree_evaluated_and_squashed_once_per_block(self, seed1_payload, monkeypatch):
-        """The program is built once: each block evaluates every reached tree
-        once, and squashes every perturbation tree once."""
+    @pytest.mark.parametrize("name", ["seed1", "shared-root-4"])
+    def test_each_tree_evaluated_and_squashed_once(self, name, seed1_payload, monkeypatch):
+        """Every tree the root reaches is evaluated once, and every
+        perturbation tree squashed once, also a tree read both ways (root 4
+        of SHARED_PAYLOAD); no other tree is evaluated."""
+        payload = seed1_payload if name == "seed1" else {**SHARED_PAYLOAD, "root": 4}
         evaluated, squashed = Counter(), Counter()
         text_of = {}  # id of a tree's values -> the tree's text; values kept alive
 
@@ -1414,19 +1544,22 @@ class TestBlockedReplay:
 
         monkeypatch.setattr(gsgp_module, "eval_matrix", counted_eval)
         monkeypatch.setattr(gsgp_module, "sigmoid", counted_sigmoid)
-        replay_semantics(seed1_payload, uniform_rows(2 * REPLAY_ROWS + 1, 11))
-        reached, perturbations = set(), set()
-        for rec in _post_order(load_ancestry(seed1_payload)):
+        replay_semantics(payload, uniform_rows(100, 11))
+        reached, perturbations = {}, {}  # id(tree) -> tree
+        for rec in _post_order(load_ancestry(payload)):
             if isinstance(rec, TreeOrigin):
-                reached.add(to_infix(rec.tree))
+                reached[id(rec.tree)] = rec.tree
             elif isinstance(rec, MutationOrigin):
-                perturbations |= {to_infix(rec.r1), to_infix(rec.r2)}
+                perturbations.update({id(rec.r1): rec.r1, id(rec.r2): rec.r2})
         assert perturbations
-        assert evaluated == {text: 3 for text in reached | perturbations}
-        assert squashed == {text: 3 for text in perturbations}
+        assert evaluated == Counter(to_infix(t) for t in {**reached, **perturbations}.values())
+        assert squashed == Counter(to_infix(t) for t in perturbations.values())
 
-    def test_peak_memory_does_not_grow_with_rows(self, seed1_payload):
-        def peak_beyond_output(n_rows: int) -> int:
+    def test_peak_memory_per_row_bounded_by_term_depth(self, seed1_payload):
+        """Each added row costs at most (deepest term's depth + 4) vectors:
+        the output, one tree's values and temporaries, and sigmoid's."""
+
+        def peak(n_rows: int) -> int:
             ds = uniform_rows(n_rows, seed=3)
             tracemalloc.start()
             try:
@@ -1434,6 +1567,7 @@ class TestBlockedReplay:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return peak - n_rows * 8
+            return peak
 
-        assert peak_beyond_output(40_000) <= 1.5 * peak_beyond_output(REPLAY_ROWS)
+        depth = max(tree.depth for tree, _, _ in linear_form(load_ancestry(seed1_payload)))
+        assert peak(40_000) - peak(4096) <= (depth + 4) * 8 * (40_000 - 4096)
