@@ -279,7 +279,8 @@ def _load_model(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # json.load recurses once per nesting level of arrays and objects.
         raise CliError(f"corrupt model file {path}: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc or "model" not in doc:
         raise CliError(f"model file {path} lacks 'kind'/'model' fields")
@@ -291,11 +292,20 @@ def _load_model(path: str) -> dict:
 def _read_input(path) -> tuple[bool, Dataset | None]:
     """predict's input CSV: whether it is labeled, and its rows, or None if none.
 
-    `read_csv`'s arrays are views of its parse buffer and `Dataset` copies
-    them; they die here, so the replay does not hold the input twice.
+    The features are column-major, so every `var` leaf that `eval_matrix`
+    reads is one contiguous column rather than a strided walk over all of
+    X; the values are the same, and so is every prediction, bit for bit.
+    `read_csv`'s arrays are views of its row-major table. They are copied
+    here, column-major, and the table is let go before `Dataset` copies
+    them again: at most two copies of the input live at once, and the
+    replay holds one.
     """
     labeled, features, targets = read_csv(path)
-    return labeled, (Dataset(features, targets) if len(features) else None)
+    if not len(features):
+        return labeled, None
+    features = np.asfortranarray(features)
+    targets = None if targets is None else targets.copy()
+    return labeled, Dataset(features, targets)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import warnings
 from array import array
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -108,12 +110,16 @@ class Sample:
 class Dataset:
     """n >= 1 mixes: an n x 8 feature array and an n-vector of slumps or None.
 
-    `Dataset(features, targets=None)` copies both into C-contiguous float64
-    arrays, checks every value with the rules of `_check_row`, and makes the
-    copies read-only, so a dataset shared across runs (`builtin_table1`)
-    cannot be changed in place. `Dataset(samples)` stacks a sequence of
-    `Sample`s, all labeled or all unlabeled, into the same arrays. Two
-    datasets are equal when their arrays are.
+    `Dataset(features, targets=None)` copies both into float64 arrays,
+    checks every value with the rules of `_check_row`, and makes the copies
+    read-only, so a dataset shared across runs (`builtin_table1`) cannot be
+    changed in place. The feature copy keeps the memory order it is given
+    (numpy's order="K"): a column-major array, as `predict` builds, stays
+    column-major, while nested lists, `Sample`s and row slices of a
+    row-major array give a row-major copy. `Dataset(samples)` stacks a
+    sequence of `Sample`s, all labeled or all unlabeled, into the same
+    arrays. Two datasets are equal when their arrays are, whatever their
+    layout.
     """
 
     features: np.ndarray
@@ -122,7 +128,7 @@ class Dataset:
     def __init__(self, features, targets=None):
         if targets is None and len(features) and isinstance(features[0], Sample):
             features, targets = _stack(features)
-        features = np.array(features, dtype=np.float64, order="C")
+        features = np.array(features, dtype=np.float64, order="K")
         if features.ndim != 2 or features.shape[1] != len(FEATURE_NAMES):
             raise DatasetError(f"features must have shape (n, 8), got {features.shape}")
         if not len(features):
@@ -263,8 +269,8 @@ def read_csv(path) -> tuple[bool, np.ndarray, np.ndarray | None]:
     """Read a dataset CSV: (labeled, features, targets), checked like a Dataset.
 
     features is n x 8 and targets an n-vector, or None for a file without
-    the slump column; n may be 0. Every cell is parsed with `float`, so a
-    cell gives the same double as anywhere else in Python.
+    the slump column; n may be 0. Both are views of one row-major table. A
+    cell gives the same double as `float` gives it anywhere else in Python.
 
     Blank rows are skipped wherever they stand, before the header too. The
     header must be exactly the eight feature names, optionally followed by
@@ -275,11 +281,64 @@ def read_csv(path) -> tuple[bool, np.ndarray, np.ndarray | None]:
 
     The first bad row in file order raises, and within a row a wrong cell
     count comes first, then a non-numeric cell in column order, then a bad
-    value in column order, slump last. Undecodable text raises only when
-    every row read before it is good.
+    value in column order, slump last. Undecodable text, or a cell longer
+    than `csv.field_size_limit()`, raises only when every row read before
+    it is good.
+
+    A plain file is parsed by numpy's reader (`_read_plain`); every other
+    file, and every file with an error, is read by `_scan_csv`. Both give
+    the same arrays, bit for bit, or the same error.
     """
-    header = bad = undecodable = None
+    try:
+        plain = _read_plain(path)
+    except Exception:  # the scan reads every file, and gives every error message
+        plain = None
+    return plain or _scan_csv(path)
+
+
+def _read_plain(path) -> tuple[bool, np.ndarray, np.ndarray | None] | None:
+    """`read_csv` of a plain file; None, or any exception, for every other file.
+
+    A plain file's first line is exactly one of the two headers. Every line
+    after it is empty or holds that many unquoted numbers, at least one
+    line does, and every value passes `_check_values`. No line is longer
+    than csv's field limit, so no cell is either. numpy reads a number as
+    `float` does or not at all: it takes no underscores and no non-ASCII
+    digits. `read_csv` sends every other file to `_scan_csv`.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = tuple(fh.readline().rstrip("\r\n").split(","))
+        if header not in (CSV_HEADER, FEATURE_NAMES):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                chain.from_iterable(_line_batches(fh)),
+                delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=np.float64,
+            )
+    if table.shape[1] != len(header) or not len(table):
+        return None
+    labeled = header == CSV_HEADER
+    features, targets = table[:, :8], (table[:, 8] if labeled else None)
+    _check_values(features, targets)
+    return labeled, features, targets
+
+
+def _line_batches(fh):
+    """fh's remaining lines in lists of about 64 KiB, so the text is never
+    held whole; ValueError at a line longer than csv's field limit."""
+    limit = csv.field_size_limit()
+    while lines := fh.readlines(1 << 16):
+        if max(map(len, lines)) > limit:
+            raise ValueError(f"a line is longer than csv's field limit ({limit})")
+        yield lines
+
+
+def _scan_csv(path) -> tuple[bool, np.ndarray, np.ndarray | None]:
+    """`read_csv` by the csv module, row by row: any file, and every error message."""
+    header = bad = unreadable = None
     values, row_nos = array("d"), []
+    n = -1
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             for n, row in enumerate(csv.reader(fh)):
@@ -303,9 +362,12 @@ def read_csv(path) -> tuple[bool, np.ndarray, np.ndarray | None]:
                     break
                 row_nos.append(n - header_no)
         except UnicodeDecodeError as exc:
-            undecodable = DatasetError(f"{path} is not UTF-8 text: {exc}")
+            unreadable = DatasetError(f"{path} is not UTF-8 text: {exc}")
+        except csv.Error as exc:
+            where = "header row" if header is None else f"row {n + 1 - header_no}"
+            unreadable = DatasetError(f"{where}: {exc}")
     if header is None:
-        raise undecodable or DatasetError("empty file: missing header row")
+        raise unreadable or DatasetError("empty file: missing header row")
     del values[len(row_nos) * width :]  # a row that failed to parse may have added cells
     table = np.frombuffer(values, dtype=np.float64).reshape(len(row_nos), width)
     features = table[:, :8]
@@ -317,8 +379,8 @@ def read_csv(path) -> tuple[bool, np.ndarray, np.ndarray | None]:
             raise DatasetError(f"row {row_no}: expected {width} cells, got {len(row)}")
         for column, cell in zip(header, row):
             _parse_cell(cell.strip(), column, row_no)
-    if undecodable:
-        raise undecodable
+    if unreadable:
+        raise unreadable
     return labeled, features, targets
 
 

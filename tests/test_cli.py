@@ -100,6 +100,17 @@ class TestBadInput:
         argv = ["predict", str(model), str(tmp_path / "in.csv"), "--out", str(tmp_path / "o")]
         assert_one_line_error(*run_cli(argv, capsys))
 
+    def test_deeply_nested_model(self, tmp_path, capsys):
+        """json.load recurses once per '[': 100,000 of them overflow the stack."""
+        model = tmp_path / "model.json"
+        model.write_text("[" * 100_000, encoding="utf-8")
+        write_input(tmp_path / "in.csv")
+        argv = ["predict", str(model), str(tmp_path / "in.csv"), "--out", str(tmp_path / "o")]
+        code, err = run_cli(argv, capsys)
+        assert_one_line_error(code, err)
+        assert err.startswith(f"error: corrupt model file {model}: maximum recursion depth")
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_bytes(NOT_UTF8)
@@ -658,6 +669,16 @@ class TestPredictEdgeCases:
         assert err == "error: row 3: column 'water' has non-numeric value 'wet'\n"
         assert not (tmp_path / "o" / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("cell", ["0" * 200_000 + "1", "x" * 200_000], ids=["numeric", "text"])
+    def test_cell_over_csv_field_limit_names_its_row(self, tmp_path, capsys, cell):
+        """The csv module reads no cell over 131,072 characters, not even a
+        number padded with zeros: the row is named, and nothing is written."""
+        data = "\n".join([FEATURES, ROW, "", cell + ROW[3:], ROW]) + "\n"
+        code, err = self.predict(tmp_path, capsys, data.encode())
+        assert_one_line_error(code, err)
+        assert err == "error: row 3: field larger than field limit (131072)\n"
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
     @pytest.mark.parametrize("good_rows", [2, 5000])
     def test_later_rows_not_utf8(self, tmp_path, capsys, good_rows):
         data = "\n".join([FEATURES] + [ROW] * good_rows).encode() + b"\n3\xff0,60\n"
@@ -757,6 +778,16 @@ class TestPredictInputLayout:
             "--out", str(tmp_path / "o"),
         ]
         return run_cli(argv, capsys)
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_features_are_column_major(self, tmp_path, labeled):
+        """So each `var` leaf of `eval_matrix` reads one contiguous column."""
+        table = builtin_table1()
+        save_csv(table if labeled else Dataset(table.features), tmp_path / "in.csv")
+        got_labeled, ds = cli_module._read_input(tmp_path / "in.csv")
+        assert got_labeled == labeled
+        assert ds.features.flags.f_contiguous and not ds.features.flags.c_contiguous
+        assert ds == (table if labeled else Dataset(table.features))
 
     @pytest.mark.parametrize("rows", [[], [ROW]], ids=["header-only", "with-data"])
     def test_blank_lines_before_header(self, tmp_path, capsys, rows):

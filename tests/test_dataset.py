@@ -3,14 +3,16 @@
 import csv
 import math
 import pickle
+from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import slumpgp.dataset as dataset_module
 from slumpgp.dataset import (
     CSV_HEADER,
     Dataset,
@@ -152,6 +154,32 @@ class TestDataset:
         with pytest.raises(DatasetError) as info:
             Dataset(table[:, :8], table[:, 8])
         assert str(info.value) == message
+
+
+class TestLayout:
+    """Every dataset is row-major but one built from a column-major array,
+    which keeps its layout; `predict` builds its input that way."""
+
+    def test_row_major_everywhere(self, table1, tmp_path):
+        p = tmp_path / "table.csv"
+        save_csv(table1, p)
+        train, test = split(table1, SplitSpec(28))
+        for ds in (
+            table1,
+            train,
+            test,
+            load_csv(p),
+            Dataset((make_sample(), make_sample(121.0))),
+            pickle.loads(pickle.dumps(table1)),
+        ):
+            assert ds.features.flags.c_contiguous
+            assert not ds.features.flags.f_contiguous
+
+    def test_column_major_kept(self, table1):
+        ds = Dataset(np.asfortranarray(table1.features), table1.targets)
+        assert ds.features.flags.f_contiguous and not ds.features.flags.c_contiguous
+        assert not ds.features.flags.writeable
+        assert ds == table1
 
 
 class TestBuiltinTable:
@@ -434,6 +462,8 @@ def oracle_read_csv(path):
     return labeled, table[:, :8], (table[:, 8] if labeled else None)
 
 
+FEATURES_LINE = ",".join(FEATURE_NAMES)
+PLAIN_ROW = "300,60,180,700,1100,5,200,2345"
 SPELLINGS = (repr, "{:.3f}".format, lambda v: str(int(v)), "{:e}".format, " {!r}  ".format)
 FAULTS = ("wet", "", "-1", "-0.5", "nan", "inf", "-inf", "0", "short")
 
@@ -488,3 +518,167 @@ class TestReadCsvOracle:
             assert same_bits(targets, want[2])
         else:
             assert targets is None
+
+
+def read_outcome(read, path):
+    """read(path), or the type and message of what it raised."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(got, want) -> bool:
+    """Equal outcomes: the same error, or the same label flag and the same arrays bit for bit."""
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        return got == want
+    return (
+        got[0] == want[0]
+        and same_bits(got[1], want[1])
+        and (got[2] is None if want[2] is None else same_bits(got[2], want[2]))
+    )
+
+
+@contextmanager
+def field_limit(limit):
+    """`csv.field_size_limit(limit)` inside the block, when limit is not None."""
+    saved = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(saved)
+
+
+# Cells that numpy's reader rejects, or that both readers reject;
+# "\ue000" is written as a byte that is not UTF-8.
+CELL_FAULTS = (
+    "1_0", "nan", "inf", "-3", "0", "", "  ", '"12.5"', "12\x005", "wet",
+    "\u0661\u0662", "0x10", "\xa012\xa0", "\ue000",
+)
+PADDED = ("{:040.3f}".format, "{:>40}".format)
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a CSV file: often plain, else with the layouts and faults
+    that send a file from numpy's reader to the csv scan."""
+    labeled = draw(st.booleans())
+    width = 9 if labeled else 8
+    header = list(CSV_HEADER[:width])
+    header_fault = draw(st.sampled_from([None] * 8 + ["spaced", "quoted", "short", "long"]))
+    if header_fault == "spaced":
+        header[0] = " cement"
+    elif header_fault == "quoted":
+        header[1] = '"fly_ash"'
+    elif header_fault == "short":
+        header.pop()
+    elif header_fault == "long":
+        header.append("slump")
+    n = draw(st.integers(0, 6))
+    spellings = st.sampled_from(SPELLINGS + PADDED)
+    rows = [
+        [
+            draw(spellings)(draw(st.floats(0.5 if col == 8 else 0.0, 3000.0)))
+            for col in range(width)
+        ]
+        for _ in range(n)
+    ]
+    lines = [",".join(header), *(",".join(r) for r in rows)]
+    if n:
+        for fault in draw(st.lists(st.sampled_from(CELL_FAULTS + ("short", "extra")), max_size=2)):
+            i = draw(st.integers(0, n - 1))
+            if fault == "short":
+                del rows[i][draw(st.integers(0, width - 1)) :]
+            elif fault == "extra":
+                rows[i].append("1")
+            elif rows[i]:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = fault
+            lines[1 + i] = ",".join(rows[i])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", "  "])))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(a + b for a, b in zip(lines, ends))
+    return text.encode("utf-8").replace("\ue000".encode("utf-8"), b"\xff")
+
+
+class TestNumpyReader:
+    """`read_csv` reads a plain file with numpy's reader (`_read_plain`) and
+    any other with the csv scan (`_scan_csv`); both give the same result."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=csv_files(), limit=st.sampled_from([None, None, 48]))
+    def test_same_arrays_or_same_error_as_scan(self, tmp_path_factory, data, limit):
+        """Also under a field limit of 48 characters, which some padded cells
+        and most lines exceed."""
+        p = tmp_path_factory.getbasetemp() / "plain.csv"
+        p.write_bytes(data)
+        with field_limit(limit):
+            plain = read_outcome(dataset_module._read_plain, p)
+            got = read_outcome(read_csv, p)
+            want = read_outcome(dataset_module._scan_csv, p)
+        event("numpy reader" if plain and not isinstance(plain[0], type) else "csv scan")
+        assert same_outcome(got, want)
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_saved_file_is_plain(self, table1, tmp_path, labeled):
+        p = tmp_path / "table.csv"
+        save_csv(table1 if labeled else Dataset(table1.features), p)
+        plain = dataset_module._read_plain(p)
+        assert plain is not None
+        assert same_outcome(plain, dataset_module._scan_csv(p))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FEATURES_LINE + "\n",
+            "\n" + FEATURES_LINE + "\n" + PLAIN_ROW + "\n",
+            " " + FEATURES_LINE + "\n" + PLAIN_ROW + "\n",
+            FEATURES_LINE + "\n" + PLAIN_ROW.replace("180", '"180"') + "\n",
+            FEATURES_LINE + "\n" + PLAIN_ROW.replace("180", "1_80") + "\n",
+            FEATURES_LINE + "\n" + PLAIN_ROW.replace("180", "-180") + "\n",
+            FEATURES_LINE + "\n" + PLAIN_ROW + "\n  \n",
+            FEATURES_LINE + "\n" + PLAIN_ROW + ",1\n",
+        ],
+        ids=["no-rows", "blank-first", "spaced-header", "quoted", "underscore", "negative",
+             "whitespace-line", "wide-row"],
+    )
+    def test_other_files_go_to_the_scan(self, tmp_path, text):
+        p = tmp_path / "in.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        plain = read_outcome(dataset_module._read_plain, p)
+        assert plain is None or isinstance(plain[0], type)
+        assert same_outcome(read_outcome(read_csv, p), read_outcome(dataset_module._scan_csv, p))
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([PLAIN_ROW, "0" * 70 + "1" + PLAIN_ROW[3:]], "row 2: field larger than field limit (64)"),
+            (["", PLAIN_ROW, "wet" * 30], "row 3: field larger than field limit (64)"),
+        ],
+        ids=["numeric", "after-blank-row"],
+    )
+    def test_cell_over_field_limit_names_its_row(self, tmp_path, lines, message):
+        p = tmp_path / "in.csv"
+        p.write_text("\n".join([FEATURES_LINE, *lines]) + "\n", encoding="utf-8")
+        with field_limit(64):
+            with pytest.raises(DatasetError) as info:
+                read_csv(p)
+        assert str(info.value) == message
+
+    def test_long_numeric_cell_within_limit(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text(f"{FEATURES_LINE}\n{'0' * 70}1{PLAIN_ROW[3:]}\n", encoding="utf-8")
+        _, features, _ = dataset_module._read_plain(p)
+        assert features.tolist() == [[1, 60, 180, 700, 1100, 5, 200, 2345]]
+
+    def test_header_over_field_limit(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text("x" * 100 + "\n" + PLAIN_ROW + "\n", encoding="utf-8")
+        with field_limit(64):
+            with pytest.raises(DatasetError) as info:
+                read_csv(p)
+        assert str(info.value) == "header row: field larger than field limit (64)"

@@ -1513,6 +1513,24 @@ class TestBlockedReplay:
             got = replay_semantics(payload, Dataset(every.features[rows]))
             assert same_bits(got, replay_semantics(payload, every)[rows])
 
+    @settings(max_examples=100, deadline=None)
+    @given(valid_payloads())
+    def test_same_bits_on_column_major_rows(self, payload):
+        """`predict` replays column-major rows, every other caller row-major
+        ones; the layout changes no bit. Table 1's rows, then × 1e200."""
+        table = builtin_table1().features
+        rows = np.vstack([table, table * 1e200])
+        want = replay_semantics(payload, Dataset(rows))
+        assert same_bits(replay_semantics(payload, Dataset(np.asfortranarray(rows))), want)
+
+    def test_trained_model_same_bits_on_column_major_rows(self, seed1_payload, wide_rows):
+        column_major = Dataset(np.asfortranarray(wide_rows.features))
+        assert column_major.features.flags.f_contiguous
+        assert same_bits(
+            replay_semantics(seed1_payload, column_major),
+            replay_semantics(seed1_payload, wide_rows),
+        )
+
     @pytest.mark.parametrize(
         "payload",
         [p for p in MALFORMED_PAYLOADS if isinstance(p.get("records"), list)]
